@@ -1,0 +1,50 @@
+"""Golden sha256 digests of the trace and the metrics document.
+
+These pin behaviour byte for byte across refactors.  A change that alters
+them on purpose updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lorad2d import runner
+from lorad2d.scenario import load_bundled, make_duty_audit
+
+GOLDEN = [
+    ("table2_conventional", 0,
+     "e51c52e0c95da59234d526ffcae8b5154b6ce89c2c077d4bdc1e15e1c6398785",
+     "c1b1ccf0a5967cb0b3ee26c95e85f891ad88acd8c39a2cd66233b84840cff0f5"),
+    ("table2_d2d", 0,
+     "10e18980f278b033c787bffcc94c3e378ab12b4a57299b20271f5507da53ce2e",
+     "15818e77472831193502251223f4f290946704c7a3a86ddf207f2e625009969f"),
+    ("duty-audit", 0,
+     "d01e9b5a2c7c685f4c586da43360ff4c5f8b74bb6ad77fcd4381eeef990fc5c5",
+     "badd7277512b7b5ef7d885c2f2ac6c2e5027807ff972f1f658ef702944b2a6f3"),
+    ("duty-audit", 1,
+     "49d580029b22f66a0d8766ebb91c3974f1563827432e7ad7b361259da21283ef",
+     "d3d8ee0500759bb205b6d71a64ad364226a36411b3495996177fd0ec4100f85f"),
+    ("duty-audit", 2,
+     "3aae554dd3c660db1a1addebd306862538d4ef34bca8e2d71da7feed3d568586",
+     "7e7a87f96b81190278fac41bb348b58bd6229a1f1b012d3c98efb127b45a3cbf"),
+    ("duty-audit", 3,
+     "5efff3c67ecd07795a6a1856fa1d493316cdb2a14a5683bc19908da4a7a85f73",
+     "35480fc2428a19a9df400e2da2c06c7648376c3ac44d0087a8bc46bb85e30569"),
+    ("duty-audit", 4,
+     "6977ea7cbb68c7376c75fa1d296d2eb3eeb4bf73f66a631f1ff1150e3d7984c9",
+     "e39340216c58e99bb04fb528f3791af805202b9072fd8974ee5154ea62ffee84"),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed,trace_digest,doc_digest", GOLDEN,
+                         ids=[f"{name}-seed{seed}" for name, seed, *_ in GOLDEN])
+def test_trace_and_metrics_digests(name, seed, trace_digest, doc_digest):
+    scn = make_duty_audit() if name == "duty-audit" else load_bundled(name)
+    result = runner.run(scn, seed=seed, trace=True)
+    assert _sha256(result.trace_jsonl()) == trace_digest
+    assert _sha256(json.dumps(result.document, sort_keys=True)) == doc_digest

@@ -186,3 +186,115 @@ def test_duty_audit_factory_shape():
     phases = [d.phase_s for d in scn.devices]
     assert len(set(phases)) == 50        # staggered starts
     assert all(d.app_payload_bytes == 51 and d.dr == 0 for d in scn.devices)
+
+
+_DELETE = object()
+
+
+def full_doc():
+    """A valid document with one entry in every block."""
+    return minimal_doc(
+        radio={"pl0_db": 127.5},
+        bands=[{"ident": "x", "low_hz": 865_000_000, "high_hz": 870_000_000,
+                "duty_cycle_limit": 0.01}],
+        sensitivity_dbm={"0": -137.0},
+        profile=PowerProfile(name="p").to_dict(),
+        rx2_freq_hz=869_525_000,
+        devices=[{"eid": "a", "dev_addr": 1, "position": [0.0, 0.0],
+                  "channels_hz": [868_100_000], "max_uplinks": 3,
+                  "prejoined": True},
+                 {"eid": "b", "dev_addr": 2}],
+        gateways=[{"eid": "gw", "position": [10.0, 0.0], "tx_power_dbm": 14}],
+        transfers=[{"source": "a", "dest": "b", "total_bytes": 240}],
+        d2d_directives=[{"at_s": 1.0, "initiator": "a", "scanner": "b",
+                         "freq_hz": 868_100_000, "dr": 5,
+                         "exchange": {"data_packets": 2}}],
+    )
+
+
+def test_full_doc_is_valid():
+    Scenario.from_dict(full_doc())
+
+
+@pytest.mark.parametrize("where,value,path", [
+    # top level
+    (("name",), 5, "name"),
+    (("end_time_s",), _DELETE, "end_time_s"),
+    (("rx2_dr",), 1.5, "rx2_dr"),
+    (("duty_cycle_enforced",), 1, "duty_cycle_enforced"),
+    # radio
+    (("radio",), [], "radio"),
+    (("radio", "pl0_db"), "loud", "radio.pl0_db"),
+    (("radio", "exponent"), True, "radio.exponent"),
+    (("radio", "pl0"), 127.5, "radio.pl0"),
+    # bands[0]
+    (("bands",), [], "bands"),
+    (("bands", 0), "x", "bands[0]"),
+    (("bands", 0, "high_hz"), 865_000_000, "bands[0]"),
+    (("bands", 0, "low_hz"), "low", "bands[0].low_hz"),
+    (("bands", 0, "duty_cycle_limit"), _DELETE, "bands[0].duty_cycle_limit"),
+    (("bands", 0, "erp_dbm"), 14.0, "bands[0].erp_dbm"),
+    # sensitivity_dbm
+    (("sensitivity_dbm",), [-137.0], "sensitivity_dbm"),
+    (("sensitivity_dbm", "0"), "low", "sensitivity_dbm"),
+    (("sensitivity_dbm", "zero"), -137.0, "sensitivity_dbm"),
+    (("sensitivity_dbm", "9"), -137.0, "sensitivity_dbm"),
+    # profile
+    (("profile",), 5, "profile"),
+    (("profile", "p_rx_w"), _DELETE, "profile"),
+    # devices[0]
+    (("devices", 0), 5, "devices[0]"),
+    (("devices", 0, "eid"), _DELETE, "devices[0].eid"),
+    (("devices", 0, "position"), [1.0], "devices[0].position"),
+    (("devices", 0, "position"), ["x", "y"], "devices[0].position"),
+    (("devices", 0, "position"), [True, 0.0], "devices[0].position"),
+    (("devices", 0, "position"), 1.0, "devices[0].position"),
+    (("devices", 0, "channels_hz"), 868_100_000, "devices[0].channels_hz"),
+    (("devices", 0, "channels_hz"), ["868100000"], "devices[0].channels_hz"),
+    (("devices", 0, "channels_hz"), [True], "devices[0].channels_hz"),
+    (("devices", 0, "channels_hz"), [], "devices[0].channels_hz"),
+    (("devices", 0, "dev_addr"), True, "devices[0].dev_addr"),
+    (("devices", 0, "dev_addr"), "1", "devices[0].dev_addr"),
+    (("devices", 0, "max_uplinks"), 1.5, "devices[0].max_uplinks"),
+    (("devices", 0, "max_uplinks"), -1, "devices[0].max_uplinks"),
+    (("devices", 0, "prejoined"), 1, "devices[0].prejoined"),
+    (("devices", 0, "period_s"), "300", "devices[0].period_s"),
+    (("devices", 0, "chanels_hz"), [868_100_000], "devices[0].chanels_hz"),
+    # gateways[0]
+    (("gateways", 0), [], "gateways[0]"),
+    (("gateways", 0, "eid"), _DELETE, "gateways[0].eid"),
+    (("gateways", 0, "tx_power_dbm"), "14", "gateways[0].tx_power_dbm"),
+    (("gateways", 0, "position"), [0.0, 0.0, 0.0], "gateways[0].position"),
+    (("gateways", 0, "pos"), [0.0, 0.0], "gateways[0].pos"),
+    # transfers[0]
+    (("transfers", 0, "total_bytes"), 1.5, "transfers[0].total_bytes"),
+    (("transfers", 0, "dest"), _DELETE, "transfers[0].dest"),
+    (("transfers", 0, "port"), True, "transfers[0].port"),
+    (("transfers", 0, "bytes"), 1, "transfers[0].bytes"),
+    # d2d_directives[0]
+    (("d2d_directives", 0, "at_s"), "soon", "d2d_directives[0].at_s"),
+    (("d2d_directives", 0, "dr"), _DELETE, "d2d_directives[0].dr"),
+    (("d2d_directives", 0, "freq_hz"), True, "d2d_directives[0].freq_hz"),
+    (("d2d_directives", 0, "t2"), 30.0, "d2d_directives[0].t2"),
+    # d2d_directives[0].exchange
+    (("d2d_directives", 0, "exchange"), 5, "d2d_directives[0].exchange"),
+    (("d2d_directives", 0, "exchange", "data_packets"), 0,
+     "d2d_directives[0].exchange"),
+    (("d2d_directives", 0, "exchange", "retry_limit"), "3",
+     "d2d_directives[0].exchange.retry_limit"),
+    (("d2d_directives", 0, "exchange", "guard"), 0.1,
+     "d2d_directives[0].exchange.guard"),
+])
+def test_bad_value_error_paths(where, value, path):
+    doc = full_doc()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(json.loads(json.dumps(doc)))
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: ")   # names an unknown key too
