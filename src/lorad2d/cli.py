@@ -2,7 +2,10 @@
 
 Subcommands: ``run`` a scenario file or bundled scenario, ``toa`` for airtime
 arithmetic, ``duty`` for the sub-band table and off-time calculator,
-``table2`` for the benchmark comparison, ``sweep`` for multi-seed batches.
+``table2`` for the benchmark comparison, ``calibrate`` to fit and save the
+power profile behind it, ``sweep`` for multi-seed batches (``sweep
+duty-audit`` is the regulatory audit: it fails when any run overshoots a
+sub-band's duty-cycle limit).
 """
 
 from __future__ import annotations
@@ -13,17 +16,31 @@ import sys
 from pathlib import Path
 
 from . import metrics, phy, regulator, runner
-from .scenario import Scenario, ScenarioError, bundled_names, load_bundled
+from .scenario import (Scenario, ScenarioError, bundled_names, load_bundled,
+                       make_duty_audit)
+
+# Scenarios built in code rather than read from a bundled file.
+GENERATED = {"duty-audit": make_duty_audit}
+
+# A run whose busiest sub-band exceeds its duty limit by more than this fails
+# the audit.
+DUTY_TOLERANCE = 1e-9
+
+
+def _scenario_names() -> list[str]:
+    return bundled_names() + sorted(GENERATED)
 
 
 def _load_scenario(ref: str) -> Scenario:
     path = Path(ref)
     if path.exists():
         return Scenario.load(path)
+    if ref in GENERATED:
+        return GENERATED[ref]()
     if ref in bundled_names():
         return load_bundled(ref)
     raise ScenarioError("$", f"{ref!r} is neither a file nor a bundled scenario "
-                             f"(bundled: {', '.join(bundled_names())})")
+                             f"(bundled: {', '.join(_scenario_names())})")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -118,29 +135,56 @@ def cmd_duty(args) -> int:
 # -- table2 --------------------------------------------------------------
 
 
-def _fmt_cell(cell) -> str:
-    sim, ref, rel = cell["simulated"], cell["reference"], cell["rel_err"]
-    if sim is None:
-        return f"      (none)  ref {ref:10.3f}"
-    return f"{sim:12.3f}  ref {ref:10.3f}  err {rel:+7.2%}"
+def _print_row(label: str, simulated, reference: float, rel_err, width: int = 15) -> None:
+    if simulated is None:
+        cell = f"      (none)  ref {reference:10.3f}"
+    else:
+        cell = f"{simulated:12.3f}  ref {reference:10.3f}  err {rel_err:+7.2%}"
+    print(f"  {label:<{width}}{cell}")
+
+
+def _print_residuals(residuals: dict) -> None:
+    print("calibration residuals [J]")
+    for role, res in residuals.items():
+        _print_row(role, res["model_j"], res["target_j"], res["rel_err"])
+
+
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_table2(args) -> int:
     doc = runner.table2(seed=args.seed)
     print("time to transfer 2400 bytes [s]")
-    print(f"  conventional   {_fmt_cell(doc['time_s']['conventional'])}")
-    print(f"  d2d            {_fmt_cell(doc['time_s']['d2d'])}")
+    for name in ("conventional", "d2d"):
+        _print_row(name, **doc["time_s"][name])
     print("energy per role [J]")
     for role in ("transmitter", "receiver", "initiator", "scanner"):
-        print(f"  {role:<15}{_fmt_cell(doc['energy_j'][role])}")
+        _print_row(role, **doc["energy_j"][role])
     print("ratios")
     for key, cell in doc["ratios"].items():
-        print(f"  {key:<34}{_fmt_cell(cell)}")
+        _print_row(key, **cell, width=34)
+    _print_residuals(doc["calibration_residuals"])
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(doc, args.out)
         print(f"comparison written to {args.out}")
+    return 0
+
+
+# -- calibrate -----------------------------------------------------------
+
+
+def cmd_calibrate(args) -> int:
+    profile, residuals = runner.calibrate(seed=args.seed)
+    print("fitted profile")
+    for key in ("p_tx14_w", "p_rx_w", "p_sleep_w", "command_overhead_j"):
+        print(f"  {key:<19}{getattr(profile, key):.9f}")
+    _print_residuals(residuals)
+    if args.out is not None:
+        _write_json(profile.to_dict(), args.out)
+        print(f"profile written to {args.out}")
     return 0
 
 
@@ -154,10 +198,19 @@ def cmd_sweep(args) -> int:
     rows = runner.sweep(scn, seeds, jobs=args.jobs)
     if args.out is None or args.out == "-":
         runner.write_csv(rows, sys.stdout)
+        report = sys.stderr              # keep stdout valid CSV
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             runner.write_csv(rows, fh)
         print(f"{len(rows)} runs written to {args.out}")
+        report = sys.stdout
+    worst = max((row["duty_max_fraction_of_limit"] for row in rows), default=0.0)
+    print(f"worst per-band duty usage: {worst:.6f} of the limit", file=report)
+    print(f"uplinks deferred by the duty ledger: "
+          f"{sum(row['duty_deferrals'] for row in rows)}", file=report)
+    if scn.duty_cycle_enforced and worst > 1.0 + DUTY_TOLERANCE:
+        print("error: duty-cycle limit exceeded", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -169,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lorad2d",
         description="LoRaWAN class A + device-to-device transfer simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario_help = ("path to a scenario JSON file, or a bundled name "
+                     f"({', '.join(_scenario_names())})")
 
     p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("scenario",
-                       help="path to a scenario JSON file, or a bundled name "
-                            f"({', '.join(bundled_names())})")
+    p_run.add_argument("scenario", help=scenario_help)
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the scenario's seed")
     p_run.add_argument("--out", default=None, metavar="FILE",
@@ -205,8 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the comparison document (JSON) here")
     p_t2.set_defaults(fn=cmd_table2)
 
+    p_cal = sub.add_parser("calibrate",
+                           help="fit the power profile to the published energies")
+    p_cal.add_argument("--seed", type=int, default=0)
+    p_cal.add_argument("--out", default=None, metavar="FILE",
+                       help="write the fitted profile (JSON) here")
+    p_cal.set_defaults(fn=cmd_calibrate)
+
     p_sweep = sub.add_parser("sweep", help="run a scenario under many seeds")
-    p_sweep.add_argument("scenario")
+    p_sweep.add_argument("scenario", help=scenario_help)
     p_sweep.add_argument("--seeds", type=int, required=True, metavar="N",
                          help="number of consecutive seeds to run")
     p_sweep.add_argument("--seed", type=int, default=None,

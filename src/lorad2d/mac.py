@@ -150,16 +150,20 @@ class EndDevice:
 
     # -- uplink cycle ------------------------------------------------------
 
-    def _schedule_next_uplink(self) -> None:
-        if self.max_uplinks is not None and self.counters["uplinks_sent"] >= self.max_uplinks:
-            return
+    def _schedule_on_grid(self, fn, kind: str) -> None:
+        """Schedule `fn` at the next nominal period slot plus jitter."""
         nominal = self._next_nominal_us
         self._next_nominal_us = nominal + self.period_us
         jitter_us = 0
         if self.jitter_frac:
             jitter_us = round(self.rng.uniform(-self.jitter_frac, self.jitter_frac) * self.period_us)
         t = max(nominal + jitter_us, self.engine.now_us)
-        self.engine.schedule(t, self._begin_uplink, kind="uplink_timer", target=self.eid)
+        self.engine.schedule(t, fn, kind=kind, target=self.eid)
+
+    def _schedule_next_uplink(self) -> None:
+        if self.max_uplinks is not None and self.counters["uplinks_sent"] >= self.max_uplinks:
+            return
+        self._schedule_on_grid(self._begin_uplink, "uplink_timer")
 
     def _begin_uplink(self, _=None) -> None:
         if self.mac_state is MacState.D2D_SUSPENDED:
@@ -336,13 +340,7 @@ class EndDevice:
     # -- join --------------------------------------------------------------
 
     def _schedule_join_attempt(self) -> None:
-        nominal = self._next_nominal_us
-        self._next_nominal_us = nominal + self.period_us
-        jitter_us = 0
-        if self.jitter_frac:
-            jitter_us = round(self.rng.uniform(-self.jitter_frac, self.jitter_frac) * self.period_us)
-        t = max(nominal + jitter_us, self.engine.now_us)
-        self.engine.schedule(t, self._begin_join, kind="join_timer", target=self.eid)
+        self._schedule_on_grid(self._begin_join, "join_timer")
 
     def _begin_join(self, _=None) -> None:
         if self.mac_state not in (MacState.NOT_JOINED, MacState.SLEEP):

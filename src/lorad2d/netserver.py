@@ -276,20 +276,22 @@ class NetworkServer:
 
     # -- D2D planning ------------------------------------------------------------
 
+    def _setup_delivery_terms_s(self, record: DeviceRecord) -> tuple[float, float, float]:
+        """Uplink airtime, and setup delivery at the end of RX1 and of RX2."""
+        toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
+        setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
+        rw1 = self.timings.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
+        rw2 = self.timings.receive_delay2_s + phy.time_on_air(self.rx2_dr, setup_phy)
+        return toa_up, rw1, rw2
+
     def _worst_setup_delivery_s(self, record: DeviceRecord) -> float:
         """Upper bound on trigger-to-setup-delivery, assuming no losses."""
         wait = record.period_s * (1.0 + record.jitter_frac)
-        toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-        setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
-        rw1 = self.timings.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
-        rw2 = self.timings.receive_delay2_s + phy.time_on_air(self.rx2_dr, setup_phy)
+        toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
         return wait + toa_up + max(rw1, rw2)
 
     def _best_setup_delivery_s(self, record: DeviceRecord) -> float:
-        toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-        setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
-        rw1 = self.timings.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
-        rw2 = self.timings.receive_delay2_s + phy.time_on_air(self.rx2_dr, setup_phy)
+        toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
         return toa_up + min(rw1, rw2)
 
     def plan_d2d(self, *, initiator_addr: int, scanner_addr: int, freq_hz: int,

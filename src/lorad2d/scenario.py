@@ -8,8 +8,12 @@ silently running a different experiment.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -121,6 +125,8 @@ class Scenario:
         if not self.end_time_s > 0:
             raise ScenarioError("end_time_s", "must be positive")
         if self.bands is not None:
+            if not self.bands:
+                raise ScenarioError("bands", "needs at least one sub-band")
             try:
                 regulator.validate_bands(self.bands)
             except regulator.RegulatorError as exc:
@@ -246,26 +252,15 @@ class Scenario:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        # the optional blocks (bands, sensitivity_dbm, profile) are left out when unset
+        doc = {key: value for key, value in asdict(self).items() if value is not None}
         doc["schema"] = SCENARIO_SCHEMA
-        for dev in doc["devices"]:
-            dev["position"] = list(dev["position"])
-        for gw in doc["gateways"]:
-            gw["position"] = list(gw["position"])
-        if self.bands is None:
-            doc.pop("bands")
-        else:
-            doc["bands"] = [dict(ident=b.ident, low_hz=b.low_hz, high_hz=b.high_hz,
-                                 duty_cycle_limit=b.duty_cycle_limit,
-                                 max_erp_dbm=b.max_erp_dbm) for b in self.bands]
-        if self.sensitivity_dbm is None:
-            doc.pop("sensitivity_dbm")
-        else:
-            doc["sensitivity_dbm"] = {str(k): v for k, v in self.sensitivity_dbm.items()}
-        if self.profile is None:
-            doc.pop("profile")
-        else:
-            doc["profile"] = self.profile.to_dict()
+        for spec in doc["devices"] + doc["gateways"]:
+            spec["position"] = list(spec["position"])
+        if "bands" in doc:
+            doc["bands"] = list(doc["bands"])
+        if "sensitivity_dbm" in doc:
+            doc["sensitivity_dbm"] = {str(k): v for k, v in doc["sensitivity_dbm"].items()}
         return doc
 
     def to_json(self) -> str:
@@ -278,38 +273,8 @@ class Scenario:
         schema = doc.get("schema")
         if schema != SCENARIO_SCHEMA:
             raise ScenarioError("schema", f"expected {SCENARIO_SCHEMA!r}, got {schema!r}")
-        top = dict(doc)
-        top.pop("schema")
-        scn = cls(
-            name=_take(top, "name", str, "$"),
-            end_time_s=_take_number(top, "end_time_s", "$"),
-            description=_take(top, "description", str, "$", ""),
-            seed=_take(top, "seed", int, "$", 0),
-            rx2_freq_hz=_take(top, "rx2_freq_hz", int, "$", DEFAULT_RX2_FREQ_HZ),
-            rx2_dr=_take(top, "rx2_dr", int, "$", DEFAULT_RX2_DR),
-            receive_delay1_s=_take_number(top, "receive_delay1_s", "$", 1.0),
-            receive_delay2_s=_take_number(top, "receive_delay2_s", "$", 2.0),
-            preamble_detect_symbols=_take(top, "preamble_detect_symbols", int, "$", 8),
-            backhaul_delay_s=_take_number(top, "backhaul_delay_s", "$", 0.05),
-            duty_cycle_enforced=_take(top, "duty_cycle_enforced", bool, "$", True),
-            duty_cycle_applies_to_d2d=_take(top, "duty_cycle_applies_to_d2d", bool, "$", True),
-            join_success_prob=_take_number(top, "join_success_prob", "$", 1.0),
-            radio=_parse_radio(top.pop("radio", {})),
-            bands=_parse_bands(top.pop("bands", None)),
-            sensitivity_dbm=_parse_sensitivity(top.pop("sensitivity_dbm", None)),
-            profile=_parse_profile(top.pop("profile", None)),
-            devices=[_parse_device(d, f"devices[{i}]")
-                     for i, d in enumerate(top.pop("devices", []))],
-            gateways=[_parse_gateway(g, f"gateways[{i}]")
-                      for i, g in enumerate(top.pop("gateways", []))],
-            transfers=[_parse_transfer(t, f"transfers[{i}]")
-                       for i, t in enumerate(top.pop("transfers", []))],
-            d2d_directives=[_parse_directive(d, f"d2d_directives[{i}]")
-                            for i, d in enumerate(top.pop("d2d_directives", []))],
-        )
-        if top:
-            raise ScenarioError(sorted(top)[0], "unknown key")
-        return scn.validate()
+        top = {key: value for key, value in doc.items() if key != "schema"}
+        return _parse(cls, top, "$").validate()
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -329,221 +294,131 @@ class Scenario:
             return cls.from_json(fh.read())
 
 
-# -- parsing helpers -----------------------------------------------------
-
-_MISSING = object()
-
-
-def _take(doc: dict, key: str, typ, path: str, default=_MISSING):
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(_join(path, key), "missing required key")
-        return default
-    value = doc.pop(key)
-    if typ is int and isinstance(value, bool):
-        raise ScenarioError(_join(path, key), "expected an integer, got a boolean")
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, typ):
-        raise ScenarioError(_join(path, key), f"expected {typ.__name__}, got {type(value).__name__}")
-    return value
+# -- parsing -------------------------------------------------------------
+#
+# One table-driven reader serves every block of the document.  Each dataclass
+# field is a key, required exactly when the field has no default, and its type
+# hint picks the conversion.  A bad primitive inside a list, tuple or mapping
+# is reported at the container's path (``devices[0].position``); a nested
+# object gets its own index (``devices[0]``).
 
 
-def _take_number(doc: dict, key: str, path: str, default=_MISSING) -> float:
-    return _take(doc, key, float, path, default)
-
-
-def _join(path: str, key: str) -> str:
-    return key if path == "$" else f"{path}.{key}"
-
-
-def _parse_position(doc: dict, path: str) -> tuple[float, float]:
-    raw = doc.pop("position", [0.0, 0.0])
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)):
-        raise ScenarioError(f"{path}.position", "expected [x_m, y_m]")
-    return (float(raw[0]), float(raw[1]))
-
-
-def _parse_channels(doc: dict, path: str) -> list[int]:
-    raw = doc.pop("channels_hz", list(DEFAULT_CHANNELS_HZ))
-    if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        raise ScenarioError(f"{path}.channels_hz", "expected a list of integer frequencies")
-    return list(raw)
-
-
-def _parse_radio(doc: dict) -> RadioSpec:
+def _parse(cls, doc, path: str):
     if not isinstance(doc, dict):
-        raise ScenarioError("radio", "expected an object")
-    doc = dict(doc)
-    spec = RadioSpec(
-        pl0_db=_take_number(doc, "pl0_db", "radio", 127.5),
-        d0_m=_take_number(doc, "d0_m", "radio", 1000.0),
-        exponent=_take_number(doc, "exponent", "radio", 2.9),
-        capture_threshold_db=_take_number(doc, "capture_threshold_db", "radio", 6.0),
-        d2d_frame_loss_prob=_take_number(doc, "d2d_frame_loss_prob", "radio", 0.0),
-    )
-    if doc:
-        raise ScenarioError(_join("radio", sorted(doc)[0]), "unknown key")
-    return spec
-
-
-def _parse_bands(raw) -> tuple[regulator.SubBand, ...] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError("bands", "expected a non-empty list of sub-band objects")
-    bands = []
-    for i, item in enumerate(raw):
-        path = f"bands[{i}]"
-        if not isinstance(item, dict):
-            raise ScenarioError(path, "expected an object")
-        item = dict(item)
-        try:
-            band = regulator.SubBand(
-                ident=_take(item, "ident", str, path),
-                low_hz=_take(item, "low_hz", int, path),
-                high_hz=_take(item, "high_hz", int, path),
-                duty_cycle_limit=_take_number(item, "duty_cycle_limit", path),
-                max_erp_dbm=_take_number(item, "max_erp_dbm", path, 14.0),
-            )
-        except regulator.RegulatorError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-        if item:
-            raise ScenarioError(_join(path, sorted(item)[0]), "unknown key")
-        bands.append(band)
-    return tuple(bands)
-
-
-def _parse_sensitivity(raw) -> dict[int, float] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ScenarioError("sensitivity_dbm", "expected an object of DR index to dBm")
-    out = {}
-    for key, value in raw.items():
-        try:
-            dr = int(key)
-        except (TypeError, ValueError):
-            raise ScenarioError("sensitivity_dbm", f"bad DR key {key!r}") from None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError("sensitivity_dbm", f"DR{dr}: expected a number")
-        out[dr] = float(value)
-    return out
-
-
-def _parse_profile(raw) -> PowerProfile | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ScenarioError("profile", "expected an object")
+        raise ScenarioError(path, "expected an object")
+    prefix = "" if path == "$" else f"{path}."
+    kwargs = {}
+    for name, exact, convert, required in _fields(cls):
+        if name in doc:
+            value = doc[name]
+            kwargs[name] = value if type(value) in exact else convert(value, prefix + name)
+        elif required:
+            raise ScenarioError(prefix + name, "missing required key")
     try:
-        return PowerProfile.from_dict(raw)
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError("profile", f"bad power profile: {exc}") from exc
-
-
-def _parse_device(doc: dict, path: str) -> DeviceSpec:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, "expected an object")
-    doc = dict(doc)
-    dev_addr = doc.pop("dev_addr", None)
-    if dev_addr is not None and (not isinstance(dev_addr, int) or isinstance(dev_addr, bool)):
-        raise ScenarioError(f"{path}.dev_addr", "expected an integer or null")
-    max_uplinks = doc.pop("max_uplinks", None)
-    if max_uplinks is not None and (not isinstance(max_uplinks, int) or isinstance(max_uplinks, bool)):
-        raise ScenarioError(f"{path}.max_uplinks", "expected an integer or null")
-    spec = DeviceSpec(
-        eid=_take(doc, "eid", str, path),
-        position=_parse_position(doc, path),
-        dev_addr=dev_addr,
-        period_s=_take_number(doc, "period_s", path, 300.0),
-        phase_s=_take_number(doc, "phase_s", path, 0.0),
-        jitter_frac=_take_number(doc, "jitter_frac", path, 0.01),
-        dr=_take(doc, "dr", int, path, 0),
-        tx_power_dbm=_take(doc, "tx_power_dbm", int, path, 14),
-        app_payload_bytes=_take(doc, "app_payload_bytes", int, path, 12),
-        channels_hz=_parse_channels(doc, path),
-        max_uplinks=max_uplinks,
-        prejoined=_take(doc, "prejoined", bool, path, True),
-    )
-    if doc:
-        raise ScenarioError(_join(path, sorted(doc)[0]), "unknown key")
-    return spec
-
-
-def _parse_gateway(doc: dict, path: str) -> GatewaySpec:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, "expected an object")
-    doc = dict(doc)
-    spec = GatewaySpec(
-        eid=_take(doc, "eid", str, path),
-        position=_parse_position(doc, path),
-        channels_hz=_parse_channels(doc, path),
-        tx_power_dbm=_take(doc, "tx_power_dbm", int, path, 14),
-    )
-    if doc:
-        raise ScenarioError(_join(path, sorted(doc)[0]), "unknown key")
-    return spec
-
-
-def _parse_transfer(doc: dict, path: str) -> TransferSpec:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, "expected an object")
-    doc = dict(doc)
-    spec = TransferSpec(
-        source=_take(doc, "source", str, path),
-        dest=_take(doc, "dest", str, path),
-        total_bytes=_take(doc, "total_bytes", int, path),
-        at_s=_take_number(doc, "at_s", path, 0.0),
-        port=_take(doc, "port", int, path, 1),
-    )
-    if doc:
-        raise ScenarioError(_join(path, sorted(doc)[0]), "unknown key")
-    return spec
-
-
-def _parse_exchange(doc: dict, path: str) -> d2d.ExchangeParams:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, "expected an object")
-    doc = dict(doc)
-    try:
-        params = d2d.ExchangeParams(
-            data_packets=_take(doc, "data_packets", int, path, 10),
-            data_payload_bytes=_take(doc, "data_payload_bytes", int, path, 240),
-            ack_payload_bytes=_take(doc, "ack_payload_bytes", int, path, 10),
-            turnaround_s=_take_number(doc, "turnaround_s", path, 0.05),
-            guard_s=_take_number(doc, "guard_s", path, d2d.NO_REPLY_GUARD_S),
-            retry_limit=_take(doc, "retry_limit", int, path, d2d.DEFAULT_RETRY_LIMIT),
-            command_latency_s=_take_number(doc, "command_latency_s", path, 0.0),
-        )
-    except d2d.D2DProtocolError as exc:
+        obj = cls(**kwargs)
+    except (regulator.RegulatorError, d2d.D2DProtocolError) as exc:
         raise ScenarioError(path, str(exc)) from exc
-    if doc:
-        raise ScenarioError(_join(path, sorted(doc)[0]), "unknown key")
-    return params
+    if len(kwargs) != len(doc):
+        raise ScenarioError(prefix + sorted(k for k in doc if k not in kwargs)[0],
+                            "unknown key")
+    return obj
 
 
-def _parse_directive(doc: dict, path: str) -> D2DDirectiveSpec:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, "expected an object")
-    doc = dict(doc)
-    spec = D2DDirectiveSpec(
-        at_s=_take_number(doc, "at_s", path),
-        initiator=_take(doc, "initiator", str, path),
-        scanner=_take(doc, "scanner", str, path),
-        freq_hz=_take(doc, "freq_hz", int, path),
-        dr=_take(doc, "dr", int, path),
-        power_dbm=_take(doc, "power_dbm", int, path, 14),
-        t1_initiator_s=_take_number(doc, "t1_initiator_s", path, 15.0),
-        t1_scanner_s=_take_number(doc, "t1_scanner_s", path, 0.0),
-        t2_s=_take_number(doc, "t2_s", path, 30.0),
-        exchange=_parse_exchange(doc.pop("exchange", {}), f"{path}.exchange"),
-    )
-    if doc:
-        raise ScenarioError(_join(path, sorted(doc)[0]), "unknown key")
-    return spec
+_UNIONS = (typing.Union, types.UnionType)
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(key, types taken as they are, converter, required) per field."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, _exact(hints[f.name]), _converter(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls))
+
+
+def _exact(hint) -> frozenset:
+    """Value types that need no conversion: the hint's scalars and None."""
+    args = typing.get_args(hint) if typing.get_origin(hint) in _UNIONS else (hint,)
+    return frozenset(arg for arg in args if arg in (str, int, float, bool, type(None)))
+
+
+def _converter(hint):
+    origin = typing.get_origin(hint)
+    if origin in _UNIONS:
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        convert = _converter(inner)
+        return lambda value, path: None if value is None else convert(value, path)
+    if origin in (list, tuple):
+        return _sequence(origin, typing.get_args(hint))
+    if origin is dict:
+        return _mapping(*typing.get_args(hint))
+    if hasattr(hint, "from_dict"):
+        return _self_reading(hint)
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_parse, hint)
+    return _scalar(hint)
+
+
+def _scalar(typ):
+    def convert(value, path):
+        if typ is int and isinstance(value, bool):
+            raise ScenarioError(path, "expected an integer, got a boolean")
+        if typ is float and isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        if not isinstance(value, typ):
+            raise ScenarioError(path, f"expected {typ.__name__}, got {type(value).__name__}")
+        return value
+    return convert
+
+
+def _sequence(origin, args):
+    """list[T], tuple[T, ...] or a fixed-length tuple[T1, T2, ...]."""
+    variadic = origin is list or args[-1] is Ellipsis
+    readers = [(_exact(arg), _converter(arg)) for arg in (args[:1] if variadic else args)]
+    indexed = dataclasses.is_dataclass(args[0])
+
+    def convert(value, path):
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+        if not variadic and len(value) != len(readers):
+            raise ScenarioError(path, f"expected a list of {len(readers)} items")
+        items = []
+        for i, item in enumerate(value):
+            exact, read = readers[0 if variadic else i]
+            items.append(item if type(item) in exact
+                         else read(item, f"{path}[{i}]" if indexed else path))
+        return items if origin is list else tuple(items)
+    return convert
+
+
+def _mapping(key_type, value_hint):
+    convert_value = _converter(value_hint)
+
+    def convert(value, path):
+        if not isinstance(value, dict):
+            raise ScenarioError(path, "expected an object")
+        out = {}
+        for key, item in value.items():
+            try:
+                key = key_type(key)
+            except (TypeError, ValueError):
+                raise ScenarioError(path, f"bad key {key!r}") from None
+            out[key] = convert_value(item, path)
+        return out
+    return convert
+
+
+def _self_reading(cls):
+    """A class that reads its own dict form (PowerProfile)."""
+    def convert(value, path):
+        if not isinstance(value, dict):
+            raise ScenarioError(path, "expected an object")
+        try:
+            return cls.from_dict(value)
+        except (KeyError, TypeError) as exc:
+            raise ScenarioError(path, f"bad {cls.__name__}: {exc}") from exc
+    return convert
 
 
 # -- bundled scenarios ---------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 from lorad2d import cli, metrics
+from lorad2d.energy import PowerProfile
 from lorad2d.scenario import load_bundled
 
 
@@ -129,3 +130,42 @@ def test_console_script_is_installed():
     assert proc.returncode == 0
     for sub in ("run", "toa", "duty", "table2", "sweep"):
         assert sub in proc.stdout
+
+
+def test_table2_prints_calibration_residuals(capsys):
+    assert cli.main(["table2"]) == 0
+    out = capsys.readouterr().out
+    block = out.split("calibration residuals [J]\n")[1].splitlines()
+    assert [line.split()[0] for line in block] == [
+        "initiator", "receiver", "scanner", "transmitter"]
+    assert all("ref" in line and "err" in line for line in block)
+
+
+def test_calibrate_writes_a_loadable_profile(tmp_path, capsys):
+    path = tmp_path / "profile.json"
+    assert cli.main(["calibrate", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "fitted profile" in out and "calibration residuals" in out
+    assert f"profile written to {path}" in out
+    profile = PowerProfile.from_dict(json.loads(path.read_text()))
+    assert profile.name == "benchmark-fit"
+    assert 0 < profile.p_rx_w < profile.p_tx14_w
+
+
+def test_sweep_duty_audit_reports_worst_usage_on_stderr(capsys):
+    assert cli.main(["sweep", "duty-audit", "--seeds", "1", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0].startswith("scenario,seed,")
+    assert lines[1].startswith("duty-audit,0,")
+    assert "worst per-band duty usage: 0.99" in captured.err
+    assert "uplinks deferred by the duty ledger:" in captured.err
+
+
+def test_sweep_fails_when_a_run_exceeds_the_duty_limit(capsys, monkeypatch):
+    def overshoot(scn, seeds, jobs=None):
+        return [dict(duty_max_fraction_of_limit=1.0 + 1e-6, duty_deferrals=0)]
+    monkeypatch.setattr(cli.runner, "sweep", overshoot)
+    monkeypatch.setattr(cli.runner, "write_csv", lambda rows, fh: None)
+    assert cli.main(["sweep", "duty-audit", "--seeds", "1"]) == 1
+    assert "1.000001 of the limit" in capsys.readouterr().err

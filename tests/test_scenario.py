@@ -298,3 +298,11 @@ def test_bad_value_error_paths(where, value, path):
         Scenario.from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
     assert str(err.value).startswith(f"{path}: ")   # names an unknown key too
+
+
+@pytest.mark.parametrize("block", ["devices", "gateways", "transfers", "d2d_directives"])
+@pytest.mark.parametrize("value", [None, 5, True, "", "abc", {}, {"eid": "dev"}])
+def test_block_that_is_not_a_list_is_rejected(block, value):
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(minimal_doc(**{block: value}))
+    assert err.value.path == block
