@@ -4,13 +4,14 @@ These pin behaviour byte for byte across refactors.  A change that alters
 them on purpose updates the digest here and says why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from lorad2d import runner
-from lorad2d.scenario import load_bundled, make_duty_audit
+from lorad2d.scenario import GatewaySpec, load_bundled, make_duty_audit
 
 GOLDEN = [
     ("table2_conventional", 0,
@@ -34,7 +35,21 @@ GOLDEN = [
     ("duty-audit", 4,
      "6977ea7cbb68c7376c75fa1d296d2eb3eeb4bf73f66a631f1ff1150e3d7984c9",
      "e39340216c58e99bb04fb528f3791af805202b9072fd8974ee5154ea62ffee84"),
+    # 200 devices and one gateway: thousands of co-channel collisions at end
+    # devices and at the gateway, which the duty audit alone never produces
+    ("contention-200", 0,
+     "3f3c0154a02b7c704ab26426fef8bd8d682845610c6f647a31326ebaa667dcef",
+     "45b0c06e90641530d97e6559b5505f6cd9db6c25a58c68098b3954c6d9b3f99c"),
 ]
+
+
+def _scenario(name):
+    if name == "duty-audit":
+        return make_duty_audit()
+    if name == "contention-200":
+        return dataclasses.replace(make_duty_audit(200, 1800.0),
+                                   gateways=[GatewaySpec("gw0", (0.0, 0.0))])
+    return load_bundled(name)
 
 
 def _sha256(text: str) -> str:
@@ -44,7 +59,7 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("name,seed,trace_digest,doc_digest", GOLDEN,
                          ids=[f"{name}-seed{seed}" for name, seed, *_ in GOLDEN])
 def test_trace_and_metrics_digests(name, seed, trace_digest, doc_digest):
-    scn = make_duty_audit() if name == "duty-audit" else load_bundled(name)
+    scn = _scenario(name)
     result = runner.run(scn, seed=seed, trace=True)
     assert _sha256(result.trace_jsonl()) == trace_digest
     assert _sha256(json.dumps(result.document, sort_keys=True)) == doc_digest
