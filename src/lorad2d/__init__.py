@@ -12,7 +12,7 @@ from .d2d import (D2DCodecError, D2DDataFrame, D2DProtocolError, D2DSession,
                   encode_setup)
 from .energy import (CalibrationError, EnergyLedger, PowerProfile, StateUsage,
                      fit_profile)
-from .engine import Engine, Medium, RngManager, SimulationError, arbitrate
+from .engine import Engine, Medium, RngManager, SimulationError
 from .mac import EndDevice, MacState, MacTimings
 from .netserver import (DeviceRecord, DownlinkError, Gateway,
                         InfeasiblePlanError, NetworkServer, PlanError)
@@ -30,7 +30,7 @@ __all__ = [
     "D2DSetupCommand", "D2DState", "ExchangeParams", "Role", "decode_setup",
     "encode_setup",
     "CalibrationError", "EnergyLedger", "PowerProfile", "StateUsage", "fit_profile",
-    "Engine", "Medium", "RngManager", "SimulationError", "arbitrate",
+    "Engine", "Medium", "RngManager", "SimulationError",
     "EndDevice", "MacState", "MacTimings",
     "DeviceRecord", "DownlinkError", "Gateway", "InfeasiblePlanError",
     "NetworkServer", "PlanError",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,76 +116,17 @@ def sf_key(dr: int):
         raise phy.PhyError(f"data rate index {dr} outside 0..7") from None
 
 
-@dataclass(frozen=True)
-class Outcome:
-    kind: str                     # decoded | collision | below_sensitivity | none
-    tx: phy.Transmission | None = None
-
-
 DECODED = "decoded"
 COLLISION = "collision"
 BELOW_SENSITIVITY = "below_sensitivity"
-NONE = "none"
-
-
-def arbitrate(
-    rx_position: tuple[float, float],
-    listening_freq_hz: int,
-    listening_dr: int,
-    window_us: tuple[int, int],
-    transmissions: list[phy.Transmission],
-    tx_positions: dict[str, tuple[float, float]],
-    loss_model: phy.PathLossModel,
-    sensitivity_table: dict[int, float] | None = None,
-    capture_threshold_db: float = 6.0,
-) -> Outcome:
-    """Decide what a receiver locked on (freq, dr) hears inside a window.
-
-    Candidates are transmissions on the listening frequency with the listening
-    spreading factor that overlap the window and arrive above sensitivity.  A
-    lone candidate decodes.  Among candidates that overlap in time, only the
-    strongest decodes and only when it clears the runner-up by the capture
-    threshold; otherwise everything overlapping is lost.  Candidates disjoint
-    in time decode independently; the earliest decodable one is returned.
-    """
-    w0, w1 = window_us
-    key = sf_key(listening_dr)
-    matching = [
-        t for t in transmissions
-        if t.freq_hz == listening_freq_hz and sf_key(t.dr) == key and t.overlaps(w0, w1)
-    ]
-    if not matching:
-        return Outcome(NONE)
-    sens = phy.sensitivity(listening_dr, sensitivity_table)
-
-    def rssi(t: phy.Transmission) -> float:
-        pos = tx_positions[t.source]
-        d = ((pos[0] - rx_position[0]) ** 2 + (pos[1] - rx_position[1]) ** 2) ** 0.5
-        return loss_model.rssi_dbm(t.tx_power_dbm, d)
-
-    cands = [t for t in matching if rssi(t) >= sens]
-    if not cands:
-        return Outcome(BELOW_SENSITIVITY)
-    for x in sorted(cands, key=lambda t: (t.end_us, t.start_us, t.source)):
-        rx = rssi(x)
-        clear = all(
-            rx >= rssi(y) + capture_threshold_db
-            for y in cands
-            if y is not x and y.overlaps(x.start_us, x.end_us)
-        )
-        if clear:
-            return Outcome(DECODED, x)
-    return Outcome(COLLISION)
 
 
 class _Listening:
-    __slots__ = ("entity", "freq_hz", "dr", "sf", "sens_dbm", "opened_us", "lock_until_us")
+    __slots__ = ("entity", "key", "sens_dbm", "opened_us", "lock_until_us")
 
     def __init__(self, entity, freq_hz: int, dr: int, sens_dbm: float, opened_us: int):
         self.entity = entity
-        self.freq_hz = freq_hz
-        self.dr = dr
-        self.sf = sf_key(dr)
+        self.key = (freq_hz, sf_key(dr))
         self.sens_dbm = sens_dbm
         self.opened_us = opened_us
         self.lock_until_us = 0
@@ -208,9 +148,12 @@ _PRUNE_HORIZON_US = 12_000_000
 class Medium:
     """Tracks in-flight transmissions and arbitrates receptions.
 
-    Reception is decided at each frame's end: the frame is delivered to every
-    current listener for which it is above sensitivity and clears all
-    co-frequency, co-SF overlapping candidates by the capture threshold.
+    Only frames on the same frequency and spreading-factor key (see
+    :func:`sf_key`) lock or disturb a receiver, so frames and end-device
+    listeners are kept in buckets under that key.  Reception is decided at
+    each frame's end by :meth:`capture`, once for every listener in the
+    frame's bucket and, for uplinks, once for every gateway tuned to its
+    frequency.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -222,9 +165,10 @@ class Medium:
         self.sensitivity_table = sensitivity_table
         self.capture_threshold_db = capture_threshold_db
         self.d2d_frame_loss_prob = d2d_frame_loss_prob
-        self.active: list[phy.Transmission] = []
+        self._active: dict[tuple, list[phy.Transmission]] = {}
         self._owners: dict[int, object] = {}
         self._listeners: dict[str, _Listening] = {}
+        self._tuned: dict[tuple, dict[str, _Listening]] = {}
         self._gateways: dict[str, _GatewayListening] = {}
         self._positions: dict[str, tuple[float, float]] = {}
         self._pl_cache: dict[tuple[str, str], float] = {}
@@ -253,19 +197,22 @@ class Medium:
     # -- listener management --------------------------------------------
 
     def listen(self, entity, freq_hz: int, dr: int) -> None:
-        sens = self._sens(dr)
-        lst = _Listening(entity, freq_hz, dr, sens, self.engine.now_us)
+        eid = entity.eid
+        now = self.engine.now_us
+        lst = _Listening(entity, freq_hz, dr, self._sens(dr), now)
         # A frame already in flight locks the receiver just like one that
         # starts later; count it so window-close logic can extend.
-        for tx in self.active:
-            if (tx.freq_hz == freq_hz and sf_key(tx.dr) == lst.sf
-                    and tx.end_us > self.engine.now_us and tx.source != entity.eid
-                    and self._rssi(tx, entity.eid) >= sens):
+        for tx in self._active.get(lst.key, ()):
+            if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= lst.sens_dbm:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
-        self._listeners[entity.eid] = lst
+        self.unlisten(entity)
+        self._listeners[eid] = lst
+        self._tuned.setdefault(lst.key, {})[eid] = lst
 
     def unlisten(self, entity) -> None:
-        self._listeners.pop(entity.eid, None)
+        lst = self._listeners.pop(entity.eid, None)
+        if lst is not None:
+            del self._tuned[lst.key][entity.eid]
 
     def lock_until_us(self, eid: str) -> int:
         lst = self._listeners.get(eid)
@@ -284,67 +231,70 @@ class Medium:
 
     def _tx_start(self, data) -> None:
         tx, owner = data
-        self.active.append(tx)
+        key = (tx.freq_hz, sf_key(tx.dr))
+        self._active.setdefault(key, []).append(tx)
         self._owners[id(tx)] = owner
         self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
                           bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
         on_start = getattr(owner, "on_own_tx_start", None)
         if on_start is not None:
             on_start(tx)
-        key = sf_key(tx.dr)
-        for eid in sorted(self._listeners):
-            lst = self._listeners[eid]
-            if (lst.freq_hz == tx.freq_hz and lst.sf == key and eid != tx.source
-                    and self._rssi(tx, eid) >= lst.sens_dbm):
+        for eid, lst in self._tuned.get(key, {}).items():
+            if eid != tx.source and self._rssi(tx, eid) >= lst.sens_dbm:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         self.engine.schedule(tx.end_us, self._tx_end, tx, kind="tx_end", target=tx.source)
 
     def _tx_end(self, tx: phy.Transmission) -> None:
         owner = self._owners.pop(id(tx), None)
         self.engine.trace("tx_end", tx.source, frame=tx.kind)
-        self._deliver(tx)
+        key = (tx.freq_hz, sf_key(tx.dr))
+        active = self._active[key]
+        self._deliver(tx, key, active)
         if owner is not None:
             owner.on_own_tx_end(tx)
-        now = self.engine.now_us
-        if len(self.active) > 8:
-            self.active = [t for t in self.active if t.end_us >= now - _PRUNE_HORIZON_US]
+        if len(active) > 8:
+            horizon_us = self.engine.now_us - _PRUNE_HORIZON_US
+            active[:] = [t for t in active if t.end_us >= horizon_us]
 
     # -- reception -------------------------------------------------------
 
-    def _decodable(self, tx: phy.Transmission, dst_eid: str, window0_us: int) -> str:
-        """Outcome of frame tx at one listener, window open since window0_us."""
+    def capture(self, tx: phy.Transmission, rivals: list[phy.Transmission],
+                dst_eid: str, window0_us: int) -> str:
+        """Outcome of frame tx at receiver dst_eid, listening since window0_us.
+
+        rivals are the other frames on tx's frequency and spreading-factor
+        key that share air with tx.  tx is lost below the sensitivity of its
+        own data rate.  Otherwise it collides with any rival that dst_eid did
+        not send, that was still on the air after window0_us, that is itself
+        above sensitivity and that tx does not beat by the capture threshold.
+        """
         r = self._rssi(tx, dst_eid)
         if r < self._sens(tx.dr):
             return BELOW_SENSITIVITY
-        key = sf_key(tx.dr)
-        for other in self.active:
-            if other is tx or other.freq_hz != tx.freq_hz or sf_key(other.dr) != key:
-                continue
-            if other.source == dst_eid:
-                continue
-            if not other.overlaps(tx.start_us, tx.end_us):
-                continue
-            if not other.overlaps(window0_us, tx.end_us):
+        for other in rivals:
+            if other.source == dst_eid or other.end_us <= window0_us:
                 continue
             r_other = self._rssi(other, dst_eid)
-            if r_other < self._sens(other.dr):
-                continue
-            if r < r_other + self.capture_threshold_db:
+            if r_other >= self._sens(other.dr) and r < r_other + self.capture_threshold_db:
                 return COLLISION
         return DECODED
 
-    def _deliver(self, tx: phy.Transmission) -> None:
+    def _deliver(self, tx: phy.Transmission, key: tuple, active: list[phy.Transmission]) -> None:
         engine = self.engine
-        key = sf_key(tx.dr)
-        for eid in sorted(self._listeners):
+        # No frame starts or ends during delivery, so one rival list serves
+        # every receiver.
+        rivals = [t for t in active if t is not tx and t.overlaps(tx.start_us, tx.end_us)]
+        # A callback below may close or retune a listener not yet visited,
+        # hence the fresh lookup and key check.  A listener that (re)opens
+        # during delivery opens at now == tx.end_us, so tx misses its window:
+        # visiting the bucket as it stood when tx ended loses no receiver.
+        for eid in sorted(self._tuned.get(key, ())):
             lst = self._listeners.get(eid)
-            if lst is None or eid == tx.source:
-                continue
-            if lst.freq_hz != tx.freq_hz or lst.sf != key:
+            if lst is None or eid == tx.source or lst.key != key:
                 continue
             if not tx.overlaps(lst.opened_us, engine.now_us + 1):
                 continue
-            outcome = self._decodable(tx, eid, lst.opened_us)
+            outcome = self.capture(tx, rivals, eid, lst.opened_us)
             if outcome == DECODED and tx.kind.startswith("d2d") and self.d2d_frame_loss_prob > 0.0:
                 draw = engine.rng.stream(f"d2dloss:{eid}").random()
                 if draw < self.d2d_frame_loss_prob:
@@ -362,7 +312,7 @@ class Medium:
                 gw = self._gateways[eid]
                 if tx.freq_hz not in gw.channels:
                     continue
-                outcome = self._decodable(tx, eid, 0)
+                outcome = self.capture(tx, rivals, eid, 0)
                 if outcome == DECODED:
                     engine.trace("decode", eid, source=tx.source, frame=tx.kind, bytes=tx.phy_payload_bytes)
                     gw.entity.on_frame_decoded(tx)

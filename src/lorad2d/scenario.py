@@ -154,13 +154,7 @@ class Scenario:
         eids: set[str] = set()
         for i, dev in enumerate(self.devices):
             path = f"devices[{i}]"
-            if not dev.eid:
-                raise ScenarioError(f"{path}.eid", "must be a non-empty string")
-            if dev.eid in eids:
-                raise ScenarioError(f"{path}.eid", f"duplicate id {dev.eid!r}")
-            eids.add(dev.eid)
-            if not all(math.isfinite(v) for v in dev.position):
-                raise ScenarioError(f"{path}.position", "must be finite")
+            self._check_node(path, dev, eids)
             if not dev.period_s > 0:
                 raise ScenarioError(f"{path}.period_s", "must be positive")
             if not 0.0 <= dev.jitter_frac < 0.5:
@@ -176,10 +170,7 @@ class Scenario:
                 raise ScenarioError(
                     f"{path}.app_payload_bytes",
                     f"{dev.app_payload_bytes} exceeds the DR{dev.dr} limit of {limit}")
-            if not dev.channels_hz:
-                raise ScenarioError(f"{path}.channels_hz", "needs at least one channel")
-            for j, freq in enumerate(dev.channels_hz):
-                self._check_freq(f"{path}.channels_hz[{j}]", freq)
+            self._check_channels(f"{path}.channels_hz", dev.channels_hz)
             if dev.max_uplinks is not None and dev.max_uplinks < 0:
                 raise ScenarioError(f"{path}.max_uplinks", "must be non-negative")
             if dev.prejoined and dev.dev_addr is None:
@@ -189,18 +180,8 @@ class Scenario:
             raise ScenarioError("devices", "device addresses must be unique")
 
         for i, gw in enumerate(self.gateways):
-            path = f"gateways[{i}]"
-            if not gw.eid:
-                raise ScenarioError(f"{path}.eid", "must be a non-empty string")
-            if gw.eid in eids:
-                raise ScenarioError(f"{path}.eid", f"duplicate id {gw.eid!r}")
-            eids.add(gw.eid)
-            if not all(math.isfinite(v) for v in gw.position):
-                raise ScenarioError(f"{path}.position", "must be finite")
-            if not gw.channels_hz:
-                raise ScenarioError(f"{path}.channels_hz", "needs at least one channel")
-            for j, freq in enumerate(gw.channels_hz):
-                self._check_freq(f"{path}.channels_hz[{j}]", freq)
+            self._check_node(f"gateways[{i}]", gw, eids)
+            self._check_channels(f"gateways[{i}].channels_hz", gw.channels_hz)
 
         device_ids = {d.eid for d in self.devices}
         for i, tr in enumerate(self.transfers):
@@ -242,6 +223,25 @@ class Scenario:
             except (d2d.D2DCodecError, d2d.D2DProtocolError) as exc:
                 raise ScenarioError(path, str(exc)) from exc
         return self
+
+    # Shared by devices and gateways; a device checks its own fields between
+    # the two, which sets which of two faults is reported first.
+
+    def _check_node(self, path: str, node, eids: set[str]) -> None:
+        """Non-empty unique eid (added to eids) and a finite position."""
+        if not node.eid:
+            raise ScenarioError(f"{path}.eid", "must be a non-empty string")
+        if node.eid in eids:
+            raise ScenarioError(f"{path}.eid", f"duplicate id {node.eid!r}")
+        eids.add(node.eid)
+        if not all(math.isfinite(v) for v in node.position):
+            raise ScenarioError(f"{path}.position", "must be finite")
+
+    def _check_channels(self, path: str, channels_hz: list[int]) -> None:
+        if not channels_hz:
+            raise ScenarioError(path, "needs at least one channel")
+        for j, freq in enumerate(channels_hz):
+            self._check_freq(f"{path}[{j}]", freq)
 
     def _check_freq(self, path: str, freq_hz: int) -> None:
         try:
@@ -410,13 +410,17 @@ def _mapping(key_type, value_hint):
 
 
 def _self_reading(cls):
-    """A class that reads its own dict form (PowerProfile)."""
+    """A class that reads its own dict form (PowerProfile); the value types
+    are checked here against its type hints."""
     def convert(value, path):
         if not isinstance(value, dict):
             raise ScenarioError(path, "expected an object")
         try:
+            for name, exact, check, _ in _fields(cls):
+                if name in value and type(value[name]) not in exact:
+                    check(value[name], name)
             return cls.from_dict(value)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ScenarioError) as exc:
             raise ScenarioError(path, f"bad {cls.__name__}: {exc}") from exc
     return convert
 

@@ -102,3 +102,43 @@ def trace_kinds(engine, entity=None):
 def records(engine, kind, entity=None):
     return [r for r in engine.trace_records if r["kind"] == kind
             and (entity is None or r["entity"] == entity)]
+
+
+class _Receiver:
+    eid = "rx"
+
+    def on_frame_decoded(self, tx):
+        pass
+
+
+def hear(frames, positions, *, freq_hz, dr, window_us, sensitivity_table=None):
+    """What a receiver at the origin, listening on (freq_hz, dr) from
+    window_us[0], makes of ``frames`` when a Medium decides it.
+
+    Frames that start before window_us[1] go on the air, and the receiver
+    stays open until they have all ended, as a receiver locked to a frame
+    does.  Returns ("decoded", source) for the earliest-ending decoded frame,
+    else ("collision", None) when an audible frame was lost, else
+    ("below_sensitivity", None) when every frame that reached the receiver
+    was too weak, else ("none", None).
+    """
+    engine, medium = make_rig(sensitivity_table=sensitivity_table)
+    medium.register_position(_Receiver.eid, (0.0, 0.0))
+    for eid, position in positions.items():
+        medium.register_position(eid, position)
+    w0, w1 = window_us
+    for tx in frames:
+        if tx.start_us < w1:
+            medium.begin_tx(tx, owner=None)
+    engine.schedule(w0, lambda _: medium.listen(_Receiver(), freq_hz, dr))
+    engine.run()
+    heard = [r for r in engine.trace_records if r["entity"] == _Receiver.eid
+             and r["kind"] in ("decode", "drop")]
+    by_source = {tx.source: tx for tx in frames}
+    decoded = [by_source[r["source"]] for r in heard if r["kind"] == "decode"]
+    if decoded:
+        return ("decoded", min(decoded, key=lambda t: (t.end_us, t.start_us, t.source)).source)
+    reasons = {r["reason"] for r in heard}
+    if "collision" in reasons:
+        return ("collision", None)
+    return ("below_sensitivity", None) if reasons else ("none", None)

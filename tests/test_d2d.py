@@ -17,8 +17,8 @@ class LossyMedium(Medium):
         self.drop = set(drop)
         self.seen = 0
 
-    def _decodable(self, tx, dst_eid, window0_us):
-        out = super()._decodable(tx, dst_eid, window0_us)
+    def capture(self, tx, rivals, dst_eid, window0_us):
+        out = super().capture(tx, rivals, dst_eid, window0_us)
         if out == DECODED and tx.kind.startswith("d2d"):
             idx = self.seen
             self.seen += 1

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
+import helpers
 from lorad2d import phy
-from lorad2d.engine import (BELOW_SENSITIVITY, COLLISION, DECODED, NONE,
-                            Engine, Medium, RngManager, SimulationError,
-                            arbitrate, sf_key)
+from lorad2d.engine import (BELOW_SENSITIVITY, COLLISION, DECODED, Engine,
+                            Medium, RngManager, SimulationError, sf_key)
 
 
 def test_same_time_events_run_in_schedule_order():
@@ -90,6 +90,9 @@ def test_sf_key_merges_co_preamble_rates():
 
 
 # -- reception arbitration ---------------------------------------------------
+#
+# Each case runs its frames through a Medium, whose capture kernel decides
+# every reception; see helpers.hear.
 
 LOSS = phy.PathLossModel()
 F = 868_100_000
@@ -101,81 +104,85 @@ def frame(source, start_us, dur_us, *, dr=0, power=14, freq=F):
                             source=source)
 
 
+NOTHING = ("none", None)
+
+
 def decide(transmissions, positions, *, dr=0, window=(0, 10_000_000), freq=F):
-    return arbitrate((0.0, 0.0), freq, dr, window, transmissions, positions,
-                     LOSS, None, 6.0)
+    return helpers.hear(transmissions, positions, freq_hz=freq, dr=dr, window_us=window)
 
 
 def test_lone_frame_in_range_decodes():
     out = decide([frame("a", 1000, 5000)], {"a": (1000.0, 0.0)})
-    assert out.kind == DECODED and out.tx.source == "a"
+    assert out == (DECODED, "a")
 
 
 def test_silence_reports_nothing():
-    assert decide([], {}).kind == NONE
+    assert decide([], {}) == NOTHING
     # co-channel frame on a different spreading factor is invisible
     out = decide([frame("a", 1000, 5000, dr=3)], {"a": (1000.0, 0.0)})
-    assert out.kind == NONE
+    assert out == NOTHING
     # outside the listening window too
     out = decide([frame("a", 20_000_000, 5000)], {"a": (1000.0, 0.0)})
-    assert out.kind == NONE
+    assert out == NOTHING
 
 
 def test_window_edges_are_half_open():
     pos = {"a": (1000.0, 0.0)}
-    assert decide([frame("a", 1000, 4000)], pos, window=(5000, 9000)).kind == NONE
-    assert decide([frame("a", 1000, 4001)], pos, window=(5000, 9000)).kind == DECODED
-    assert decide([frame("a", 9000, 100)], pos, window=(5000, 9000)).kind == NONE
+    assert decide([frame("a", 1000, 4000)], pos, window=(5000, 9000)) == NOTHING
+    assert decide([frame("a", 1000, 4001)], pos, window=(5000, 9000)) == (DECODED, "a")
+    assert decide([frame("a", 9000, 100)], pos, window=(5000, 9000)) == NOTHING
 
 
 def test_weak_frame_is_below_sensitivity():
     out = decide([frame("a", 1000, 5000)], {"a": (80_000.0, 0.0)})
-    assert out.kind == BELOW_SENSITIVITY
+    assert out == (BELOW_SENSITIVITY, None)
 
 
 def test_near_equal_powers_collide():
     txs = [frame("a", 0, 5000, power=14), frame("b", 2000, 5000, power=12)]
     pos = {"a": (1000.0, 0.0), "b": (0.0, 1000.0)}
-    assert decide(txs, pos).kind == COLLISION
+    assert decide(txs, pos) == (COLLISION, None)
 
 
 def test_strong_frame_captures_over_weak():
     txs = [frame("a", 0, 5000, power=14), frame("b", 2000, 5000, power=4)]
     pos = {"a": (1000.0, 0.0), "b": (0.0, 1000.0)}
-    out = decide(txs, pos)
-    assert out.kind == DECODED and out.tx.source == "a"
+    assert decide(txs, pos) == (DECODED, "a")
     # at the exact threshold the capture still holds
     txs = [frame("a", 0, 5000, power=14), frame("b", 2000, 5000, power=8)]
-    out = decide(txs, pos)
-    assert out.kind == DECODED and out.tx.source == "a"
+    assert decide(txs, pos) == (DECODED, "a")
 
 
 def test_weaker_frame_never_captures():
     txs = [frame("a", 0, 5000, power=4), frame("b", 2000, 5000, power=14)]
     pos = {"a": (1000.0, 0.0), "b": (0.0, 1000.0)}
-    out = decide(txs, pos)
-    assert out.kind == DECODED and out.tx.source == "b"
+    assert decide(txs, pos) == (DECODED, "b")
 
 
 def test_disjoint_frames_decode_earliest_first():
     txs = [frame("late", 6000, 2000), frame("early", 0, 5000)]
     pos = {"late": (1000.0, 0.0), "early": (0.0, 1000.0)}
-    out = decide(txs, pos)
-    assert out.kind == DECODED and out.tx.source == "early"
+    assert decide(txs, pos) == (DECODED, "early")
 
 
 def test_collision_pair_does_not_mask_a_clear_frame():
     txs = [frame("a", 0, 5000, power=14), frame("b", 2000, 5000, power=13),
            frame("c", 8000, 1000, power=14)]
     pos = {"a": (1000.0, 0.0), "b": (0.0, 1000.0), "c": (707.0, 707.0)}
-    out = decide(txs, pos)
-    assert out.kind == DECODED and out.tx.source == "c"
+    assert decide(txs, pos) == (DECODED, "c")
+
+
+def test_rival_below_sensitivity_does_not_collide():
+    # b is 3 dB weaker than a but under the DR0 floor, so it cannot interfere
+    txs = [frame("a", 0, 5000), frame("b", 2000, 5000)]
+    pos = {"a": (5500.0, 0.0), "b": (7000.0, 0.0)}
+    assert decide(txs, pos) == (DECODED, "a")
 
 
 def test_co_sf7_rates_share_the_air():
     # DR5 listening hears a DR6 frame as interference-compatible traffic
     out = decide([frame("a", 0, 5000, dr=6)], {"a": (1000.0, 0.0)}, dr=5)
-    assert out.kind == DECODED
+    assert out == (DECODED, "a")
 
 
 # -- medium bookkeeping ------------------------------------------------------
@@ -223,3 +230,83 @@ def test_listener_opening_mid_frame_is_locked_until_frame_end():
     engine.schedule(200_000, open_rx)
     engine.run()
     assert rx.heard == ["s"]       # opened mid-preamble is still a reception
+
+
+F2 = 868_300_000
+
+
+def _rig(*senders):
+    engine = Engine()
+    medium = Medium(engine, LOSS)
+    rx = _Recorder("r")
+    medium.register_position("r", (0.0, 0.0))
+    for eid in senders:
+        medium.register_position(eid, (1000.0, 0.0))
+    return engine, medium, rx
+
+
+def _locks_at(engine, medium, t_us, seen):
+    engine.schedule(t_us, lambda _: seen.append(medium.lock_until_us("r")))
+
+
+def test_relisten_on_another_channel_moves_the_listener():
+    engine, medium, rx = _rig("old", "new")
+    medium.listen(rx, F, 0)
+    medium.listen(rx, F2, 3)
+    medium.begin_tx(frame("old", 1000, 5000), owner=_Recorder("old"))
+    medium.begin_tx(frame("new", 100_000, 5000, freq=F2, dr=3), owner=_Recorder("new"))
+    locks = []
+    _locks_at(engine, medium, 3000, locks)
+    _locks_at(engine, medium, 102_000, locks)
+    engine.run()
+    assert locks == [0, 105_000]
+    assert rx.heard == ["new"]
+
+
+def test_unlisten_removes_the_listener():
+    engine, medium, rx = _rig("s")
+    medium.listen(rx, F, 0)
+    medium.unlisten(rx)
+    medium.begin_tx(frame("s", 1000, 5000), owner=_Recorder("s"))
+    locks = []
+    _locks_at(engine, medium, 3000, locks)
+    engine.run()
+    assert locks == [0] and rx.heard == []
+    assert helpers.trace_kinds(engine, "r") == []
+
+
+def test_other_channel_or_sf_neither_locks_nor_reaches():
+    engine, medium, rx = _rig("f2", "sf9")
+    medium.listen(rx, F, 0)
+    medium.begin_tx(frame("f2", 1000, 5000, freq=F2), owner=_Recorder("f2"))
+    medium.begin_tx(frame("sf9", 1000, 5000, dr=3), owner=_Recorder("sf9"))
+    locks = []
+    _locks_at(engine, medium, 3000, locks)
+    engine.run()
+    assert locks == [0] and rx.heard == []
+    assert helpers.trace_kinds(engine, "r") == []       # no drop either
+
+
+def test_buckets_stay_bounded_after_pruning():
+    engine, medium, rx = _rig("s")
+    keys = [(F, 0), (F2, 0), (F, 3)]
+    sizes = []
+
+    class Sender(_Recorder):
+        def on_own_tx_end(self, tx):
+            sizes.append(len(medium._active[(tx.freq_hz, sf_key(tx.dr))]))
+
+    for k in range(60):
+        freq, dr = keys[k % 3]
+        medium.begin_tx(frame("s", 1000 + 5_000_000 * k, 1_000_000, freq=freq, dr=dr),
+                        owner=Sender("s"))
+    engine.run()
+    # each bucket is pruned to the 12 s horizon once it holds more than 8
+    assert len(sizes) == 60 and max(sizes) == 9
+    assert all(len(bucket) <= 9 for bucket in medium._active.values())
+    for k in range(100):
+        freq, dr = keys[k % 3]
+        medium.listen(rx, freq, dr)
+    assert sum(len(bucket) for bucket in medium._tuned.values()) == 1
+    medium.unlisten(rx)
+    assert sum(len(bucket) for bucket in medium._tuned.values()) == 0

@@ -284,6 +284,9 @@ def test_full_doc_is_valid():
      "d2d_directives[0].exchange.retry_limit"),
     (("d2d_directives", 0, "exchange", "guard"), 0.1,
      "d2d_directives[0].exchange.guard"),
+    # profile value types
+    (("profile", "p_tx14_w"), "lots", "profile"),
+    (("profile", "p_sleep_w"), True, "profile"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
