@@ -171,7 +171,9 @@ class Medium:
         self._tuned: dict[tuple, dict[str, _Listening]] = {}
         self._gateways: dict[str, _GatewayListening] = {}
         self._positions: dict[str, tuple[float, float]] = {}
-        self._pl_cache: dict[tuple[str, str], float] = {}
+        # path loss to a receiver, by source; one dict per receiver rather
+        # than (source, receiver) tuple keys, which would cost a tuple each
+        self._pl_cache: dict[str, dict[str, float]] = {}
         self._sens_cache: dict[int, float] = {}
 
     def _sens(self, dr: int) -> float:
@@ -182,16 +184,16 @@ class Medium:
 
     def register_position(self, eid: str, position: tuple[float, float]) -> None:
         self._positions[eid] = position
+        self._pl_cache.setdefault(eid, {})
 
     def _rssi(self, tx: phy.Transmission, dst: str) -> float:
-        pair = (tx.source, dst)
-        pl = self._pl_cache.get(pair)
+        row = self._pl_cache[dst]
+        pl = row.get(tx.source)
         if pl is None:
             a = self._positions[tx.source]
             b = self._positions[dst]
             d = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
-            pl = self.loss_model.path_loss_db(max(d, 1e-3))
-            self._pl_cache[pair] = pl
+            pl = row[tx.source] = self.loss_model.path_loss_db(max(d, 1e-3))
         return tx.tx_power_dbm - pl
 
     # -- listener management --------------------------------------------
