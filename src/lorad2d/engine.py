@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from collections import defaultdict
 
 import numpy as np
 
@@ -165,10 +166,10 @@ class Medium:
         self.sensitivity_table = sensitivity_table
         self.capture_threshold_db = capture_threshold_db
         self.d2d_frame_loss_prob = d2d_frame_loss_prob
-        self._active: dict[tuple, list[phy.Transmission]] = {}
+        self._active: defaultdict[tuple, list[phy.Transmission]] = defaultdict(list)
         self._owners: dict[int, object] = {}
         self._listeners: dict[str, _Listening] = {}
-        self._tuned: dict[tuple, dict[str, _Listening]] = {}
+        self._tuned: defaultdict[tuple, dict[str, _Listening]] = defaultdict(dict)
         self._gateways: dict[str, _GatewayListening] = {}
         self._positions: dict[str, tuple[float, float]] = {}
         # path loss to a receiver, by source; one dict per receiver rather
@@ -204,12 +205,14 @@ class Medium:
         lst = _Listening(entity, freq_hz, dr, self._sens(dr), now)
         # A frame already in flight locks the receiver just like one that
         # starts later; count it so window-close logic can extend.
-        for tx in self._active.get(lst.key, ()):
+        for tx in self._active[lst.key]:
             if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= lst.sens_dbm:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
-        self.unlisten(entity)
+        prev = self._listeners.get(eid)
+        if prev is not None:
+            del self._tuned[prev.key][eid]
         self._listeners[eid] = lst
-        self._tuned.setdefault(lst.key, {})[eid] = lst
+        self._tuned[lst.key][eid] = lst
 
     def unlisten(self, entity) -> None:
         lst = self._listeners.pop(entity.eid, None)
@@ -234,14 +237,14 @@ class Medium:
     def _tx_start(self, data) -> None:
         tx, owner = data
         key = (tx.freq_hz, sf_key(tx.dr))
-        self._active.setdefault(key, []).append(tx)
+        self._active[key].append(tx)
         self._owners[id(tx)] = owner
         self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
                           bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
         on_start = getattr(owner, "on_own_tx_start", None)
         if on_start is not None:
             on_start(tx)
-        for eid, lst in self._tuned.get(key, {}).items():
+        for eid, lst in self._tuned[key].items():
             if eid != tx.source and self._rssi(tx, eid) >= lst.sens_dbm:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         self.engine.schedule(tx.end_us, self._tx_end, tx, kind="tx_end", target=tx.source)
@@ -283,6 +286,10 @@ class Medium:
 
     def _deliver(self, tx: phy.Transmission, key: tuple, active: list[phy.Transmission]) -> None:
         engine = self.engine
+        tuned = self._tuned[key]
+        to_gateways = tx.kind in ("uplink", "join_request")
+        if not tuned and not (to_gateways and self._gateways):
+            return
         # No frame starts or ends during delivery, so one rival list serves
         # every receiver.
         rivals = [t for t in active if t is not tx and t.overlaps(tx.start_us, tx.end_us)]
@@ -290,7 +297,7 @@ class Medium:
         # hence the fresh lookup and key check.  A listener that (re)opens
         # during delivery opens at now == tx.end_us, so tx misses its window:
         # visiting the bucket as it stood when tx ended loses no receiver.
-        for eid in sorted(self._tuned.get(key, ())):
+        for eid in sorted(tuned):
             lst = self._listeners.get(eid)
             if lst is None or eid == tx.source or lst.key != key:
                 continue
@@ -309,7 +316,7 @@ class Medium:
             else:
                 engine.count(outcome)
                 engine.trace("drop", eid, reason=outcome, source=tx.source)
-        if tx.kind in ("uplink", "join_request"):
+        if to_gateways:
             for eid in sorted(self._gateways):
                 gw = self._gateways[eid]
                 if tx.freq_hz not in gw.channels:

@@ -310,3 +310,28 @@ def test_buckets_stay_bounded_after_pruning():
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 1
     medium.unlisten(rx)
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 0
+
+
+def test_delivery_callbacks_retuning_other_listeners():
+    # r1 hears the frame first (sorted order) and, from its callback, closes
+    # r2 and retunes r3 onto the frame's channel.  Neither is then reached:
+    # r2 is gone and r3's window opens only as the frame ends.
+    engine, medium, _ = _rig("s")
+    r1, r2, r3 = _Recorder("r1"), _Recorder("r2"), _Recorder("r3")
+    for rx in (r1, r2, r3):
+        medium.register_position(rx.eid, (0.0, 0.0))
+
+    def retune(tx):
+        _Recorder.on_frame_decoded(r1, tx)
+        medium.unlisten(r2)
+        medium.listen(r3, F, 0)
+
+    r1.on_frame_decoded = retune
+    medium.listen(r1, F, 0)
+    medium.listen(r2, F, 0)
+    medium.listen(r3, F2, 0)
+    medium.begin_tx(frame("s", 1000, 5000), owner=_Recorder("s"))
+    engine.run()
+    assert (r1.heard, r2.heard, r3.heard) == (["s"], [], [])
+    assert [r["entity"] for r in engine.trace_records
+            if r["kind"] in ("decode", "drop")] == ["r1"]
