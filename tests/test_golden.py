@@ -11,7 +11,8 @@ import json
 import pytest
 
 from lorad2d import runner
-from lorad2d.scenario import GatewaySpec, load_bundled, make_duty_audit
+from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, TransferSpec,
+                              load_bundled, make_duty_audit)
 
 GOLDEN = [
     ("table2_conventional", 0,
@@ -40,7 +41,42 @@ GOLDEN = [
     ("contention-200", 0,
      "3f3c0154a02b7c704ab26426fef8bd8d682845610c6f647a31326ebaa667dcef",
      "45b0c06e90641530d97e6559b5505f6cd9db6c25a58c68098b3954c6d9b3f99c"),
+    # table2_d2d losing 15% of D2D frames: seed 0 retries, re-acks and
+    # completes; seed 2 ends in retry_budget_exhausted and session_timeout
+    ("lossy-d2d", 0,
+     "bc459c70d1745f0e841c47f663065b950115e84dd5aaa18e74812c81c82320e3",
+     "6a95602d0ad363f6d26bf38c78202226584a50190a3b784486cce8ac5d9b1112"),
+    ("lossy-d2d", 2,
+     "103b4519c5839a1f134773a2dada4c72a3bc0d496bb32c40c021625b386a0931",
+     "c2b98faa68c7809a794ffdab3bea0901cabff0c7b53482d8a8ff4069dbbc8353"),
+    # 12 over-the-air joins (12 accepted, 5 dropped) beside a relayed
+    # transfer through one gateway
+    ("join-cell", 0,
+     "dc903e46965e23374f8240d51865b9aa06777a078a4ac3a3af2cb72b2eafb92e",
+     "debe5ad12a138acf2fe009f65b30b11d7ab407c629dfbecf45dbd3505ac4975d"),
 ]
+
+
+def _lossy_d2d():
+    scn = load_bundled("table2_d2d")
+    return dataclasses.replace(
+        scn, end_time_s=60.0,
+        radio=dataclasses.replace(scn.radio, d2d_frame_loss_prob=0.15))
+
+
+def _join_cell():
+    nodes = [DeviceSpec(f"n{i:02d}", (300.0 * i, 150.0), dr=3,
+                        app_payload_bytes=20, period_s=40.0, phase_s=3.0 * i,
+                        jitter_frac=0.05, prejoined=False)
+             for i in range(12)]
+    src = DeviceSpec("src", (500.0, 0.0), dev_addr=0x0300_0001, period_s=20.0,
+                     phase_s=1.0, dr=3, app_payload_bytes=100)
+    dst = DeviceSpec("dst", (-500.0, 0.0), dev_addr=0x0300_0002, period_s=20.0,
+                     phase_s=2.0, dr=3, app_payload_bytes=12)
+    return Scenario("join-cell", 900.0, join_success_prob=0.7,
+                    devices=[*nodes, src, dst],
+                    gateways=[GatewaySpec("gw0", (0.0, 0.0))],
+                    transfers=[TransferSpec("src", "dst", 1500, at_s=5.0)])
 
 
 def _scenario(name):
@@ -49,6 +85,10 @@ def _scenario(name):
     if name == "contention-200":
         return dataclasses.replace(make_duty_audit(200, 1800.0),
                                    gateways=[GatewaySpec("gw0", (0.0, 0.0))])
+    if name == "lossy-d2d":
+        return _lossy_d2d()
+    if name == "join-cell":
+        return _join_cell()
     return load_bundled(name)
 
 
