@@ -203,7 +203,6 @@ class D2DSession:
         self.established = False
 
         self.packets_acked = 0
-        self.expected_seq = 1          # scanner side
         self.data_frames_sent = 0
         self.ack_frames_sent = 0
         self.consecutive_timeouts = 0
@@ -219,24 +218,18 @@ class D2DSession:
         self.latency_us = round(params.command_latency_s * 1e6)
         self.deadline_us = activation_us + round(cmd.t2_s * 1e6)
 
-        self._start_ev = None
-        self._deadline_ev = None
-        self._no_reply_ev = None
-        self._pending_tx_ev = None
-        self._linger_ev = None
-        self._last_ack_seq = 0
-        self._final_acked = False
+        self._timers: dict[str, object] = {}     # pending timer event by tag
 
     # -- lifecycle ---------------------------------------------------------
 
     def activate(self, host) -> None:
         if self.state is not D2DState.ARMED:
             raise D2DProtocolError(f"activate in state {self.state}")
-        start_us = self.activation_us + round(self.cmd.t1_s * 1e6)
-        self._start_ev = host.schedule_session_timer(self, start_us, "start")
-        self._deadline_ev = host.schedule_session_timer(self, self.deadline_us, "deadline")
+        self._arm(host, "start", self.activation_us + round(self.cmd.t1_s * 1e6))
+        self._arm(host, "deadline", self.deadline_us)
 
     def on_timer(self, host, tag: str) -> None:
+        self._timers.pop(tag, None)
         if self.state in (D2DState.DONE, D2DState.FAILED):
             return
         if tag == "start":
@@ -245,9 +238,7 @@ class D2DSession:
             self._on_deadline(host)
         elif tag == "no_reply":
             self._on_no_reply(host)
-        elif tag == "linger":
-            self._finish(host, D2DState.DONE)
-        elif tag == "complete":
+        elif tag in ("linger", "complete"):
             self._finish(host, D2DState.DONE)
         else:
             raise D2DProtocolError(f"unknown session timer {tag}")
@@ -285,7 +276,6 @@ class D2DSession:
     def _transmit_ack(self, host, seq: int, at_us: int) -> None:
         frame = D2DAckFrame(source_addr=self.own_addr, seq=seq, app_bytes=self.params.ack_payload_bytes)
         self.ack_frames_sent += 1
-        self._last_ack_seq = seq
         host.d2d_transmit(self, frame, self.cmd.power_dbm, self.cmd.freq_hz, self.cmd.dr, at_us + self.latency_us)
 
     def on_tx_end(self, host, frame) -> None:
@@ -296,12 +286,12 @@ class D2DSession:
         host.d2d_listen_on(self)
         if isinstance(frame, D2DDataFrame):
             window = self.turnaround_us + self.toa_ack_us + self.guard_us
-            self._arm_no_reply(host, now + window)
-        elif self._final_acked:
+            self._arm(host, "no_reply", now + window)
+        elif self.packets_acked == self.params.data_packets:
             # Hold the receiver long enough to re-ack a duplicate of the
             # final data frame, then declare the session done.
             window = self.turnaround_us + self.toa_data_us + self.guard_us
-            self._arm_linger(host, now + window)
+            self._arm(host, "linger", now + window)
         # otherwise just keep listening: the scanner side never retransmits
         # on its own and is bounded by the T2 deadline alone
 
@@ -322,26 +312,18 @@ class D2DSession:
             self.ignored_frames += 1
 
     def _scanner_on_data(self, host, frame: D2DDataFrame, now: int) -> None:
-        if frame.seq == self.expected_seq:
-            advanced = True
-        elif frame.seq == self.expected_seq - 1:
-            advanced = False          # our ack was lost; re-ack
-        else:
+        if frame.seq == self.packets_acked + 1:
+            self.packets_acked = frame.seq
+        elif frame.seq != self.packets_acked:   # == means our ack was lost; re-ack
             self.ignored_frames += 1
             return
         self.consecutive_timeouts = 0
-        self._cancel_no_reply()
-        self._cancel_linger()
+        self._cancel("linger")
         # stay in receive through the turnaround; transmitting tears the
         # listener down when the ack goes out
         if self.state is D2DState.SCANNING:
             self.state = D2DState.EXCHANGE
             self.established = True
-        if advanced:
-            self.packets_acked = frame.seq
-            self.expected_seq += 1
-            if frame.last:
-                self._final_acked = True
         self._transmit_ack(host, frame.seq, now + self.turnaround_us)
 
     def _initiator_on_ack(self, host, frame: D2DAckFrame, now: int) -> None:
@@ -350,14 +332,13 @@ class D2DSession:
             self.ignored_frames += 1
             return
         self.consecutive_timeouts = 0
-        self._cancel_no_reply()
+        self._cancel("no_reply")
         if self.state is D2DState.INITIATING:
             self.state = D2DState.EXCHANGE
             self.established = True
         self.packets_acked = current
         if self.packets_acked == self.params.data_packets:
-            self._pending_tx_ev = host.schedule_session_timer(
-                self, now + self.turnaround_us, "complete")
+            self._arm(host, "complete", now + self.turnaround_us)
         else:
             self._transmit_data(host, now + self.turnaround_us)
 
@@ -365,30 +346,21 @@ class D2DSession:
 
     def _on_no_reply(self, host) -> None:
         """Initiator ack timeout: burn one retry, retransmit the data frame."""
-        self._no_reply_ev = None
         self.consecutive_timeouts += 1
         if self.consecutive_timeouts >= self.params.retry_limit:
             self._fail(host, "retry_budget_exhausted")
             return
         self._transmit_data(host, host.now_us())
 
-    def _arm_no_reply(self, host, at_us: int) -> None:
-        self._cancel_no_reply()
-        self._no_reply_ev = host.schedule_session_timer(self, min(at_us, self.deadline_us), "no_reply")
+    def _arm(self, host, tag: str, at_us: int) -> None:
+        """Set timer ``tag``, replacing a pending one; none outlives T2."""
+        self._cancel(tag)
+        self._timers[tag] = host.schedule_session_timer(self, min(at_us, self.deadline_us), tag)
 
-    def _arm_linger(self, host, at_us: int) -> None:
-        self._cancel_linger()
-        self._linger_ev = host.schedule_session_timer(self, min(at_us, self.deadline_us), "linger")
-
-    def _cancel_no_reply(self) -> None:
-        if self._no_reply_ev is not None:
-            self._no_reply_ev.cancel()
-            self._no_reply_ev = None
-
-    def _cancel_linger(self) -> None:
-        if self._linger_ev is not None:
-            self._linger_ev.cancel()
-            self._linger_ev = None
+    def _cancel(self, tag: str) -> None:
+        ev = self._timers.pop(tag, None)
+        if ev is not None:
+            ev.cancel()
 
     # -- terminal ----------------------------------------------------------
 
@@ -397,12 +369,9 @@ class D2DSession:
         self._finish(host, D2DState.FAILED)
 
     def _finish(self, host, state: D2DState) -> None:
-        for ev in (self._start_ev, self._deadline_ev, self._no_reply_ev,
-                   self._pending_tx_ev, self._linger_ev):
-            if ev is not None:
-                ev.cancel()
-        self._start_ev = self._deadline_ev = self._no_reply_ev = None
-        self._pending_tx_ev = self._linger_ev = None
+        for ev in self._timers.values():
+            ev.cancel()
+        self._timers.clear()
         self.state = state
         self.terminal_us = host.now_us()
         host.d2d_listen_off(self)

@@ -133,14 +133,6 @@ class _Listening:
         self.lock_until_us = 0
 
 
-class _GatewayListening:
-    __slots__ = ("entity", "channels")
-
-    def __init__(self, entity, channels: frozenset[int]):
-        self.entity = entity
-        self.channels = channels
-
-
 # Transmissions older than this can no longer interfere with a frame that is
 # ending now (longest EU 868 frame is ~9 s at DR0).
 _PRUNE_HORIZON_US = 12_000_000
@@ -167,10 +159,9 @@ class Medium:
         self.capture_threshold_db = capture_threshold_db
         self.d2d_frame_loss_prob = d2d_frame_loss_prob
         self._active: defaultdict[tuple, list[phy.Transmission]] = defaultdict(list)
-        self._owners: dict[int, object] = {}
         self._listeners: dict[str, _Listening] = {}
         self._tuned: defaultdict[tuple, dict[str, _Listening]] = defaultdict(dict)
-        self._gateways: dict[str, _GatewayListening] = {}
+        self._gateways: dict[str, object] = {}
         self._positions: dict[str, tuple[float, float]] = {}
         # path loss to a receiver, by source; one dict per receiver rather
         # than (source, receiver) tuple keys, which would cost a tuple each
@@ -223,8 +214,9 @@ class Medium:
         lst = self._listeners.get(eid)
         return lst.lock_until_us if lst is not None else 0
 
-    def listen_gateway(self, entity, channels) -> None:
-        self._gateways[entity.eid] = _GatewayListening(entity, frozenset(channels))
+    def listen_gateway(self, gateway) -> None:
+        """Hear uplinks on every frequency in ``gateway.channels_hz``."""
+        self._gateways[gateway.eid] = gateway
 
     # -- transmission ----------------------------------------------------
 
@@ -238,7 +230,6 @@ class Medium:
         tx, owner = data
         key = (tx.freq_hz, sf_key(tx.dr))
         self._active[key].append(tx)
-        self._owners[id(tx)] = owner
         self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
                           bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
         on_start = getattr(owner, "on_own_tx_start", None)
@@ -247,10 +238,10 @@ class Medium:
         for eid, lst in self._tuned[key].items():
             if eid != tx.source and self._rssi(tx, eid) >= lst.sens_dbm:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
-        self.engine.schedule(tx.end_us, self._tx_end, tx, kind="tx_end", target=tx.source)
+        self.engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
-    def _tx_end(self, tx: phy.Transmission) -> None:
-        owner = self._owners.pop(id(tx), None)
+    def _tx_end(self, data) -> None:
+        tx, owner = data
         self.engine.trace("tx_end", tx.source, frame=tx.kind)
         key = (tx.freq_hz, sf_key(tx.dr))
         active = self._active[key]
@@ -319,12 +310,12 @@ class Medium:
         if to_gateways:
             for eid in sorted(self._gateways):
                 gw = self._gateways[eid]
-                if tx.freq_hz not in gw.channels:
+                if tx.freq_hz not in gw.channels_hz:
                     continue
                 outcome = self.capture(tx, rivals, eid, 0)
                 if outcome == DECODED:
                     engine.trace("decode", eid, source=tx.source, frame=tx.kind, bytes=tx.phy_payload_bytes)
-                    gw.entity.on_frame_decoded(tx)
+                    gw.on_frame_decoded(tx)
                 else:
                     engine.count(outcome)
                     engine.trace("drop", eid, reason=outcome, source=tx.source)

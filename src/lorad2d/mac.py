@@ -90,7 +90,6 @@ class EndDevice:
         self.engine = engine
         self.medium = medium
         self.eid = eid
-        self.position = position
         self.dev_addr = dev_addr if prejoined else None
         self.period_us = round(period_s * 1e6)
         self.phase_us = round(phase_s * 1e6)
@@ -110,8 +109,6 @@ class EndDevice:
 
         self.mac_state = MacState.SLEEP if prejoined else MacState.NOT_JOINED
         self.fcnt_up = 0
-        self.fcnt_down = -1
-        self.pending_d2d: d2d.D2DSetupCommand | None = None
         self.session: d2d.D2DSession | None = None
         self.session_history: list[d2d.D2DSession] = []
 
@@ -128,7 +125,6 @@ class EndDevice:
 
         self._next_nominal_us = self.phase_us
         self._rx_events: list = []
-        self._current_rx_window = 0
         self._d2d_listening = False
         self._uplink_phy_bytes = app_payload_bytes + phy.FRAME_OVERHEAD_BYTES
         self._uplink_toa_us = phy.time_on_air_us(dr, self._uplink_phy_bytes)
@@ -230,13 +226,12 @@ class EndDevice:
             freq, dr = self.last_uplink.freq_hz, self.last_uplink.dr
             self.mac_state = MacState.RX1
         else:
-            if self._current_rx_window == 1:
+            if self.mac_state is MacState.RX1:
                 # still receiving in the first window past the second's start;
                 # the second window is skipped for this cycle
                 return
             freq, dr = self.rx2_freq_hz, self.rx2_dr
             self.mac_state = MacState.RX2
-        self._current_rx_window = which
         self.ledger.set_state(self.engine.now_us, "rx")
         self.medium.listen(self, freq, dr)
         self.engine.trace("rx_open", self.eid, window=which, freq_hz=freq, dr=dr)
@@ -246,7 +241,7 @@ class EndDevice:
         self._rx_events.append(ev)
 
     def _close_rx(self, which: int) -> None:
-        if self._current_rx_window != which:
+        if self.mac_state is not (MacState.RX1 if which == 1 else MacState.RX2):
             return
         lock = self.medium.lock_until_us(self.eid)
         if lock > self.engine.now_us:
@@ -257,7 +252,6 @@ class EndDevice:
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
         self.engine.trace("rx_close", self.eid, window=which)
-        self._current_rx_window = 0
         if which == 1:
             rx2_at = self.last_uplink.end_us + self.timings.rd2_us
             if self.engine.now_us >= rx2_at:
@@ -273,7 +267,6 @@ class EndDevice:
         for ev in self._rx_events:
             ev.cancel()
         self._rx_events = []
-        self._current_rx_window = 0
 
     def _cycle_complete(self) -> None:
         if self.dev_addr is None:
@@ -306,9 +299,8 @@ class EndDevice:
         if not isinstance(frame, LoRaWANDownlink) or frame.dev_addr != self.dev_addr:
             self.counters["ignored_frames"] += 1
             return
-        window = self._current_rx_window
-        self.counters["downlinks_rw1" if window == 1 else "downlinks_rw2"] += 1
-        self.fcnt_down = frame.fcnt
+        window = 1 if self.mac_state is MacState.RX1 else 2
+        self.counters[f"downlinks_rw{window}"] += 1
         self._cancel_rx_events()
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
@@ -329,7 +321,6 @@ class EndDevice:
             self.engine.trace("setup_rejected", self.eid, error=str(exc))
             self._cycle_complete()
             return
-        self.pending_d2d = cmd
         self.mac_state = MacState.D2D_SUSPENDED
         self.session = d2d.D2DSession(cmd, self.dev_addr, self.engine.now_us, self.d2d_params)
         self.engine.trace("d2d_armed", self.eid, role=cmd.role.name.lower(),
@@ -358,7 +349,6 @@ class EndDevice:
 
     def _complete_join(self, frame: JoinAccept) -> None:
         self.dev_addr = frame.assigned_addr
-        self.prejoined = True
         self._cancel_rx_events()
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
@@ -416,7 +406,6 @@ class EndDevice:
     def session_finished(self, session: d2d.D2DSession) -> None:
         self.session_history.append(session)
         self.session = None
-        self.pending_d2d = None
         self.engine.trace("d2d_finished", self.eid, state=session.state.value,
                           reason=session.fail_reason or "",
                           packets_acked=session.packets_acked)

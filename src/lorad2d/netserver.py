@@ -35,6 +35,13 @@ class DownlinkError(ValueError):
 
 
 @dataclass
+class _QueuedDownlink:
+    port: int
+    app_bytes: int
+    payload: bytes | None = None
+
+
+@dataclass
 class DeviceRecord:
     eid: str
     dev_addr: int | None
@@ -43,6 +50,8 @@ class DeviceRecord:
     period_s: float
     jitter_frac: float
     joined: bool = True
+    queue: list[_QueuedDownlink] = field(default_factory=list)   # pending downlinks
+    fcnt_down: int = 0
 
 
 @dataclass
@@ -53,14 +62,6 @@ class TransferState:
     port: int = 1
     bytes_relayed: int = 0
     chunks_relayed: int = 0
-    started_us: int | None = None
-
-
-@dataclass
-class _QueuedDownlink:
-    port: int
-    app_bytes: int
-    payload: bytes | None = None
 
 
 class Gateway:
@@ -70,7 +71,6 @@ class Gateway:
         self.engine = engine
         self.medium = medium
         self.eid = eid
-        self.position = position
         self.channels_hz = frozenset(channels_hz)
         self.tx_power_dbm = tx_power_dbm
         self.backhaul_us = round(backhaul_delay_s * 1e6)
@@ -79,7 +79,7 @@ class Gateway:
         self.server = None
         self.counters = {"uplinks_decoded": 0, "downlinks_transmitted": 0}
         medium.register_position(eid, position)
-        medium.listen_gateway(self, self.channels_hz)
+        medium.listen_gateway(self)
 
     def on_frame_decoded(self, tx: phy.Transmission) -> None:
         self.counters["uplinks_decoded"] += 1
@@ -107,9 +107,6 @@ class Gateway:
         self.medium.begin_tx(tx, owner=self)
         return tx
 
-    def on_own_tx_start(self, tx: phy.Transmission) -> None:
-        pass
-
     def on_own_tx_end(self, tx: phy.Transmission) -> None:
         self.counters["downlinks_transmitted"] += 1
 
@@ -126,8 +123,6 @@ class NetworkServer:
         self.devices: dict[int, DeviceRecord] = {}
         self.by_eid: dict[str, DeviceRecord] = {}
         self.seen: set[tuple[int, int]] = set()
-        self.queues: dict[int, list[_QueuedDownlink]] = {}
-        self.fcnt_down: dict[int, int] = {}
         self.transfers: list[TransferState] = []
         self.uplinks_by_addr: dict[int, int] = {}
         self.next_dev_addr = 0x0100_0001
@@ -144,8 +139,6 @@ class NetworkServer:
         self.by_eid[record.eid] = record
         if record.joined and record.dev_addr is not None:
             self.devices[record.dev_addr] = record
-            self.queues.setdefault(record.dev_addr, [])
-            self.fcnt_down.setdefault(record.dev_addr, 0)
 
     def add_transfer(self, source_addr: int, dest_addr: int, total_bytes: int,
                      port: int = 1) -> TransferState:
@@ -184,8 +177,6 @@ class NetworkServer:
             n = min(frame.app_bytes, tr.total_bytes - tr.bytes_relayed)
             tr.bytes_relayed += n
             tr.chunks_relayed += 1
-            if tr.started_us is None:
-                tr.started_us = self.engine.now_us
             self.enqueue_downlink(tr.dest_addr, tr.port, n)
 
     # -- downlink path -----------------------------------------------------------
@@ -195,52 +186,52 @@ class NetworkServer:
         if dev_addr not in self.devices:
             raise DownlinkError(f"0x{dev_addr:08x} is not a joined device")
         record = self.devices[dev_addr]
-        if (not self._fits(self.rx2_dr, app_bytes)
-                and not self._fits(record.dr, app_bytes)):
+        phy_bytes = app_bytes + phy.FRAME_OVERHEAD_BYTES
+        if not self._fits(self.rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
             raise DownlinkError(
                 f"{app_bytes} application bytes fit neither receive window "
                 f"(uplink DR{record.dr}, RX2 DR{self.rx2_dr})")
-        self.queues[dev_addr].append(_QueuedDownlink(port, app_bytes, payload))
+        record.queue.append(_QueuedDownlink(port, app_bytes, payload))
 
     @staticmethod
-    def _fits(dr: int, app_bytes: int) -> bool:
-        desc = phy.data_rate(dr)
-        return app_bytes + phy.FRAME_OVERHEAD_BYTES <= desc.max_mac_payload_bytes
+    def _fits(dr: int, phy_bytes: int) -> bool:
+        return phy_bytes <= phy.data_rate(dr).max_mac_payload_bytes
 
-    def _window_plan(self, uplink: phy.Transmission):
-        """The two candidate (start, freq, dr) placements after an uplink."""
+    def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
+        """The first receive window after ``uplink`` whose data rate carries
+        ``phy_bytes`` and in which ``gw`` may transmit, as (window, start_us,
+        freq_hz, dr); None if neither qualifies."""
         end = uplink.end_us
-        return (
-            (1, end + self.timings.rd1_us, uplink.freq_hz, uplink.dr),
-            (2, end + self.timings.rd2_us, self.rx2_freq_hz, self.rx2_dr),
-        )
+        for window, start, freq, dr in (
+                (1, end + self.timings.rd1_us, uplink.freq_hz, uplink.dr),
+                (2, end + self.timings.rd2_us, self.rx2_freq_hz, self.rx2_dr)):
+            if (self._fits(dr, phy_bytes)
+                    and gw.can_transmit(freq, start, phy.time_on_air_us(dr, phy_bytes))):
+                return window, start, freq, dr
+        return None
 
     def _try_place_downlink(self, dev_addr: int, uplink: phy.Transmission,
                             gw: Gateway) -> None:
-        queue = self.queues.get(dev_addr)
-        if not queue:
+        record = self.devices[dev_addr]
+        if not record.queue:
             return
-        item = queue[0]
+        item = record.queue[0]
         phy_bytes = item.app_bytes + phy.FRAME_OVERHEAD_BYTES
-        for window, start, freq, dr in self._window_plan(uplink):
-            if not self._fits(dr, item.app_bytes):
-                continue
-            toa = phy.time_on_air_us(dr, phy_bytes)
-            if not gw.can_transmit(freq, start, toa):
-                continue
-            queue.pop(0)
-            fcnt = self.fcnt_down[dev_addr]
-            self.fcnt_down[dev_addr] = fcnt + 1
-            frame = LoRaWANDownlink(dev_addr, fcnt, item.port, item.app_bytes,
-                                    window, item.payload)
-            gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
-                        start_us=start, kind="downlink")
-            self.counters["downlinks_scheduled"] += 1
-            self.counters["downlinks_rw1" if window == 1 else "downlinks_rw2"] += 1
-            self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
-                              window=window, port=item.port, bytes=item.app_bytes)
+        slot = self._free_window(uplink, gw, phy_bytes)
+        if slot is None:
+            self.counters["downlinks_deferred"] += 1
             return
-        self.counters["downlinks_deferred"] += 1
+        window, start, freq, dr = slot
+        record.queue.pop(0)
+        frame = LoRaWANDownlink(dev_addr, record.fcnt_down, item.port, item.app_bytes,
+                                window, item.payload)
+        record.fcnt_down += 1
+        gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
+                    start_us=start, kind="downlink")
+        self.counters["downlinks_scheduled"] += 1
+        self.counters[f"downlinks_rw{window}"] += 1
+        self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
+                          window=window, port=item.port, bytes=item.app_bytes)
 
     # -- join ---------------------------------------------------------------
 
@@ -255,23 +246,16 @@ class NetworkServer:
         if record.dev_addr is None:
             record.dev_addr = self.next_dev_addr
             self.next_dev_addr += 1
-        accept = JoinAccept(eid, record.dev_addr)
-        placed = False
-        for window, start, freq, dr in self._window_plan(tx):
-            toa = phy.time_on_air_us(dr, JOIN_ACCEPT_PHY_BYTES)
-            if gw.can_transmit(freq, start, toa):
-                gw.transmit(accept, freq_hz=freq, dr=dr,
-                            phy_payload_bytes=JOIN_ACCEPT_PHY_BYTES,
-                            start_us=start, kind="join_accept")
-                placed = True
-                break
-        if not placed:
+        slot = self._free_window(tx, gw, JOIN_ACCEPT_PHY_BYTES)
+        if slot is None:
             self.counters["joins_dropped"] += 1
             return
+        _, start, freq, dr = slot
+        gw.transmit(JoinAccept(eid, record.dev_addr), freq_hz=freq, dr=dr,
+                    phy_payload_bytes=JOIN_ACCEPT_PHY_BYTES, start_us=start,
+                    kind="join_accept")
         record.joined = True
         self.devices[record.dev_addr] = record
-        self.queues.setdefault(record.dev_addr, [])
-        self.fcnt_down.setdefault(record.dev_addr, 0)
         self.counters["joins_accepted"] += 1
 
     # -- D2D planning ------------------------------------------------------------

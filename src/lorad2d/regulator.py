@@ -70,7 +70,6 @@ def off_time_us(toa_us: int, duty_cycle_limit: float) -> int:
 
 @dataclass
 class _BandAccount:
-    last_tx_end_us: int = 0
     accumulated_on_air_us: int = 0
     next_allowed_us: int = 0
     frames: int = 0
@@ -110,7 +109,6 @@ class DutyLedger:
                 f"allowed {acct.next_allowed_us} us"
             )
         end = start_us + toa_us
-        acct.last_tx_end_us = end
         acct.accumulated_on_air_us += toa_us
         acct.frames += 1
         acct.next_allowed_us = end + off_time_us(toa_us, band.duty_cycle_limit)

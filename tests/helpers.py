@@ -87,7 +87,6 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
                                   power_dbm=power_dbm, t1_s=t1, t2_s=t2_s,
                                   peer_addr=peer.dev_addr)
         session = d2d.D2DSession(cmd, dev.dev_addr, engine.now_us, params)
-        dev.pending_d2d = cmd
         dev.session = session
         dev.mac_state = mac.MacState.D2D_SUSPENDED
         session.activate(dev)

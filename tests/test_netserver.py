@@ -187,7 +187,7 @@ def test_execute_queues_both_setups():
     server.execute_d2d(**PLAN)
     assert server.counters["setups_sent"] == 2
     for addr in (0x01, 0x02):
-        queue = server.queues[addr]
+        queue = server.devices[addr].queue
         assert len(queue) == 1
         assert queue[0].port == d2d.SETUP_PORT
         decoded = d2d.decode_setup(queue[0].payload)
