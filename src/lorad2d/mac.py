@@ -54,6 +54,7 @@ class LoRaWANDownlink:
 @dataclass(frozen=True)
 class JoinRequest:
     eid: str
+    dev_nonce: int               # distinct per join attempt of this device
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,8 @@ class EndDevice:
         self.engine.trace("join_request", self.eid, freq_hz=channel)
         self.mac_state = MacState.NOT_JOINED
         self._transmit_lorawan(start, channel, self.uplink_dr, JOIN_REQUEST_PHY_BYTES,
-                               "join_request", JoinRequest(self.eid), toa)
+                               "join_request",
+                               JoinRequest(self.eid, self.counters["join_attempts"]), toa)
         self.mac_state = MacState.TX
 
     def _complete_join(self, frame: JoinAccept) -> None:

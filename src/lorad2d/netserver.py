@@ -7,10 +7,13 @@ own duty-cycle ledger.
 
 The network server owns addressing, frame-counter deduplication, per-device
 downlink queues, relaying of application payloads between devices, and the
-planning of D2D sessions.  A queued downlink is placed into the first receive
-window of the next uplink where it fits (payload small enough for the window's
-data rate, gateway idle, duty budget available), falling back to the second
-window, otherwise it stays queued for a later uplink.
+planning of D2D sessions.  An uplink or join request heard by several
+gateways is handled once, through the first gateway that forwards it; a join
+request is answered once, with one JoinAccept.  A queued downlink is placed
+into the first receive window of the next uplink where it fits (payload small
+enough for the window's data rate, gateway idle, duty budget available),
+falling back to the second window, otherwise it stays queued for a later
+uplink.
 """
 
 from __future__ import annotations
@@ -122,7 +125,9 @@ class NetworkServer:
         self.bands = bands
         self.devices: dict[int, DeviceRecord] = {}
         self.by_eid: dict[str, DeviceRecord] = {}
-        self.seen: set[tuple[int, int]] = set()
+        # (dev_addr, fcnt) of data uplinks and (eid, dev_nonce) of join
+        # requests already handled; later copies from other gateways drop
+        self.seen: set[tuple] = set()
         self.transfers: list[TransferState] = []
         self.uplinks_by_addr: dict[int, int] = {}
         self.next_dev_addr = 0x0100_0001
@@ -237,6 +242,11 @@ class NetworkServer:
 
     def _on_join_request(self, tx: phy.Transmission, gw: Gateway) -> None:
         eid = tx.frame.eid
+        key = (eid, tx.frame.dev_nonce)
+        if key in self.seen:
+            self.counters["dedup_drops"] += 1
+            return
+        self.seen.add(key)
         if self.rng.uniform() >= self.join_success_prob:
             self.counters["joins_dropped"] += 1
             return

@@ -192,3 +192,23 @@ def test_execute_queues_both_setups():
         assert queue[0].port == d2d.SETUP_PORT
         decoded = d2d.decode_setup(queue[0].payload)
         assert decoded.peer_addr != addr
+
+
+def test_join_heard_by_two_gateways_is_answered_once():
+    # Each gateway used to forward its copy to an accept of its own, and the
+    # two JoinAccepts collided at the device on every attempt.
+    engine, medium = helpers.make_rig()
+    server, gws = make_server(engine, medium, gateways=(("gw0", (0.0, 0.0)),
+                                                        ("gw1", (1000.0, 0.0))))
+    dev = helpers.make_device(engine, medium, dev_addr=None, prejoined=False,
+                              position=(500.0, 0.0), period_s=60.0, phase_s=0.0,
+                              dr=3)
+    helpers.register(server, dev)
+    dev.start()
+    engine.run(until_us=120_000_000)
+    assert all(gw.counters["uplinks_decoded"] >= 1 for gw in gws)
+    assert dev.counters["join_attempts"] == 1
+    assert dev.dev_addr == 0x0100_0001
+    assert server.counters["joins_accepted"] == 1
+    assert [r["entity"] for r in helpers.records(engine, "tx_start")
+            if r["frame"] == "join_accept"] == ["gw0"]
