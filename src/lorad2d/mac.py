@@ -343,11 +343,9 @@ class EndDevice:
         start = self.duty.next_allowed_us(channel, now, toa)
         self.counters["join_attempts"] += 1
         self.engine.trace("join_request", self.eid, freq_hz=channel)
-        self.mac_state = MacState.NOT_JOINED
+        request = JoinRequest(self.eid, dev_nonce=self.counters["join_attempts"])
         self._transmit_lorawan(start, channel, self.uplink_dr, JOIN_REQUEST_PHY_BYTES,
-                               "join_request",
-                               JoinRequest(self.eid, self.counters["join_attempts"]), toa)
-        self.mac_state = MacState.TX
+                               "join_request", request, toa)
 
     def _complete_join(self, frame: JoinAccept) -> None:
         self.dev_addr = frame.assigned_addr

@@ -126,7 +126,7 @@ class NetworkServer:
         self.devices: dict[int, DeviceRecord] = {}
         self.by_eid: dict[str, DeviceRecord] = {}
         # (dev_addr, fcnt) of data uplinks and (eid, dev_nonce) of join
-        # requests already handled; later copies from other gateways drop
+        # requests already handled; copies forwarded by other gateways drop
         self.seen: set[tuple] = set()
         self.transfers: list[TransferState] = []
         self.uplinks_by_addr: dict[int, int] = {}
@@ -159,15 +159,18 @@ class NetworkServer:
     def on_uplink(self, tx: phy.Transmission, gw: Gateway) -> None:
         frame = tx.frame
         if isinstance(frame, JoinRequest):
-            self._on_join_request(tx, gw)
+            key = (frame.eid, frame.dev_nonce)
+        elif isinstance(frame, LoRaWANUplink) and frame.dev_addr in self.devices:
+            key = (frame.dev_addr, frame.fcnt)
+        else:
             return
-        if not isinstance(frame, LoRaWANUplink) or frame.dev_addr not in self.devices:
-            return
-        key = (frame.dev_addr, frame.fcnt)
         if key in self.seen:
             self.counters["dedup_drops"] += 1
             return
         self.seen.add(key)
+        if isinstance(frame, JoinRequest):
+            self._on_join_request(tx, gw)
+            return
         self.counters["uplinks"] += 1
         self.uplinks_by_addr[frame.dev_addr] = self.uplinks_by_addr.get(frame.dev_addr, 0) + 1
         self._relay(frame)
@@ -242,11 +245,6 @@ class NetworkServer:
 
     def _on_join_request(self, tx: phy.Transmission, gw: Gateway) -> None:
         eid = tx.frame.eid
-        key = (eid, tx.frame.dev_nonce)
-        if key in self.seen:
-            self.counters["dedup_drops"] += 1
-            return
-        self.seen.add(key)
         if self.rng.uniform() >= self.join_success_prob:
             self.counters["joins_dropped"] += 1
             return
