@@ -120,12 +120,7 @@ def decode_setup(payload: bytes) -> D2DSetupCommand:
 class D2DDataFrame:
     source_addr: int
     seq: int
-    last: bool
     app_bytes: int
-
-    @property
-    def phy_payload_bytes(self) -> int:
-        return self.app_bytes + phy.FRAME_OVERHEAD_BYTES
 
 
 @dataclass(frozen=True)
@@ -133,10 +128,6 @@ class D2DAckFrame:
     source_addr: int
     seq: int
     app_bytes: int
-
-    @property
-    def phy_payload_bytes(self) -> int:
-        return self.app_bytes + phy.FRAME_OVERHEAD_BYTES
 
 
 class D2DState(Enum):
@@ -148,9 +139,10 @@ class D2DState(Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExchangeParams:
-    """Application-side numbers both peers agreed on out of band."""
+    """Application-side numbers both peers agreed on out of band.  Each D2D
+    directive carries its own, which governs only the session it plans."""
 
     data_packets: int = 10
     data_payload_bytes: int = 240
@@ -166,6 +158,15 @@ class ExchangeParams:
         for n in (self.data_payload_bytes, self.ack_payload_bytes):
             if not 0 <= n + phy.FRAME_OVERHEAD_BYTES <= phy.MAX_PHY_PAYLOAD_BYTES:
                 raise D2DProtocolError("payload does not fit a PHY frame")
+
+
+@dataclass(frozen=True)
+class SessionPlan:
+    """One planned session, handed to both devices beside (not inside) their
+    setup commands: the id that pairs its halves, and the exchange they run."""
+
+    plan_id: int
+    exchange: ExchangeParams
 
 
 def exchange_phase_duration_s(params: ExchangeParams, dr: int) -> float:
@@ -193,9 +194,10 @@ class D2DSession:
     """
 
     def __init__(self, cmd: D2DSetupCommand, own_addr: int, activation_us: int,
-                 params: ExchangeParams):
+                 params: ExchangeParams, plan_id: int | None = None):
         self.cmd = cmd
         self.params = params
+        self.plan_id = plan_id
         self.own_addr = own_addr
         self.activation_us = activation_us
         self.state = D2DState.ARMED
@@ -260,11 +262,9 @@ class D2DSession:
     # -- transmit paths ----------------------------------------------------
 
     def _transmit_data(self, host, at_us: int) -> None:
-        seq = self.packets_acked + 1
         frame = D2DDataFrame(
             source_addr=self.own_addr,
-            seq=seq,
-            last=seq == self.params.data_packets,
+            seq=self.packets_acked + 1,
             app_bytes=self.params.data_payload_bytes,
         )
         self.data_frames_sent += 1

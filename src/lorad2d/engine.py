@@ -284,13 +284,13 @@ class Medium:
         # No frame starts or ends during delivery, so one rival list serves
         # every receiver.
         rivals = [t for t in active if t is not tx and t.overlaps(tx.start_us, tx.end_us)]
-        # A callback below may close or retune a listener not yet visited,
-        # hence the fresh lookup and key check.  A listener that (re)opens
-        # during delivery opens at now == tx.end_us, so tx misses its window:
-        # visiting the bucket as it stood when tx ended loses no receiver.
+        # A callback below may close a listener not yet visited, hence the
+        # fresh lookup.  A listener retuned or (re)opened during delivery
+        # opens at now == tx.end_us, so the window check skips it: visiting
+        # the bucket as it stood when tx ended loses no receiver.
         for eid in sorted(tuned):
             lst = self._listeners.get(eid)
-            if lst is None or eid == tx.source or lst.key != key:
+            if lst is None or eid == tx.source:
                 continue
             if not tx.overlaps(lst.opened_us, engine.now_us + 1):
                 continue

@@ -47,8 +47,8 @@ class LoRaWANDownlink:
     fcnt: int
     port: int
     app_bytes: int
-    window: int                  # 1 or 2, which receive window carried it
     payload: bytes | None = None
+    plan: d2d.SessionPlan | None = None   # out of band, beside a setup payload
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class EndDevice:
                  rx2_freq_hz: int, rx2_dr: int, timings: MacTimings,
                  bands, duty_enforced: bool, duty_applies_to_d2d: bool,
                  max_uplinks: int | None = None, prejoined: bool = True,
-                 d2d_params: d2d.ExchangeParams | None = None,
                  detailed_energy: bool = True):
         self.engine = engine
         self.medium = medium
@@ -104,7 +103,6 @@ class EndDevice:
         self.timings = timings
         self.max_uplinks = max_uplinks
         self.prejoined = prejoined
-        self.d2d_params = d2d_params or d2d.ExchangeParams()
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
         self.duty_applies_to_d2d = duty_applies_to_d2d
 
@@ -323,7 +321,8 @@ class EndDevice:
             self._cycle_complete()
             return
         self.mac_state = MacState.D2D_SUSPENDED
-        self.session = d2d.D2DSession(cmd, self.dev_addr, self.engine.now_us, self.d2d_params)
+        self.session = d2d.D2DSession(cmd, self.dev_addr, self.engine.now_us,
+                                      frame.plan.exchange, frame.plan.plan_id)
         self.engine.trace("d2d_armed", self.eid, role=cmd.role.name.lower(),
                           freq_hz=cmd.freq_hz, dr=cmd.dr, t1_ds=round(cmd.t1_s * 10),
                           t2_ds=round(cmd.t2_s * 10), peer=cmd.peer_addr)

@@ -3,7 +3,7 @@
 A finished run is summarized into a JSON-serializable dict tagged
 ``metrics/1``: per-device traffic counters and energy breakdowns, per-gateway
 stats, network-wide counters, one record per relayed transfer and one per
-planned D2D session.  Time fields are in seconds, energy in joules.
+D2D directive, in firing order.  Time fields are in seconds, energy in joules.
 """
 
 from __future__ import annotations
@@ -95,17 +95,10 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             "complete": bytes_delivered >= tr.total_bytes,
         })
 
-    # sessions are appended to each device's history in activation order, so
-    # pairing them back to the directives that caused them is a simple walk
-    cursors = {eid: 0 for eid in devices}
-
-    def next_session(eid):
-        dev = devices[eid]
-        i = cursors[eid]
-        if i < len(dev.session_history):
-            cursors[eid] += 1
-            return dev.session_history[i]
-        return None
+    def finished_half(eid, plan_id):
+        """The session device eid finished for plan plan_id, if any."""
+        return next((s for s in devices[eid].session_history
+                     if s.plan_id == plan_id), None)
 
     d2d_sessions = []
     for entry in d2d_log:
@@ -118,8 +111,8 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             "bytes_exchanged": 0,
         }
         if entry.get("error") is None:
-            init_s = next_session(entry["initiator"])
-            scan_s = next_session(entry["scanner"])
+            init_s = finished_half(entry["initiator"], entry["plan_id"])
+            scan_s = finished_half(entry["scanner"], entry["plan_id"])
             rec["sessions"] = {}
             if init_s is not None:
                 rec["sessions"]["initiator"] = session_record(

@@ -18,6 +18,7 @@ uplink.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import d2d, phy, regulator
@@ -42,6 +43,7 @@ class _QueuedDownlink:
     port: int
     app_bytes: int
     payload: bytes | None = None
+    plan: d2d.SessionPlan | None = None
 
 
 @dataclass
@@ -131,6 +133,7 @@ class NetworkServer:
         self.transfers: list[TransferState] = []
         self.uplinks_by_addr: dict[int, int] = {}
         self.next_dev_addr = 0x0100_0001
+        self._plan_ids = itertools.count()
         self.rng = engine.rng.stream("netserver")
         self.counters = {
             "uplinks": 0, "dedup_drops": 0, "downlinks_scheduled": 0,
@@ -189,8 +192,7 @@ class NetworkServer:
 
     # -- downlink path -----------------------------------------------------------
 
-    def enqueue_downlink(self, dev_addr: int, port: int, app_bytes: int,
-                         payload: bytes | None = None) -> None:
+    def enqueue_downlink(self, dev_addr: int, port: int, app_bytes: int) -> None:
         if dev_addr not in self.devices:
             raise DownlinkError(f"0x{dev_addr:08x} is not a joined device")
         record = self.devices[dev_addr]
@@ -199,7 +201,7 @@ class NetworkServer:
             raise DownlinkError(
                 f"{app_bytes} application bytes fit neither receive window "
                 f"(uplink DR{record.dr}, RX2 DR{self.rx2_dr})")
-        record.queue.append(_QueuedDownlink(port, app_bytes, payload))
+        record.queue.append(_QueuedDownlink(port, app_bytes))
 
     @staticmethod
     def _fits(dr: int, phy_bytes: int) -> bool:
@@ -232,7 +234,7 @@ class NetworkServer:
         window, start, freq, dr = slot
         record.queue.pop(0)
         frame = LoRaWANDownlink(dev_addr, record.fcnt_down, item.port, item.app_bytes,
-                                window, item.payload)
+                                item.payload, item.plan)
         record.fcnt_down += 1
         gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
                     start_us=start, kind="downlink")
@@ -288,8 +290,7 @@ class NetworkServer:
 
     def plan_d2d(self, *, initiator_addr: int, scanner_addr: int, freq_hz: int,
                  dr: int, power_dbm: int, t1_initiator_s: float, t1_scanner_s: float,
-                 t2_s: float,
-                 exchange: d2d.ExchangeParams | None = None,
+                 t2_s: float, exchange: d2d.ExchangeParams = d2d.ExchangeParams(),
                  ) -> list[tuple[int, d2d.D2DSetupCommand]]:
         """Build the pair of setup commands for a session, scanner first.
 
@@ -321,8 +322,6 @@ class NetworkServer:
                 f"T1 gap {gap:.3f} s cannot cover worst-case setup skew "
                 f"{needed:.3f} s; the scanner may still be asleep when the "
                 "initiator first transmits")
-        if exchange is None:
-            exchange = d2d.ExchangeParams()
         data_toa_s = phy.time_on_air(
             dr, exchange.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         latest_first_tx = (self._worst_setup_delivery_s(initiator) + t1_initiator_s
@@ -343,11 +342,15 @@ class NetworkServer:
                 t1_s=t1, t2_s=t2_s, peer_addr=peer)))
         return commands
 
-    def execute_d2d(self, **kwargs) -> None:
-        """Plan a session and queue both setup commands (scanner's first)."""
-        for addr, cmd in self.plan_d2d(**kwargs):
-            self.enqueue_downlink(addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
-                                  payload=d2d.encode_setup(cmd))
+    def execute_d2d(self, *, exchange: d2d.ExchangeParams = d2d.ExchangeParams(),
+                    **kwargs) -> int:
+        """Plan a session, queue both setup commands (scanner's first) and
+        return the plan's id.  A setup fits every downlink data rate."""
+        commands = self.plan_d2d(exchange=exchange, **kwargs)
+        plan = d2d.SessionPlan(next(self._plan_ids), exchange)
+        for addr, cmd in commands:
+            self.devices[addr].queue.append(_QueuedDownlink(
+                d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES, d2d.encode_setup(cmd), plan))
             self.counters["setups_sent"] += 1
-        self.engine.trace("d2d_planned", "ns",
-                          **{k: v for k, v in kwargs.items() if k != "exchange"})
+        self.engine.trace("d2d_planned", "ns", **kwargs)
+        return plan.plan_id

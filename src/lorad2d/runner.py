@@ -97,13 +97,6 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
         gw.server = ns
         gateways[gspec.eid] = gw
 
-    # the exchange parameters travel out of band: provision each session
-    # participant with the directive that names it
-    exchange_for: dict[str, object] = {}
-    for directive in scn.d2d_directives:
-        exchange_for[directive.initiator] = directive.exchange
-        exchange_for[directive.scanner] = directive.exchange
-
     devices: dict[str, EndDevice] = {}
     for dspec in scn.devices:
         dev = EndDevice(
@@ -117,7 +110,6 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
             duty_enforced=scn.duty_cycle_enforced,
             duty_applies_to_d2d=scn.duty_cycle_applies_to_d2d,
             max_uplinks=dspec.max_uplinks, prejoined=dspec.prejoined,
-            d2d_params=exchange_for.get(dspec.eid),
             detailed_energy=detailed_energy,
         )
         devices[dspec.eid] = dev
@@ -143,19 +135,19 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
 
     def fire_directive(dspec):
         entry = {"initiator": dspec.initiator, "scanner": dspec.scanner,
-                 "trigger_us": engine.now_us, "error": None}
+                 "trigger_us": engine.now_us, "error": None, "plan_id": None}
         init_dev = devices[dspec.initiator]
         scan_dev = devices[dspec.scanner]
         try:
             if init_dev.dev_addr is None or scan_dev.dev_addr is None:
                 raise PlanError("session participants must both be joined")
-            ns.execute_d2d(
+            entry["plan_id"] = ns.execute_d2d(
                 initiator_addr=init_dev.dev_addr, scanner_addr=scan_dev.dev_addr,
                 freq_hz=dspec.freq_hz, dr=dspec.dr, power_dbm=dspec.power_dbm,
                 t1_initiator_s=dspec.t1_initiator_s,
                 t1_scanner_s=dspec.t1_scanner_s, t2_s=dspec.t2_s,
                 exchange=dspec.exchange)
-        except (PlanError, DownlinkError) as exc:
+        except PlanError as exc:
             entry["error"] = str(exc)
             engine.count("d2d_plan_failed")
             engine.trace("d2d_plan_failed", "ns", initiator=dspec.initiator,

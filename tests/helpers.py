@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from lorad2d import d2d, mac, netserver, phy, regulator
 from lorad2d.engine import Engine, Medium
+from lorad2d.scenario import load_bundled
 
 CH0 = 868_100_000
 CH1 = 868_300_000
@@ -30,7 +33,7 @@ def make_device(engine, medium, *, eid="dev", dev_addr=0x0100_0001,
                 channels_hz=(CH0,), rx2_freq_hz=RX2_FREQ, rx2_dr=RX2_DR,
                 timings=None, bands=regulator.DEFAULT_BANDS,
                 duty_enforced=False, duty_applies_to_d2d=False,
-                max_uplinks=None, prejoined=True, d2d_params=None):
+                max_uplinks=None, prejoined=True):
     return mac.EndDevice(
         engine, medium, eid=eid, dev_addr=dev_addr, position=position,
         period_s=period_s, phase_s=phase_s, jitter_frac=jitter_frac, dr=dr,
@@ -38,7 +41,7 @@ def make_device(engine, medium, *, eid="dev", dev_addr=0x0100_0001,
         channels_hz=list(channels_hz), rx2_freq_hz=rx2_freq_hz, rx2_dr=rx2_dr,
         timings=timings or mac.MacTimings(), bands=bands,
         duty_enforced=duty_enforced, duty_applies_to_d2d=duty_applies_to_d2d,
-        max_uplinks=max_uplinks, prejoined=prejoined, d2d_params=d2d_params)
+        max_uplinks=max_uplinks, prejoined=prejoined)
 
 
 def make_server(engine, medium, *, gateways=(("gw0", (2000.0, 0.0)),),
@@ -76,10 +79,10 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
     params = params or d2d.ExchangeParams()
     init_dev = make_device(engine, medium, eid="init", dev_addr=0x11,
                            position=(0.0, 0.0), period_s=1000.0,
-                           phase_s=900.0, d2d_params=params)
+                           phase_s=900.0)
     scan_dev = make_device(engine, medium, eid="scan", dev_addr=0x22,
                            position=(distance_m, 0.0), period_s=1000.0,
-                           phase_s=900.0, d2d_params=params)
+                           phase_s=900.0)
     for dev, role, t1 in ((init_dev, d2d.Role.INITIATOR, t1_initiator_s),
                           (scan_dev, d2d.Role.SCANNER, t1_scanner_s)):
         peer = scan_dev if dev is init_dev else init_dev
@@ -91,6 +94,18 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
         dev.mac_state = mac.MacState.D2D_SUSPENDED
         session.activate(dev)
     return init_dev, scan_dev
+
+
+def two_directives():
+    """table2_d2d plus a second directive, fired at the same time, that swaps
+    the roles and exchanges 3 packets; run long enough for both sessions."""
+    scn = load_bundled("table2_d2d")
+    first = scn.d2d_directives[0]
+    second = dataclasses.replace(
+        first, initiator=first.scanner, scanner=first.initiator,
+        exchange=dataclasses.replace(first.exchange, data_packets=3))
+    return dataclasses.replace(scn, name="two-directives", end_time_s=60.0,
+                               d2d_directives=[first, second])
 
 
 def trace_kinds(engine, entity=None):

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import helpers
 from lorad2d import runner
 from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, TransferSpec,
                               load_bundled, make_duty_audit)
@@ -54,6 +55,11 @@ GOLDEN = [
     ("join-cell", 0,
      "dc903e46965e23374f8240d51865b9aa06777a078a4ac3a3af2cb72b2eafb92e",
      "debe5ad12a138acf2fe009f65b30b11d7ab407c629dfbecf45dbd3505ac4975d"),
+    # table2_d2d plus a swapped-role directive of 3 packets, over 60 s: the
+    # first session acks 10 packets on both halves, the second 3
+    ("two-directives", 0,
+     "948d63bd47870cc955b992f707e2f0041652415936b90e6e8f82265255889258",
+     "6840db7239d7bdc9db7a6b012b9cde71e7b494bbf944595d0a8b2393cb12a2e5"),
 ]
 
 
@@ -89,6 +95,8 @@ def _scenario(name):
         return _lossy_d2d()
     if name == "join-cell":
         return _join_cell()
+    if name == "two-directives":
+        return helpers.two_directives()
     return load_bundled(name)
 
 

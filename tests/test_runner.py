@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from lorad2d import metrics, runner
+import helpers
+from lorad2d import d2d, metrics, runner
+from lorad2d.engine import Medium
 from lorad2d.scenario import Scenario, load_bundled
 
 
@@ -114,6 +116,46 @@ def test_infeasible_directive_is_logged_not_fatal():
     assert "sessions" not in rec
     for dev_rec in doc["devices"].values():
         assert dev_rec["sessions"] == []
+
+
+def test_each_directive_runs_its_own_exchange():
+    doc = runner.run(helpers.two_directives(), seed=0).document
+    first, second = doc["d2d_sessions"]
+    assert (first["initiator"], second["initiator"]) == ("initiator", "scanner")
+    for rec, packets in ((first, 10), (second, 3)):
+        assert rec["completed"]
+        assert rec["bytes_exchanged"] == packets * 240
+        for half in rec["sessions"].values():
+            assert half["packets_acked"] == packets
+
+
+class FirstSetupLost(Medium):
+    """Loses the first setup downlink sent to the device named "scanner"."""
+
+    lost = False
+
+    def capture(self, tx, rivals, dst_eid, window0_us):
+        out = super().capture(tx, rivals, dst_eid, window0_us)
+        if (not self.lost and dst_eid == "scanner" and tx.kind == "downlink"
+                and tx.frame.port == d2d.SETUP_PORT):
+            self.lost = True
+            return "below_sensitivity"
+        return out
+
+
+def test_sessions_pair_with_their_directive_when_a_setup_is_lost(monkeypatch):
+    monkeypatch.setattr(runner, "Medium", FirstSetupLost)
+    doc = runner.run(helpers.two_directives(), seed=0).document
+    first, second = doc["d2d_sessions"]
+    # the scanner device never heard the first plan, so only the initiator
+    # device ran a half of it, alone
+    assert set(first["sessions"]) == {"initiator"}
+    assert not first["completed"]
+    # the scanner device's only session belongs to the second directive,
+    # in which it is the initiator
+    assert second["sessions"]["initiator"]["device"] == "scanner"
+    assert second["sessions"]["initiator"]["role"] == "initiator"
+    assert [s["role"] for s in doc["devices"]["scanner"]["sessions"]] == ["initiator"]
 
 
 def test_summarize_produces_one_flat_row():
