@@ -11,7 +11,6 @@ sub-band's duty-cycle limit).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -149,12 +148,6 @@ def _print_residuals(residuals: dict) -> None:
         _print_row(role, res["model_j"], res["target_j"], res["rel_err"])
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_table2(args) -> int:
     doc = runner.table2(seed=args.seed)
     print("time to transfer 2400 bytes [s]")
@@ -168,7 +161,7 @@ def cmd_table2(args) -> int:
         _print_row(key, **cell, width=34)
     _print_residuals(doc["calibration_residuals"])
     if args.out is not None:
-        _write_json(doc, args.out)
+        metrics.save(doc, args.out)
         print(f"comparison written to {args.out}")
     return 0
 
@@ -183,7 +176,7 @@ def cmd_calibrate(args) -> int:
         print(f"  {key:<19}{getattr(profile, key):.9f}")
     _print_residuals(residuals)
     if args.out is not None:
-        _write_json(profile.to_dict(), args.out)
+        metrics.save(profile.to_dict(), args.out)
         print(f"profile written to {args.out}")
     return 0
 

@@ -212,6 +212,7 @@ class D2DSession:
 
         self.first_data_tx_us: int | None = None
         self.terminal_us: int | None = None
+        self.usage = None    # radio StateUsage over the session, set by the host at the end
 
         self.toa_data_us = phy.time_on_air_us(cmd.dr, params.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         self.toa_ack_us = phy.time_on_air_us(cmd.dr, params.ack_payload_bytes + phy.FRAME_OVERHEAD_BYTES)

@@ -1,10 +1,12 @@
 """Radio energy accounting and power-profile calibration.
 
-A device keeps an :class:`EnergyLedger`: a timeline of radio states (tx at a
-given power, rx, sleep) plus a count of host-to-radio commands.  Energy in
-joules is only computed at the end, by pricing the ledger with a
-:class:`PowerProfile`.  Profiles can be written by hand or fitted with
-:func:`fit_profile` from measured per-role energy totals.
+A device keeps an :class:`EnergyLedger`: integer microseconds spent in each
+radio state (tx at a given power, rx, sleep) plus a count of host-to-radio
+commands.  A window, such as one D2D session, is costed from two marks of
+those totals (:func:`usage_between`).  Energy in joules is only computed at
+the end, by pricing a :class:`StateUsage` with a :class:`PowerProfile`.
+Profiles can be written by hand or fitted with :func:`fit_profile` from
+measured per-role energy totals.
 
 The TX draw is anchored at +14 dBm and scaled for other powers with a simple
 PA model: a fixed fraction of the draw is overhead and the rest follows the
@@ -85,85 +87,76 @@ class StateUsage:
                 "total_j": tx + rx + sleep + cmd}
 
 
-class EnergyLedger:
-    """Timeline of radio states.  Times are integer microseconds.
+def usage_between(start: tuple, end: tuple) -> StateUsage:
+    """Seconds in each state, and commands, from mark `start` to mark `end`
+    (see :meth:`EnergyLedger.mark`).
 
-    With `detailed=True` every segment and command timestamp is kept so the
-    ledger can be sliced over arbitrary windows; otherwise only running
-    totals are held (cheaper for long runs).
+    The integer microseconds of each (state, power) key are differenced and
+    converted to seconds once, so usages between consecutive marks add up
+    exactly to the usage between the outer two.
+    """
+    start_us, start_commands = start
+    end_us, end_commands = end
+    out = StateUsage(commands=end_commands - start_commands)
+    for (state, power), us in end_us.items():
+        us -= start_us.get((state, power), 0)
+        if us == 0:
+            continue
+        if state == "tx":
+            out.tx_s_by_power[power] = us / 1e6
+        elif state == "rx":
+            out.rx_s = us / 1e6
+        else:
+            out.sleep_s = us / 1e6
+    return out
+
+
+class EnergyLedger:
+    """Integer microseconds per radio state (tx at a given power, rx, sleep)
+    and a count of host-to-radio commands.
+
+    :meth:`mark` fixes those totals at an instant; the usage over any window
+    is :func:`usage_between` its two marks.
     """
 
-    def __init__(self, detailed: bool = True):
-        self.detailed = detailed
+    def __init__(self):
         self._state = "sleep"
         self._power: int | None = None
         self._since_us = 0
         self.totals_us: dict[tuple, int] = {}
-        self.segments: list[tuple[int, int, str, int | None]] = []
-        self.command_times_us: list[int] = []
         self.commands = 0
-        self.end_us: int | None = None
 
     def set_state(self, t_us: int, state: str, power_dbm: int | None = None) -> None:
         if state not in ("tx", "rx", "sleep"):
             raise ValueError(f"unknown radio state {state!r}")
-        if t_us < self._since_us:
-            raise ValueError("energy ledger time went backwards")
         self._accumulate(t_us)
         self._state = state
         self._power = power_dbm if state == "tx" else None
 
-    def command(self, t_us: int, n: int = 1) -> None:
-        self.commands += n
-        if self.detailed:
-            self.command_times_us.extend([t_us] * n)
+    def command(self) -> None:
+        self.commands += 1
+
+    def mark(self, t_us: int) -> tuple[dict[tuple, int], int]:
+        """The totals at `t_us`: a copy of the microseconds per (state,
+        power), and the command count."""
+        self._accumulate(t_us)
+        return dict(self.totals_us), self.commands
 
     def finalize(self, end_us: int) -> None:
         self._accumulate(end_us)
-        self.end_us = end_us
 
     def _accumulate(self, t_us: int) -> None:
         dt = t_us - self._since_us
-        if dt > 0:
+        if dt < 0:
+            raise ValueError("energy ledger time went backwards")
+        if dt:
             key = (self._state, self._power)
             self.totals_us[key] = self.totals_us.get(key, 0) + dt
-            if self.detailed:
-                self.segments.append((self._since_us, t_us, self._state, self._power))
         self._since_us = t_us
 
-    def usage(self, a_us: int | None = None, b_us: int | None = None) -> StateUsage:
-        if a_us is None and b_us is None:
-            out = StateUsage(commands=self.commands)
-            for (state, power), us in self.totals_us.items():
-                if state == "tx":
-                    out.tx_s_by_power[power] = out.tx_s_by_power.get(power, 0.0) + us / 1e6
-                elif state == "rx":
-                    out.rx_s += us / 1e6
-                else:
-                    out.sleep_s += us / 1e6
-            return out
-        if not self.detailed:
-            raise ValueError("windowed usage needs a detailed ledger")
-        a = a_us if a_us is not None else 0
-        b = b_us if b_us is not None else (self.end_us or self._since_us)
-        out = StateUsage()
-        for (t0, t1, state, power) in self.segments:
-            lo, hi = max(t0, a), min(t1, b)
-            if hi <= lo:
-                continue
-            s = (hi - lo) / 1e6
-            if state == "tx":
-                out.tx_s_by_power[power] = out.tx_s_by_power.get(power, 0.0) + s
-            elif state == "rx":
-                out.rx_s += s
-            else:
-                out.sleep_s += s
-        out.commands = sum(1 for t in self.command_times_us if a <= t < b)
-        return out
-
-    def energy_j(self, profile: PowerProfile,
-                 a_us: int | None = None, b_us: int | None = None) -> dict[str, float]:
-        return self.usage(a_us, b_us).energy_j(profile)
+    def usage(self) -> StateUsage:
+        """Usage from time 0 to the latest time the ledger was advanced to."""
+        return usage_between(({}, 0), (self.totals_us, self.commands))
 
 
 def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],

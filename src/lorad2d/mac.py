@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import d2d, phy, regulator
-from .energy import EnergyLedger
+from .energy import EnergyLedger, usage_between
 
 UPLINK_PORT = 1
 JOIN_REQUEST_PHY_BYTES = 23
@@ -85,8 +85,7 @@ class EndDevice:
                  app_payload_bytes: int, channels_hz: list[int],
                  rx2_freq_hz: int, rx2_dr: int, timings: MacTimings,
                  bands, duty_enforced: bool, duty_applies_to_d2d: bool,
-                 max_uplinks: int | None = None, prejoined: bool = True,
-                 detailed_energy: bool = True):
+                 max_uplinks: int | None = None, prejoined: bool = True):
         self.engine = engine
         self.medium = medium
         self.eid = eid
@@ -110,8 +109,9 @@ class EndDevice:
         self.fcnt_up = 0
         self.session: d2d.D2DSession | None = None
         self.session_history: list[d2d.D2DSession] = []
+        self._session_mark: tuple | None = None   # ledger.mark when `session` armed
 
-        self.ledger = EnergyLedger(detailed=detailed_energy)
+        self.ledger = EnergyLedger()
         self.rng = engine.rng.stream(f"dev:{eid}")
         self.counters: dict[str, int] = {
             "uplinks_sent": 0, "downlinks_rw1": 0, "downlinks_rw2": 0,
@@ -139,9 +139,6 @@ class EndDevice:
             self._schedule_next_uplink()
         else:
             self._schedule_join_attempt()
-
-    def finalize(self, end_us: int) -> None:
-        self.ledger.finalize(end_us)
 
     # -- uplink cycle ------------------------------------------------------
 
@@ -320,9 +317,15 @@ class EndDevice:
             self.engine.trace("setup_rejected", self.eid, error=str(exc))
             self._cycle_complete()
             return
+        self.arm_session(cmd, frame.plan.exchange, frame.plan.plan_id)
+
+    def arm_session(self, cmd: d2d.D2DSetupCommand, exchange: d2d.ExchangeParams,
+                    plan_id: int | None = None) -> None:
+        """Suspend LoRaWAN operation and hand the radio to a new session."""
         self.mac_state = MacState.D2D_SUSPENDED
+        self._session_mark = self.ledger.mark(self.engine.now_us)
         self.session = d2d.D2DSession(cmd, self.dev_addr, self.engine.now_us,
-                                      frame.plan.exchange, frame.plan.plan_id)
+                                      exchange, plan_id)
         self.engine.trace("d2d_armed", self.eid, role=cmd.role.name.lower(),
                           freq_hz=cmd.freq_hz, dr=cmd.dr, t1_ds=round(cmd.t1_s * 10),
                           t2_ds=round(cmd.t2_s * 10), peer=cmd.peer_addr)
@@ -379,14 +382,14 @@ class EndDevice:
             tx_power_dbm=power_dbm, phy_payload_bytes=phy_bytes,
             source=self.eid, kind=kind, frame=frame,
         )
-        self.ledger.command(self.engine.now_us)
+        self.ledger.command()
         self.medium.begin_tx(tx, owner=self)
 
     def d2d_listen_on(self, session: d2d.D2DSession) -> None:
         if self._d2d_listening:
             return
         self._d2d_listening = True
-        self.ledger.command(self.engine.now_us)
+        self.ledger.command()
         self.ledger.set_state(self.engine.now_us, "rx")
         self.medium.listen(self, session.cmd.freq_hz, session.cmd.dr)
 
@@ -403,6 +406,8 @@ class EndDevice:
                                     kind=f"d2d_{tag}", target=self.eid)
 
     def session_finished(self, session: d2d.D2DSession) -> None:
+        session.usage = usage_between(self._session_mark,
+                                      self.ledger.mark(self.engine.now_us))
         self.session_history.append(session)
         self.session = None
         self.engine.trace("d2d_finished", self.eid, state=session.state.value,

@@ -50,17 +50,22 @@ def session_record(session, device, profile: PowerProfile) -> dict:
     if session.terminal_us is not None:
         rec["terminal_s"] = session.terminal_us / 1e6
         rec["duration_s"] = (session.terminal_us - session.activation_us) / 1e6
-        if device.ledger.detailed:
-            usage = device.ledger.usage(session.activation_us, session.terminal_us)
-            rec["energy"] = _energy_block(usage, profile)
+        rec["energy"] = _energy_block(session.usage, profile)
     return rec
+
+
+def _sessions(device) -> list:
+    """The device's finished sessions in order, then its running one."""
+    if device.session is None:
+        return device.session_history
+    return [*device.session_history, device.session]
 
 
 def device_record(device, profile: PowerProfile) -> dict:
     rec = device.snapshot()
     rec["energy"] = _energy_block(device.ledger.usage(), profile)
     rec["sessions"] = [session_record(s, device, profile)
-                       for s in device.session_history]
+                       for s in _sessions(device)]
     return rec
 
 
@@ -95,9 +100,9 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             "complete": bytes_delivered >= tr.total_bytes,
         })
 
-    def finished_half(eid, plan_id):
-        """The session device eid finished for plan plan_id, if any."""
-        return next((s for s in devices[eid].session_history
+    def half(eid, plan_id):
+        """Device eid's session for plan plan_id, if it got one."""
+        return next((s for s in _sessions(devices[eid])
                      if s.plan_id == plan_id), None)
 
     d2d_sessions = []
@@ -111,8 +116,8 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             "bytes_exchanged": 0,
         }
         if entry.get("error") is None:
-            init_s = finished_half(entry["initiator"], entry["plan_id"])
-            scan_s = finished_half(entry["scanner"], entry["plan_id"])
+            init_s = half(entry["initiator"], entry["plan_id"])
+            scan_s = half(entry["scanner"], entry["plan_id"])
             rec["sessions"] = {}
             if init_s is not None:
                 rec["sessions"]["initiator"] = session_record(

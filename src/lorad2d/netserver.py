@@ -153,6 +153,8 @@ class NetworkServer:
         for addr in (source_addr, dest_addr):
             if addr not in self.devices:
                 raise PlanError(f"transfer endpoint 0x{addr:08x} is not a joined device")
+        chunk = min(self.devices[source_addr].app_payload_bytes, total_bytes)
+        self._check_fits(self.devices[dest_addr], chunk, PlanError)
         state = TransferState(source_addr, dest_addr, total_bytes, port)
         self.transfers.append(state)
         return state
@@ -196,16 +198,21 @@ class NetworkServer:
         if dev_addr not in self.devices:
             raise DownlinkError(f"0x{dev_addr:08x} is not a joined device")
         record = self.devices[dev_addr]
-        phy_bytes = app_bytes + phy.FRAME_OVERHEAD_BYTES
-        if not self._fits(self.rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
-            raise DownlinkError(
-                f"{app_bytes} application bytes fit neither receive window "
-                f"(uplink DR{record.dr}, RX2 DR{self.rx2_dr})")
+        self._check_fits(record, app_bytes, DownlinkError)
         record.queue.append(_QueuedDownlink(port, app_bytes))
 
     @staticmethod
     def _fits(dr: int, phy_bytes: int) -> bool:
         return phy_bytes <= phy.data_rate(dr).max_mac_payload_bytes
+
+    def _check_fits(self, record: DeviceRecord, app_bytes: int, error: type) -> None:
+        """Raise `error` unless a downlink of `app_bytes` to `record` fits
+        its first or its second receive window."""
+        phy_bytes = app_bytes + phy.FRAME_OVERHEAD_BYTES
+        if not self._fits(self.rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
+            raise error(
+                f"{app_bytes} application bytes fit neither receive window "
+                f"(uplink DR{record.dr}, RX2 DR{self.rx2_dr})")
 
     def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
         """The first receive window after ``uplink`` whose data rate carries

@@ -19,8 +19,7 @@ from . import metrics, phy
 from .energy import DEFAULT_PROFILE, PowerProfile, StateUsage, fit_profile
 from .engine import Engine, Medium
 from .mac import EndDevice, MacTimings
-from .netserver import (DeviceRecord, DownlinkError, Gateway, NetworkServer,
-                        PlanError)
+from .netserver import DeviceRecord, Gateway, NetworkServer, PlanError
 from .scenario import Scenario, load_bundled
 
 CONVENTIONAL_SCENARIO = "table2_conventional"
@@ -58,14 +57,13 @@ class RunResult:
 
 
 def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
-        profile: PowerProfile | None = None,
-        detailed_energy: bool = True) -> RunResult:
+        profile: PowerProfile | None = None) -> RunResult:
     """Execute a scenario to its end time and summarize it.
 
     The seed defaults to the scenario's own; `profile` prices the energy
     ledgers in the output document (scenario-embedded profile, then the
-    generic default).  `detailed_energy=False` drops per-segment ledger
-    history, which large sweeps want.
+    generic default): each device over the whole run, and each finished D2D
+    session over its own window.
     """
     scn.validate()
     if seed is None:
@@ -110,7 +108,6 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
             duty_enforced=scn.duty_cycle_enforced,
             duty_applies_to_d2d=scn.duty_cycle_applies_to_d2d,
             max_uplinks=dspec.max_uplinks, prejoined=dspec.prejoined,
-            detailed_energy=detailed_energy,
         )
         devices[dspec.eid] = dev
         ns.register_device(DeviceRecord(
@@ -128,7 +125,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
             if src.dev_addr is None or dst.dev_addr is None:
                 raise PlanError("transfer endpoints must both be joined")
             ns.add_transfer(src.dev_addr, dst.dev_addr, tspec.total_bytes, tspec.port)
-        except (PlanError, DownlinkError) as exc:
+        except PlanError as exc:
             engine.count("transfer_failed")
             engine.trace("transfer_failed", "ns", source=tspec.source,
                          dest=tspec.dest, error=str(exc))
@@ -165,7 +162,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
 
     engine.run(until_us=round(scn.end_time_s * 1e6))
     for dev in devices.values():
-        dev.finalize(engine.now_us)
+        dev.ledger.finalize(engine.now_us)
 
     result = RunResult(scenario=scn, engine=engine, devices=devices,
                        gateways=gateways, ns=ns, d2d_log=d2d_log)
@@ -178,7 +175,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
 
 
 def benchmark_runs(seed: int = 0) -> dict[str, RunResult]:
-    """Run both bundled benchmark scenarios with detailed energy ledgers."""
+    """Run both bundled benchmark scenarios."""
     return {name: run(load_bundled(name), seed=seed)
             for name in (CONVENTIONAL_SCENARIO, D2D_SCENARIO)}
 
@@ -195,11 +192,8 @@ def benchmark_usages(runs: dict[str, RunResult]) -> dict[str, StateUsage]:
         dev = runs[scn_name].devices[eid]
         if scn_name == D2D_SCENARIO:
             if not dev.session_history:
-                raise RuntimeError(f"benchmark run produced no session for {eid}")
-            session = dev.session_history[0]
-            if session.terminal_us is None:
-                raise RuntimeError(f"benchmark session for {eid} never terminated")
-            usages[role] = dev.ledger.usage(session.activation_us, session.terminal_us)
+                raise RuntimeError(f"benchmark run finished no session for {eid}")
+            usages[role] = dev.session_history[0].usage
         else:
             usages[role] = dev.ledger.usage()
     return usages
@@ -314,7 +308,7 @@ def summarize(result: RunResult) -> dict:
 def _sweep_worker(args: tuple[str, int]) -> dict:
     text, seed = args
     scn = Scenario.from_json(text)
-    return summarize(run(scn, seed=seed, trace=False, detailed_energy=False))
+    return summarize(run(scn, seed=seed))
 
 
 def sweep(scn: Scenario, seeds, jobs: int | None = None) -> list[dict]:

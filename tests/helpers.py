@@ -89,10 +89,7 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
         cmd = d2d.D2DSetupCommand(role=role, freq_hz=freq_hz, dr=dr,
                                   power_dbm=power_dbm, t1_s=t1, t2_s=t2_s,
                                   peer_addr=peer.dev_addr)
-        session = d2d.D2DSession(cmd, dev.dev_addr, engine.now_us, params)
-        dev.session = session
-        dev.mac_state = mac.MacState.D2D_SUSPENDED
-        session.activate(dev)
+        dev.arm_session(cmd, params)
     return init_dev, scan_dev
 
 

@@ -98,7 +98,7 @@ def test_criterion_05_duty_cycle_audit():
     assert len(scn.devices) == 50 and scn.end_time_s == 86400.0
 
     t0 = time.perf_counter()
-    timed = runner.run(scn, seed=0, detailed_energy=False)
+    timed = runner.run(scn, seed=0)
     wall = time.perf_counter() - t0
     assert wall < 30.0
 
@@ -209,7 +209,7 @@ def _completion_probe(loss_prob: float, seeds: int) -> tuple[int, int]:
     scn.radio.d2d_frame_loss_prob = loss_prob
     established = completed = 0
     for seed in range(seeds):
-        res = runner.run(scn, seed=seed, detailed_energy=False)
+        res = runner.run(scn, seed=seed)
         session = res.devices["initiator"].session_history[0]
         established += session.established
         completed += session.completed

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lorad2d.energy import (DEFAULT_PROFILE, CalibrationError, EnergyLedger,
                             PowerProfile, StateUsage, fit_profile,
-                            tx_power_scale)
+                            tx_power_scale, usage_between)
 
 
 def test_tx_power_scale_anchored_at_14_dbm():
@@ -37,22 +39,45 @@ def test_state_usage_pricing():
     assert usage.total_s == pytest.approx(106.0)
 
 
-def make_ledger():
-    ledger = EnergyLedger(detailed=True)
-    ledger.set_state(0, "sleep")
-    ledger.set_state(1_000_000, "tx", 14)
-    ledger.set_state(3_000_000, "rx")
-    ledger.set_state(5_000_000, "sleep")
-    ledger.command(1_500_000)
-    ledger.finalize(10_000_000)
-    return ledger
+# 2 s at tx +14 dBm from 1 s, 2 s of rx from 3 s, sleep otherwise until
+# 10 s, and one command at 1.5 s
+_STEPS = [(0, "sleep", None), (1_000_000, "tx", 14), (1_500_000, "command", None),
+          (3_000_000, "rx", None), (5_000_000, "sleep", None),
+          (10_000_000, "end", None)]
+
+
+def make_ledger(mark_times=()):
+    """The ledger of _STEPS, with a mark taken at each of `mark_times` while
+    it is built (before any step at the same instant)."""
+    ledger = EnergyLedger()
+    marks = {}
+    pending = sorted(mark_times)
+    for t, step, power in _STEPS:
+        while pending and pending[0] <= t:
+            m = pending.pop(0)
+            marks[m] = ledger.mark(m)
+        if step == "command":
+            ledger.command()
+        elif step == "end":
+            ledger.finalize(t)
+        else:
+            ledger.set_state(t, step, power)
+    return ledger, marks
+
+
+def integer_us(usage):
+    """A usage's seconds per (state, power) back in integer microseconds."""
+    out = Counter({("tx", p): round(s * 1e6) for p, s in usage.tx_s_by_power.items()})
+    out.update({("rx", None): round(usage.rx_s * 1e6),
+                ("sleep", None): round(usage.sleep_s * 1e6)})
+    return +out     # drop zero entries
 
 
 def test_ledger_accrues_two_seconds_of_tx():
-    usage = make_ledger().usage()
-    assert usage.tx_s_by_power == {14: pytest.approx(2.0)}
-    assert usage.rx_s == pytest.approx(2.0)
-    assert usage.sleep_s == pytest.approx(6.0)
+    usage = make_ledger()[0].usage()
+    assert usage.tx_s_by_power == {14: 2.0}
+    assert usage.rx_s == 2.0
+    assert usage.sleep_s == 6.0
     assert usage.commands == 1
     parts = usage.energy_j(DEFAULT_PROFILE)
     assert parts["tx_j"] == pytest.approx(0.24)
@@ -60,45 +85,31 @@ def test_ledger_accrues_two_seconds_of_tx():
 
 
 def test_windowed_usage_clips_segments():
-    ledger = make_ledger()
-    mid = ledger.usage(2_000_000, 4_000_000)
-    assert mid.tx_s == pytest.approx(1.0)
-    assert mid.rx_s == pytest.approx(1.0)
-    assert mid.sleep_s == 0.0
-    assert mid.commands == 0
-    head = ledger.usage(0, 2_000_000)
-    assert head.tx_s == pytest.approx(1.0)
-    assert head.sleep_s == pytest.approx(1.0)
-    assert head.commands == 1
+    _, marks = make_ledger([0, 2_000_000, 4_000_000])
+    mid = usage_between(marks[2_000_000], marks[4_000_000])
+    assert mid == StateUsage(tx_s_by_power={14: 1.0}, rx_s=1.0, sleep_s=0.0,
+                             commands=0)
+    head = usage_between(marks[0], marks[2_000_000])
+    assert head == StateUsage(tx_s_by_power={14: 1.0}, sleep_s=1.0, commands=1)
 
 
 def test_windowed_usage_is_additive():
-    ledger = make_ledger()
-    whole = ledger.usage(0, 10_000_000)
-    left = ledger.usage(0, 4_200_000)
-    right = ledger.usage(4_200_000, 10_000_000)
-    assert left.tx_s + right.tx_s == pytest.approx(whole.tx_s)
-    assert left.rx_s + right.rx_s == pytest.approx(whole.rx_s)
-    assert left.sleep_s + right.sleep_s == pytest.approx(whole.sleep_s)
+    ledger, marks = make_ledger([0, 4_200_000, 10_000_000])
+    whole = usage_between(marks[0], marks[10_000_000])
+    assert whole == ledger.usage()
+    left = usage_between(marks[0], marks[4_200_000])
+    right = usage_between(marks[4_200_000], marks[10_000_000])
+    assert integer_us(left) + integer_us(right) == integer_us(whole)
     assert left.commands + right.commands == whole.commands
 
 
 def test_energy_grows_monotonically_with_the_window():
-    ledger = make_ledger()
-    totals = [ledger.energy_j(DEFAULT_PROFILE, 0, t)["total_j"]
-              for t in range(0, 10_000_001, 500_000)]
+    grid = range(0, 10_000_001, 500_000)
+    _, marks = make_ledger(grid)
+    totals = [usage_between(marks[0], marks[t]).energy_j(DEFAULT_PROFILE)["total_j"]
+              for t in grid]
+    assert totals[0] == 0.0
     assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-
-def test_summary_ledger_rejects_windowed_queries():
-    ledger = EnergyLedger(detailed=False)
-    ledger.set_state(0, "sleep")
-    ledger.set_state(1_000_000, "tx", 14)
-    ledger.finalize(2_000_000)
-    assert ledger.usage().tx_s == pytest.approx(1.0)
-    assert ledger.segments == []
-    with pytest.raises(ValueError):
-        ledger.usage(0, 1_000_000)
 
 
 def test_ledger_validates_inputs():
@@ -108,13 +119,15 @@ def test_ledger_validates_inputs():
     ledger.set_state(1000, "tx", 14)
     with pytest.raises(ValueError):
         ledger.set_state(500, "rx")
+    with pytest.raises(ValueError):
+        ledger.mark(500)
 
 
 @given(durations=st.lists(st.integers(1, 10_000_000), min_size=1, max_size=30),
        tail=st.integers(0, 10_000_000))
 def test_state_durations_sum_to_the_lifetime(durations, tail):
     states = [("tx", 14), ("rx", None), ("sleep", None)]
-    ledger = EnergyLedger(detailed=True)
+    ledger = EnergyLedger()
     t = 0
     for k, d in enumerate(durations):
         state, power = states[k % 3]
@@ -123,6 +136,35 @@ def test_state_durations_sum_to_the_lifetime(durations, tail):
     ledger.finalize(t + tail)
     usage = ledger.usage()
     assert round(usage.total_s * 1e6) == t + tail
+
+
+_STATES = st.sampled_from([("tx", 2), ("tx", 14), ("rx", None), ("sleep", None)])
+
+
+@given(steps=st.lists(st.tuples(_STATES, st.integers(1, 10_000_000),
+                                st.integers(0, 3)), min_size=1, max_size=30),
+       data=st.data())
+def test_mark_to_mark_usages_add_up_to_the_whole_run(steps, data):
+    end = sum(d for _, d, _ in steps)
+    pending = sorted(data.draw(st.lists(st.integers(0, end), max_size=10)))
+    ledger = EnergyLedger()
+    marks = [ledger.mark(0)]
+    t = 0
+    for (state, power), d, commands in steps:
+        ledger.set_state(t, state, power)
+        for _ in range(commands):
+            ledger.command()
+        t += d
+        while pending and pending[0] <= t:
+            marks.append(ledger.mark(pending.pop(0)))
+    ledger.finalize(end)
+    marks.append(ledger.mark(end))
+
+    whole = ledger.usage()
+    assert usage_between(marks[0], marks[-1]) == whole
+    pieces = [usage_between(a, b) for a, b in zip(marks, marks[1:])]
+    assert sum((integer_us(u) for u in pieces), Counter()) == integer_us(whole)
+    assert sum(u.commands for u in pieces) == whole.commands
 
 
 # -- profile fitting ---------------------------------------------------------

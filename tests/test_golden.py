@@ -21,7 +21,7 @@ GOLDEN = [
      "c1b1ccf0a5967cb0b3ee26c95e85f891ad88acd8c39a2cd66233b84840cff0f5"),
     ("table2_d2d", 0,
      "10e18980f278b033c787bffcc94c3e378ab12b4a57299b20271f5507da53ce2e",
-     "15818e77472831193502251223f4f290946704c7a3a86ddf207f2e625009969f"),
+     "1d69521c80f7a12fe1850ce74624f786472d999d78872e06c4ec97df0fcab3eb"),
     ("duty-audit", 0,
      "d01e9b5a2c7c685f4c586da43360ff4c5f8b74bb6ad77fcd4381eeef990fc5c5",
      "badd7277512b7b5ef7d885c2f2ac6c2e5027807ff972f1f658ef702944b2a6f3"),
@@ -46,10 +46,10 @@ GOLDEN = [
     # completes; seed 2 ends in retry_budget_exhausted and session_timeout
     ("lossy-d2d", 0,
      "bc459c70d1745f0e841c47f663065b950115e84dd5aaa18e74812c81c82320e3",
-     "6a95602d0ad363f6d26bf38c78202226584a50190a3b784486cce8ac5d9b1112"),
+     "8a39771c6b6bfd60588fac48767c89170111969e8227662ab3fdbf6e402d5851"),
     ("lossy-d2d", 2,
      "103b4519c5839a1f134773a2dada4c72a3bc0d496bb32c40c021625b386a0931",
-     "c2b98faa68c7809a794ffdab3bea0901cabff0c7b53482d8a8ff4069dbbc8353"),
+     "000fbb0f5cb3fffdaa3cb3100bc6c3b5e8271b2774b5c820f20b3bf250ce33ba"),
     # 12 over-the-air joins (12 accepted, 5 dropped) beside a relayed
     # transfer through one gateway
     ("join-cell", 0,
@@ -59,7 +59,7 @@ GOLDEN = [
     # first session acks 10 packets on both halves, the second 3
     ("two-directives", 0,
      "948d63bd47870cc955b992f707e2f0041652415936b90e6e8f82265255889258",
-     "6840db7239d7bdc9db7a6b012b9cde71e7b494bbf944595d0a8b2393cb12a2e5"),
+     "5ea6401b8ac0485174a22fe2817e9aeb6218a1f2893ce2c9b6d7cc85b3890bed"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Result document shape, persistence, and content checks."""
 
+import copy
 import json
 
 import pytest
@@ -121,17 +122,32 @@ def test_d2d_session_record_content(d2d_result):
     assert doc["devices"][scan_eid]["sessions"][0]["role"] == "scanner"
 
 
-def test_session_energy_block_requires_detailed_ledger(d2d_result):
-    detailed = d2d_result.document["d2d_sessions"][0]["sessions"]["initiator"]
-    assert "energy" in detailed and detailed["energy"]["total_j"] > 0.0
-
-    scn = load_bundled(runner.D2D_SCENARIO)
-    res = runner.run(scn, seed=0, detailed_energy=False)
-    summary = res.document["d2d_sessions"][0]["sessions"]["initiator"]
-    assert "energy" not in summary
-    # whole-run totals stay priceable either way
-    for rec in res.document["devices"].values():
+def test_session_and_device_energy_blocks_are_present(d2d_result):
+    doc = d2d_result.document
+    for half in doc["d2d_sessions"][0]["sessions"].values():
+        assert half["energy"]["total_j"] > 0.0
+        assert half["energy"]["commands"] > 0
+    for rec in doc["devices"].values():
         assert rec["energy"]["total_j"] > 0.0
+        for session in rec["sessions"]:
+            assert session["energy"]["total_j"] > 0.0
+
+
+def test_running_session_is_in_the_document():
+    scn = copy.deepcopy(load_bundled(runner.D2D_SCENARIO))
+    scn.end_time_s = 26.0
+    doc = runner.run(scn, seed=0).document
+    rec = doc["d2d_sessions"][0]
+    assert rec["completed"] is False
+    assert set(rec["sessions"]) == {"initiator", "scanner"}
+    for half in rec["sessions"].values():
+        assert half["state"] in ("scanning", "armed")
+        assert half["completed"] is False
+        assert half["terminal_s"] is None and half["duration_s"] is None
+        assert "energy" not in half
+        device = doc["devices"][half["device"]]
+        assert device["mac_state"] == "d2d_suspended"
+        assert device["sessions"] == [half]
 
 
 def test_network_section_counters(d2d_result):

@@ -85,6 +85,19 @@ def test_transfer_endpoints_must_be_joined():
     assert transfer.total_bytes == 1000
 
 
+def test_transfer_chunks_must_fit_a_receive_window_of_the_destination():
+    engine, medium = helpers.make_rig()
+    server, _ = make_server(engine, medium)           # RX2 at DR0: 59 B MAC
+    server.register_device(record(0x10, dr=5, app=200))
+    server.register_device(record(0x11, dr=0))
+    with pytest.raises(PlanError, match="200 application bytes"):
+        server.add_transfer(0x10, 0x11, 1000)
+    # a transfer no larger than one DR0 downlink is sent as a single chunk
+    assert server.add_transfer(0x10, 0x11, 46).total_bytes == 46
+    with pytest.raises(PlanError, match="47 application bytes"):
+        server.add_transfer(0x10, 0x11, 47)
+
+
 def test_transfer_relays_uplink_payloads_as_downlinks():
     engine, medium = helpers.make_rig()
     server, (gw,) = make_server(engine, medium)

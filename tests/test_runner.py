@@ -9,7 +9,8 @@ import pytest
 import helpers
 from lorad2d import d2d, metrics, runner
 from lorad2d.engine import Medium
-from lorad2d.scenario import Scenario, load_bundled
+from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, TransferSpec,
+                              load_bundled)
 
 
 def test_run_result_is_fully_wired():
@@ -100,6 +101,24 @@ def test_transfer_with_unjoined_endpoint_is_counted_failed():
     assert res.document["transfers"] == []
     failures = [r for r in res.engine.trace_records if r["kind"] == "transfer_failed"]
     assert failures and failures[0]["dest"] == "receiver"
+
+
+def test_transfer_too_large_for_the_destination_is_counted_failed():
+    src = DeviceSpec("src", (200.0, 0.0), dev_addr=0x0300_0001, period_s=20.0,
+                     phase_s=1.0, dr=5, app_payload_bytes=200)
+    dst = DeviceSpec("dst", (-200.0, 0.0), dev_addr=0x0300_0002, period_s=20.0,
+                     phase_s=2.0, dr=0)
+    scn = Scenario("oversized-chunks", 60.0, devices=[src, dst],
+                   gateways=[GatewaySpec("gw0", (0.0, 0.0))],
+                   transfers=[TransferSpec("src", "dst", 1000, at_s=0.0)])
+
+    res = runner.run(scn, seed=0, trace=True)
+    assert res.engine.counters["transfer_failed"] == 1
+    assert res.document["transfers"] == []
+    assert res.document["network"]["uplinks"] > 0
+    failures = [r for r in res.engine.trace_records if r["kind"] == "transfer_failed"]
+    assert failures and failures[0]["dest"] == "dst"
+    assert "200 application bytes" in failures[0]["error"]
 
 
 def test_infeasible_directive_is_logged_not_fatal():
