@@ -117,6 +117,18 @@ def sf_key(dr: int):
         raise phy.PhyError(f"data rate index {dr} outside 0..7") from None
 
 
+# IQ polarity class of each frame kind.  LoRaWAN sends uplinks and join
+# requests with normal IQ and downlinks and join-accepts with inverted IQ, so
+# an end device cannot demodulate another device's uplink, nor a gateway a
+# downlink.  The paper gives D2D frames no polarity; as a modelling choice
+# they form a class of their own, heard by D2D listeners only.
+POLARITY = {
+    "uplink": "up", "join_request": "up",
+    "downlink": "down", "join_accept": "down",
+    "d2d_data": "d2d", "d2d_ack": "d2d",
+}
+
+
 DECODED = "decoded"
 COLLISION = "collision"
 BELOW_SENSITIVITY = "below_sensitivity"
@@ -125,9 +137,10 @@ BELOW_SENSITIVITY = "below_sensitivity"
 class _Listening:
     __slots__ = ("entity", "key", "sens_dbm", "opened_us", "lock_until_us")
 
-    def __init__(self, entity, freq_hz: int, dr: int, sens_dbm: float, opened_us: int):
+    def __init__(self, entity, freq_hz: int, dr: int, polarity: str,
+                 sens_dbm: float, opened_us: int):
         self.entity = entity
-        self.key = (freq_hz, sf_key(dr))
+        self.key = (freq_hz, sf_key(dr), polarity)
         self.sens_dbm = sens_dbm
         self.opened_us = opened_us
         self.lock_until_us = 0
@@ -141,12 +154,14 @@ _PRUNE_HORIZON_US = 12_000_000
 class Medium:
     """Tracks in-flight transmissions and arbitrates receptions.
 
-    Only frames on the same frequency and spreading-factor key (see
-    :func:`sf_key`) lock or disturb a receiver, so frames and end-device
-    listeners are kept in buckets under that key.  Reception is decided at
-    each frame's end by :meth:`capture`, once for every listener in the
-    frame's bucket and, for uplinks, once for every gateway tuned to its
-    frequency.
+    Only frames on the same frequency, spreading-factor key (see
+    :func:`sf_key`) and IQ polarity class (see :data:`POLARITY`) lock or
+    disturb a receiver, so frames and end-device listeners are kept in
+    buckets under the key ``(freq_hz, sf_key, polarity)``.  A listener names
+    the polarity it demodulates: receive windows listen for ``down``, D2D
+    sessions for ``d2d``.  Reception is decided at each frame's end by
+    :meth:`capture`, once for every listener in the frame's bucket and, for
+    ``up`` frames, once for every gateway tuned to its frequency.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -190,10 +205,11 @@ class Medium:
 
     # -- listener management --------------------------------------------
 
-    def listen(self, entity, freq_hz: int, dr: int) -> None:
+    def listen(self, entity, freq_hz: int, dr: int, polarity: str) -> None:
+        """Tune ``entity`` to frames of one polarity class on (freq_hz, dr)."""
         eid = entity.eid
         now = self.engine.now_us
-        lst = _Listening(entity, freq_hz, dr, self._sens(dr), now)
+        lst = _Listening(entity, freq_hz, dr, polarity, self._sens(dr), now)
         # A frame already in flight locks the receiver just like one that
         # starts later; count it so window-close logic can extend.
         for tx in self._active[lst.key]:
@@ -223,12 +239,15 @@ class Medium:
     def begin_tx(self, tx: phy.Transmission, owner) -> None:
         if tx.start_us < self.engine.now_us:
             raise SimulationError("transmission starts in the past")
-        self.engine.schedule(tx.start_us, self._tx_start, (tx, owner),
+        polarity = POLARITY.get(tx.kind)
+        if polarity is None:
+            raise SimulationError(f"transmission kind {tx.kind!r} has no IQ polarity")
+        key = (tx.freq_hz, sf_key(tx.dr), polarity)
+        self.engine.schedule(tx.start_us, self._tx_start, (tx, owner, key),
                              kind="tx_start", target=tx.source)
 
     def _tx_start(self, data) -> None:
-        tx, owner = data
-        key = (tx.freq_hz, sf_key(tx.dr))
+        tx, owner, key = data
         self._active[key].append(tx)
         self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
                           bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
@@ -241,9 +260,8 @@ class Medium:
         self.engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
     def _tx_end(self, data) -> None:
-        tx, owner = data
+        tx, owner, key = data
         self.engine.trace("tx_end", tx.source, frame=tx.kind)
-        key = (tx.freq_hz, sf_key(tx.dr))
         active = self._active[key]
         self._deliver(tx, key, active)
         if owner is not None:
@@ -278,7 +296,7 @@ class Medium:
     def _deliver(self, tx: phy.Transmission, key: tuple, active: list[phy.Transmission]) -> None:
         engine = self.engine
         tuned = self._tuned[key]
-        to_gateways = tx.kind in ("uplink", "join_request")
+        to_gateways = key[2] == "up"
         if not tuned and not (to_gateways and self._gateways):
             return
         # No frame starts or ends during delivery, so one rival list serves
@@ -295,7 +313,7 @@ class Medium:
             if not tx.overlaps(lst.opened_us, engine.now_us + 1):
                 continue
             outcome = self.capture(tx, rivals, eid, lst.opened_us)
-            if outcome == DECODED and tx.kind.startswith("d2d") and self.d2d_frame_loss_prob > 0.0:
+            if outcome == DECODED and key[2] == "d2d" and self.d2d_frame_loss_prob > 0.0:
                 draw = engine.rng.stream(f"d2dloss:{eid}").random()
                 if draw < self.d2d_frame_loss_prob:
                     engine.count("d2d_frames_lost")

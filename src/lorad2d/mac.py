@@ -229,7 +229,7 @@ class EndDevice:
             freq, dr = self.rx2_freq_hz, self.rx2_dr
             self.mac_state = MacState.RX2
         self.ledger.set_state(self.engine.now_us, "rx")
-        self.medium.listen(self, freq, dr)
+        self.medium.listen(self, freq, dr, "down")
         self.engine.trace("rx_open", self.eid, window=which, freq_hz=freq, dr=dr)
         close_at = self.engine.now_us + self._window_us(dr)
         ev = self.engine.schedule(close_at, self._close_rx, which,
@@ -391,7 +391,7 @@ class EndDevice:
         self._d2d_listening = True
         self.ledger.command()
         self.ledger.set_state(self.engine.now_us, "rx")
-        self.medium.listen(self, session.cmd.freq_hz, session.cmd.dr)
+        self.medium.listen(self, session.cmd.freq_hz, session.cmd.dr, "d2d")
 
     def d2d_listen_off(self, session: d2d.D2DSession) -> None:
         if not self._d2d_listening:

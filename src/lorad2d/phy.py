@@ -187,7 +187,8 @@ class Transmission:
     tx_power_dbm: int
     phy_payload_bytes: int
     source: str
-    kind: str = "uplink"          # uplink | downlink | join | d2d_data | d2d_ack
+    # uplink | join_request | downlink | join_accept | d2d_data | d2d_ack
+    kind: str = "uplink"
     frame: object | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:

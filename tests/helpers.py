@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from lorad2d import d2d, mac, netserver, phy, regulator
-from lorad2d.engine import Engine, Medium
+from lorad2d.engine import POLARITY, Engine, Medium
 from lorad2d.scenario import load_bundled
 
 CH0 = 868_100_000
@@ -126,6 +126,9 @@ def hear(frames, positions, *, freq_hz, dr, window_us, sensitivity_table=None):
     """What a receiver at the origin, listening on (freq_hz, dr) from
     window_us[0], makes of ``frames`` when a Medium decides it.
 
+    The receiver listens for the IQ polarity of the frames, which must all
+    share one.
+
     Frames that start before window_us[1] go on the air, and the receiver
     stays open until they have all ended, as a receiver locked to a frame
     does.  Returns ("decoded", source) for the earliest-ending decoded frame,
@@ -137,11 +140,12 @@ def hear(frames, positions, *, freq_hz, dr, window_us, sensitivity_table=None):
     medium.register_position(_Receiver.eid, (0.0, 0.0))
     for eid, position in positions.items():
         medium.register_position(eid, position)
+    (polarity,) = {POLARITY[tx.kind] for tx in frames} or {"up"}
     w0, w1 = window_us
     for tx in frames:
         if tx.start_us < w1:
             medium.begin_tx(tx, owner=None)
-    engine.schedule(w0, lambda _: medium.listen(_Receiver(), freq_hz, dr))
+    engine.schedule(w0, lambda _: medium.listen(_Receiver(), freq_hz, dr, polarity))
     engine.run()
     heard = [r for r in engine.trace_records if r["entity"] == _Receiver.eid
              and r["kind"] in ("decode", "drop")]

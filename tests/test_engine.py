@@ -4,8 +4,8 @@ import pytest
 
 import helpers
 from lorad2d import phy
-from lorad2d.engine import (BELOW_SENSITIVITY, COLLISION, DECODED, Engine,
-                            Medium, RngManager, SimulationError, sf_key)
+from lorad2d.engine import (BELOW_SENSITIVITY, COLLISION, DECODED, POLARITY,
+                            Engine, Medium, RngManager, SimulationError, sf_key)
 
 
 def test_same_time_events_run_in_schedule_order():
@@ -98,10 +98,10 @@ LOSS = phy.PathLossModel()
 F = 868_100_000
 
 
-def frame(source, start_us, dur_us, *, dr=0, power=14, freq=F):
+def frame(source, start_us, dur_us, *, dr=0, power=14, freq=F, kind="uplink"):
     return phy.Transmission(start_us=start_us, duration_us=dur_us, freq_hz=freq,
                             dr=dr, tx_power_dbm=power, phy_payload_bytes=20,
-                            source=source)
+                            source=source, kind=kind)
 
 
 NOTHING = ("none", None)
@@ -224,7 +224,7 @@ def test_listener_opening_mid_frame_is_locked_until_frame_end():
     medium.begin_tx(frame("s", 1000, 400_000), owner=sender)
 
     def open_rx(_):
-        medium.listen(rx, F, 0)
+        medium.listen(rx, F, 0, "up")
         assert medium.lock_until_us("r") == 401_000
 
     engine.schedule(200_000, open_rx)
@@ -251,8 +251,8 @@ def _locks_at(engine, medium, t_us, seen):
 
 def test_relisten_on_another_channel_moves_the_listener():
     engine, medium, rx = _rig("old", "new")
-    medium.listen(rx, F, 0)
-    medium.listen(rx, F2, 3)
+    medium.listen(rx, F, 0, "up")
+    medium.listen(rx, F2, 3, "up")
     medium.begin_tx(frame("old", 1000, 5000), owner=_Recorder("old"))
     medium.begin_tx(frame("new", 100_000, 5000, freq=F2, dr=3), owner=_Recorder("new"))
     locks = []
@@ -265,7 +265,7 @@ def test_relisten_on_another_channel_moves_the_listener():
 
 def test_unlisten_removes_the_listener():
     engine, medium, rx = _rig("s")
-    medium.listen(rx, F, 0)
+    medium.listen(rx, F, 0, "up")
     medium.unlisten(rx)
     medium.begin_tx(frame("s", 1000, 5000), owner=_Recorder("s"))
     locks = []
@@ -277,7 +277,7 @@ def test_unlisten_removes_the_listener():
 
 def test_other_channel_or_sf_neither_locks_nor_reaches():
     engine, medium, rx = _rig("f2", "sf9")
-    medium.listen(rx, F, 0)
+    medium.listen(rx, F, 0, "up")
     medium.begin_tx(frame("f2", 1000, 5000, freq=F2), owner=_Recorder("f2"))
     medium.begin_tx(frame("sf9", 1000, 5000, dr=3), owner=_Recorder("sf9"))
     locks = []
@@ -294,7 +294,7 @@ def test_buckets_stay_bounded_after_pruning():
 
     class Sender(_Recorder):
         def on_own_tx_end(self, tx):
-            sizes.append(len(medium._active[(tx.freq_hz, sf_key(tx.dr))]))
+            sizes.append(len(medium._active[(tx.freq_hz, sf_key(tx.dr), "up")]))
 
     for k in range(60):
         freq, dr = keys[k % 3]
@@ -306,7 +306,7 @@ def test_buckets_stay_bounded_after_pruning():
     assert all(len(bucket) <= 9 for bucket in medium._active.values())
     for k in range(100):
         freq, dr = keys[k % 3]
-        medium.listen(rx, freq, dr)
+        medium.listen(rx, freq, dr, "up")
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 1
     medium.unlisten(rx)
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 0
@@ -324,14 +324,64 @@ def test_delivery_callbacks_retuning_other_listeners():
     def retune(tx):
         _Recorder.on_frame_decoded(r1, tx)
         medium.unlisten(r2)
-        medium.listen(r3, F, 0)
+        medium.listen(r3, F, 0, "up")
 
     r1.on_frame_decoded = retune
-    medium.listen(r1, F, 0)
-    medium.listen(r2, F, 0)
-    medium.listen(r3, F2, 0)
+    medium.listen(r1, F, 0, "up")
+    medium.listen(r2, F, 0, "up")
+    medium.listen(r3, F2, 0, "up")
     medium.begin_tx(frame("s", 1000, 5000), owner=_Recorder("s"))
     engine.run()
     assert (r1.heard, r2.heard, r3.heard) == (["s"], [], [])
     assert [r["entity"] for r in engine.trace_records
             if r["kind"] in ("decode", "drop")] == ["r1"]
+
+
+# -- IQ polarity -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("polarity", ["up", "down", "d2d"])
+def test_listener_hears_only_its_polarity(polarity):
+    # one frame of every kind on the listener's channel and rate, one after
+    # another; each named after its kind
+    kinds = list(POLARITY)
+    engine, medium, rx = _rig(*kinds)
+    medium.listen(rx, F, 0, polarity)
+    locked = []
+    for k, kind in enumerate(kinds):
+        start = 1000 + 1_000_000 * k
+        medium.begin_tx(frame(kind, start, 5000, kind=kind), owner=_Recorder(kind))
+        engine.schedule(start + 2000, lambda _: locked.append(
+            medium.lock_until_us("r") > engine.now_us))
+    engine.run()
+    mine = [kind for kind in kinds if POLARITY[kind] == polarity]
+    assert rx.heard == mine
+    assert locked == [POLARITY[kind] == polarity for kind in kinds]
+    assert helpers.trace_kinds(engine, "r") == ["decode"] * len(mine)
+
+
+def test_gateway_hears_only_up_frames():
+    # the downlink pair and the D2D pair each overlap at equal power, so a
+    # gateway that heard them would count two collisions per pair
+    engine, medium, _ = _rig("downlink", "join_accept", "d2d_data", "d2d_ack",
+                             "uplink", "join_request")
+    gw = _Recorder("gw")
+    gw.channels_hz = [F]
+    medium.register_position("gw", (0.0, 0.0))
+    medium.listen_gateway(gw)
+    for source, start in (("downlink", 1000), ("join_accept", 2000),
+                          ("d2d_data", 1_000_000), ("d2d_ack", 1_001_000),
+                          ("uplink", 2_000_000), ("join_request", 3_000_000)):
+        medium.begin_tx(frame(source, start, 5000, kind=source), owner=_Recorder(source))
+    engine.run()
+    assert gw.heard == ["uplink", "join_request"]
+    assert helpers.trace_kinds(engine, "gw") == ["decode", "decode"]
+    assert engine.counters == {}
+
+
+def test_kind_without_polarity_is_an_error():
+    engine, medium, _ = _rig("s")
+    with pytest.raises(SimulationError, match="'join'"):
+        medium.begin_tx(frame("s", 1000, 5000, kind="join"), owner=None)
+    engine.run()
+    assert engine.trace_records == []

@@ -22,26 +22,28 @@ GOLDEN = [
     ("table2_d2d", 0,
      "10e18980f278b033c787bffcc94c3e378ab12b4a57299b20271f5507da53ce2e",
      "1d69521c80f7a12fe1850ce74624f786472d999d78872e06c4ec97df0fcab3eb"),
+    # 50 devices on one ring with no gateway: nothing is sent that an end
+    # device can hear, so no frame is decoded or dropped
     ("duty-audit", 0,
-     "d01e9b5a2c7c685f4c586da43360ff4c5f8b74bb6ad77fcd4381eeef990fc5c5",
-     "badd7277512b7b5ef7d885c2f2ac6c2e5027807ff972f1f658ef702944b2a6f3"),
+     "0dc9c6834dff993fcf127ae5e07f8d35de4f6eb684c46f32299e1f855999d862",
+     "90d22d5083774bfdb85582ec8af94835b3726e0b3dfe8c63389510faadf2a732"),
     ("duty-audit", 1,
-     "49d580029b22f66a0d8766ebb91c3974f1563827432e7ad7b361259da21283ef",
-     "d3d8ee0500759bb205b6d71a64ad364226a36411b3495996177fd0ec4100f85f"),
+     "4cbeb679657288d85bf3a85db83056121e1b130bbc1774cd36bc9e51d41d7622",
+     "8acddc52521033e610d223333bf99ef61d84618ecd4ffe6f678556bef5c90d75"),
     ("duty-audit", 2,
-     "3aae554dd3c660db1a1addebd306862538d4ef34bca8e2d71da7feed3d568586",
-     "7e7a87f96b81190278fac41bb348b58bd6229a1f1b012d3c98efb127b45a3cbf"),
+     "17a0174f410c7c097b814f7482a93faac35dbe9091b963cb93b8b83d094dd0cf",
+     "5eb140a921ca0ce643a23c30c0e1046640cb3e18d27185810826d899b2e33c6d"),
     ("duty-audit", 3,
-     "5efff3c67ecd07795a6a1856fa1d493316cdb2a14a5683bc19908da4a7a85f73",
-     "35480fc2428a19a9df400e2da2c06c7648376c3ac44d0087a8bc46bb85e30569"),
+     "a9a8c75a9fdf38b54426c6c7b18aada782c54a545ff479be87ad9ad1f14f3dbc",
+     "f3e5e3083fd9316a0f84ebe4a2adb4e96b3eba789bea20c826d1c3893b9362f4"),
     ("duty-audit", 4,
-     "6977ea7cbb68c7376c75fa1d296d2eb3eeb4bf73f66a631f1ff1150e3d7984c9",
-     "e39340216c58e99bb04fb528f3791af805202b9072fd8974ee5154ea62ffee84"),
-    # 200 devices and one gateway for 30 min: 3,567 collisions, at end
-    # devices and at the gateway
+     "a439fca4adc45fc11ce96e60cc175930379a4d5d9adc171f862cb3dd52611c8b",
+     "447c2759de9654d6e3d3d1192e5d796bf29a229765bf19b78701d8b856313be2"),
+    # 200 devices and one gateway for 30 min: the gateway decodes 114
+    # uplinks and loses 1,247 to collisions; no end device hears an uplink
     ("contention-200", 0,
-     "3f3c0154a02b7c704ab26426fef8bd8d682845610c6f647a31326ebaa667dcef",
-     "45b0c06e90641530d97e6559b5505f6cd9db6c25a58c68098b3954c6d9b3f99c"),
+     "a4c49283e6b55ac24fe34edfad17236ed9477c42c2c3b148fe4f3ab36b5ed072",
+     "2538e2f10b691b9a4a7ae0aaf4529f69f36740563f665efc0c887c3bbb20e602"),
     # table2_d2d losing 15% of D2D frames: seed 0 retries, re-acks and
     # completes; seed 2 ends in retry_budget_exhausted and session_timeout
     ("lossy-d2d", 0,
@@ -51,10 +53,10 @@ GOLDEN = [
      "103b4519c5839a1f134773a2dada4c72a3bc0d496bb32c40c021625b386a0931",
      "000fbb0f5cb3fffdaa3cb3100bc6c3b5e8271b2774b5c820f20b3bf250ce33ba"),
     # 12 over-the-air joins (12 accepted, 5 dropped) beside a relayed
-    # transfer through one gateway
+    # transfer through one gateway; end devices hear only its downlinks
     ("join-cell", 0,
-     "dc903e46965e23374f8240d51865b9aa06777a078a4ac3a3af2cb72b2eafb92e",
-     "debe5ad12a138acf2fe009f65b30b11d7ab407c629dfbecf45dbd3505ac4975d"),
+     "8fb518febfa375d3c5eae4ce1844d4a54ddf8b634f4fa4ba21e5a968892d4081",
+     "a1999da7cd2604e66bcc4daae4790f34b551f5afe79a7563ca84c31c66af616f"),
     # table2_d2d plus a swapped-role directive of 3 packets, over 60 s: the
     # first session acks 10 packets on both halves, the second 3
     ("two-directives", 0,
@@ -111,3 +113,18 @@ def test_trace_and_metrics_digests(name, seed, trace_digest, doc_digest):
     result = runner.run(scn, seed=seed, trace=True)
     assert _sha256(result.trace_jsonl()) == trace_digest
     assert _sha256(json.dumps(result.document, sort_keys=True)) == doc_digest
+
+
+
+@pytest.mark.parametrize("name,heard_from", [("contention-200", set()),
+                                             ("join-cell", {"gw0"})])
+def test_end_devices_hear_only_gateways(name, heard_from):
+    # uplinks use normal IQ and receive windows listen for inverted IQ, so
+    # every frame an end device decodes or drops is a gateway's downlink;
+    # contention-200 sends no downlink at all
+    scn = _scenario(name)
+    result = runner.run(scn, seed=0, trace=True)
+    gateways = {gw.eid for gw in scn.gateways}
+    sources = {r["source"] for r in result.engine.trace_records
+               if r["kind"] in ("decode", "drop") and r["entity"] not in gateways}
+    assert sources == heard_from

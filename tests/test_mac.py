@@ -127,6 +127,62 @@ def test_rx_windows_follow_the_uplink():
     assert opens[1]["dr"] == helpers.RX2_DR
 
 
+def _rx1_beside(kind):
+    """A device's first window, opened on CH0 at DR0, with a neighbour's
+    frame of ``kind`` on the same channel and rate already on the air and
+    outlasting the window.  Returns (engine, device, RX1 open time)."""
+    engine, medium = helpers.make_rig()
+    dev = helpers.make_device(engine, medium, period_s=1000.0, phase_s=1.0,
+                              dr=0, max_uplinks=1)
+    medium.register_position("nb", (500.0, 0.0))
+    rx1_at = 1_000_000 + dev._uplink_toa_us + 1_000_000
+    medium.begin_tx(phy.Transmission(
+        start_us=rx1_at - 100_000, duration_us=1_000_000, freq_hz=helpers.CH0,
+        dr=0, tx_power_dbm=14, phy_payload_bytes=25, source="nb", kind=kind),
+        owner=None)
+    dev.start()
+    engine.run(until_us=rx1_at + 5_000_000)
+    assert helpers.records(engine, "rx_open", entity="dev")[0]["t_us"] == rx1_at
+    return engine, dev, rx1_at
+
+
+@pytest.mark.parametrize("kind", ["uplink", "join_request", "d2d_data", "d2d_ack"])
+def test_receive_window_ignores_uplinks_and_d2d_frames(kind):
+    engine, dev, rx1_at = _rx1_beside(kind)
+    assert helpers.records(engine, "decode", entity="dev") == []
+    assert helpers.records(engine, "drop", entity="dev") == []
+    assert dev.counters["ignored_frames"] == 0
+    close = helpers.records(engine, "rx_close", entity="dev")[0]
+    assert (close["window"], close["t_us"]) == (1, rx1_at + dev._window_us(0))
+
+
+def test_receive_window_locks_onto_a_downlink():
+    # the same set-up with a downlink: the window stays open to its end
+    engine, dev, rx1_at = _rx1_beside("downlink")
+    assert [r["source"] for r in helpers.records(engine, "decode", entity="dev")] == ["nb"]
+    assert dev.counters["ignored_frames"] == 1      # not addressed to dev
+    close = helpers.records(engine, "rx_close", entity="dev")[0]
+    assert (close["window"], close["t_us"]) == (1, rx1_at + 900_000)
+
+
+def test_d2d_listener_ignores_a_co_channel_uplink():
+    # the scanner listens from t=0; a neighbour's uplink on the session's
+    # channel and rate passes before the initiator's first data frame
+    engine, medium = helpers.make_rig()
+    init_dev, scan_dev = helpers.arm_pair(engine, medium, t1_initiator_s=3.0)
+    medium.register_position("nb", (5.0, 0.0))
+    medium.begin_tx(phy.Transmission(
+        start_us=1_000_000, duration_us=500_000, freq_hz=865_000_000, dr=6,
+        tx_power_dbm=14, phy_payload_bytes=25, source="nb", kind="uplink"),
+        owner=None)
+    engine.run(until_us=40_000_000)
+    heard = [r["source"] for r in helpers.records(engine, "decode", entity="scan")]
+    assert "nb" not in heard and "init" in heard
+    assert helpers.records(engine, "drop", entity="scan") == []
+    assert scan_dev.counters["ignored_frames"] == 0
+    assert scan_dev.session_history[0].completed
+
+
 def wire_device_and_server(engine, medium, *, dev_kw=None, rx2_dr=helpers.RX2_DR):
     dev_kw = dict(dev_kw or {})
     dev_kw.setdefault("position", (0.0, 0.0))
