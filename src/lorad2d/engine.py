@@ -107,16 +107,6 @@ class Engine:
 # -- radio medium -----------------------------------------------------------
 
 
-_SF_KEY_BY_DR = {d.index: (d.sf if d.is_lora else "gfsk") for d in phy.DATA_RATES}
-
-
-def sf_key(dr: int):
-    try:
-        return _SF_KEY_BY_DR[dr]
-    except KeyError:
-        raise phy.PhyError(f"data rate index {dr} outside 0..7") from None
-
-
 # IQ polarity class of each frame kind.  LoRaWAN sends uplinks and join
 # requests with normal IQ and downlinks and join-accepts with inverted IQ, so
 # an end device cannot demodulate another device's uplink, nor a gateway a
@@ -135,13 +125,11 @@ BELOW_SENSITIVITY = "below_sensitivity"
 
 
 class _Listening:
-    __slots__ = ("entity", "key", "sens_dbm", "opened_us", "lock_until_us")
+    __slots__ = ("entity", "key", "opened_us", "lock_until_us")
 
-    def __init__(self, entity, freq_hz: int, dr: int, polarity: str,
-                 sens_dbm: float, opened_us: int):
+    def __init__(self, entity, key: tuple, opened_us: int):
         self.entity = entity
-        self.key = (freq_hz, sf_key(dr), polarity)
-        self.sens_dbm = sens_dbm
+        self.key = key
         self.opened_us = opened_us
         self.lock_until_us = 0
 
@@ -154,14 +142,16 @@ _PRUNE_HORIZON_US = 12_000_000
 class Medium:
     """Tracks in-flight transmissions and arbitrates receptions.
 
-    Only frames on the same frequency, spreading-factor key (see
-    :func:`sf_key`) and IQ polarity class (see :data:`POLARITY`) lock or
-    disturb a receiver, so frames and end-device listeners are kept in
-    buckets under the key ``(freq_hz, sf_key, polarity)``.  A listener names
-    the polarity it demodulates: receive windows listen for ``down``, D2D
-    sessions for ``d2d``.  Reception is decided at each frame's end by
-    :meth:`capture`, once for every listener in the frame's bucket and, for
-    ``up`` frames, once for every gateway tuned to its frequency.
+    Only frames on the same frequency, data rate and IQ polarity class (see
+    :data:`POLARITY`) lock or disturb a receiver, so frames and end-device
+    listeners are kept in buckets under the key ``(freq_hz, dr, polarity)``.
+    Each LoRa data rate is one (spreading factor, bandwidth) pair, so a
+    bucket holds one rate and is judged against that rate's sensitivity
+    floor.  A listener names the polarity it demodulates: receive windows
+    listen for ``down``, D2D sessions for ``d2d``.  Reception is decided at
+    each frame's end by :meth:`capture`, once for every listener in the
+    frame's bucket and, for ``up`` frames, once for every gateway tuned to
+    its frequency.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -170,7 +160,8 @@ class Medium:
                  d2d_frame_loss_prob: float = 0.0):
         self.engine = engine
         self.loss_model = loss_model
-        self.sensitivity_table = sensitivity_table
+        # sensitivity floor by data rate index
+        self._floor_dbm = [phy.sensitivity(d.index, sensitivity_table) for d in phy.DATA_RATES]
         self.capture_threshold_db = capture_threshold_db
         self.d2d_frame_loss_prob = d2d_frame_loss_prob
         self._active: defaultdict[tuple, list[phy.Transmission]] = defaultdict(list)
@@ -181,13 +172,6 @@ class Medium:
         # path loss to a receiver, by source; one dict per receiver rather
         # than (source, receiver) tuple keys, which would cost a tuple each
         self._pl_cache: dict[str, dict[str, float]] = {}
-        self._sens_cache: dict[int, float] = {}
-
-    def _sens(self, dr: int) -> float:
-        s = self._sens_cache.get(dr)
-        if s is None:
-            s = self._sens_cache[dr] = phy.sensitivity(dr, self.sensitivity_table)
-        return s
 
     def register_position(self, eid: str, position: tuple[float, float]) -> None:
         self._positions[eid] = position
@@ -209,11 +193,12 @@ class Medium:
         """Tune ``entity`` to frames of one polarity class on (freq_hz, dr)."""
         eid = entity.eid
         now = self.engine.now_us
-        lst = _Listening(entity, freq_hz, dr, polarity, self._sens(dr), now)
+        floor = self._floor_dbm[phy.data_rate(dr).index]   # PhyError outside 0..7
+        lst = _Listening(entity, (freq_hz, dr, polarity), now)
         # A frame already in flight locks the receiver just like one that
         # starts later; count it so window-close logic can extend.
         for tx in self._active[lst.key]:
-            if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= lst.sens_dbm:
+            if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= floor:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         prev = self._listeners.get(eid)
         if prev is not None:
@@ -242,7 +227,7 @@ class Medium:
         polarity = POLARITY.get(tx.kind)
         if polarity is None:
             raise SimulationError(f"transmission kind {tx.kind!r} has no IQ polarity")
-        key = (tx.freq_hz, sf_key(tx.dr), polarity)
+        key = (tx.freq_hz, phy.data_rate(tx.dr).index, polarity)   # PhyError outside 0..7
         self.engine.schedule(tx.start_us, self._tx_start, (tx, owner, key),
                              kind="tx_start", target=tx.source)
 
@@ -254,8 +239,9 @@ class Medium:
         on_start = getattr(owner, "on_own_tx_start", None)
         if on_start is not None:
             on_start(tx)
+        floor = self._floor_dbm[tx.dr]
         for eid, lst in self._tuned[key].items():
-            if eid != tx.source and self._rssi(tx, eid) >= lst.sens_dbm:
+            if eid != tx.source and self._rssi(tx, eid) >= floor:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         self.engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
@@ -276,20 +262,22 @@ class Medium:
                 dst_eid: str, window0_us: int) -> str:
         """Outcome of frame tx at receiver dst_eid, listening since window0_us.
 
-        rivals are the other frames on tx's frequency and spreading-factor
-        key that share air with tx.  tx is lost below the sensitivity of its
-        own data rate.  Otherwise it collides with any rival that dst_eid did
-        not send, that was still on the air after window0_us, that is itself
-        above sensitivity and that tx does not beat by the capture threshold.
+        rivals are the other frames in tx's bucket (same frequency, data rate
+        and polarity) that share air with tx, so one sensitivity floor, that
+        of tx's data rate, judges them all.  tx is lost below it.  Otherwise
+        it collides with any rival that dst_eid did not send, that was still
+        on the air after window0_us, that is itself above the floor and that
+        tx does not beat by the capture threshold.
         """
+        floor = self._floor_dbm[tx.dr]
         r = self._rssi(tx, dst_eid)
-        if r < self._sens(tx.dr):
+        if r < floor:
             return BELOW_SENSITIVITY
         for other in rivals:
             if other.source == dst_eid or other.end_us <= window0_us:
                 continue
             r_other = self._rssi(other, dst_eid)
-            if r_other >= self._sens(other.dr) and r < r_other + self.capture_threshold_db:
+            if r_other >= floor and r < r_other + self.capture_threshold_db:
                 return COLLISION
         return DECODED
 
@@ -319,21 +307,20 @@ class Medium:
                     engine.count("d2d_frames_lost")
                     engine.trace("drop", eid, reason="d2d_loss", source=tx.source)
                     continue
-            if outcome == DECODED:
-                engine.trace("decode", eid, source=tx.source, frame=tx.kind, bytes=tx.phy_payload_bytes)
-                lst.entity.on_frame_decoded(tx)
-            else:
-                engine.count(outcome)
-                engine.trace("drop", eid, reason=outcome, source=tx.source)
+            self._report(tx, lst.entity, outcome)
         if to_gateways:
             for eid in sorted(self._gateways):
                 gw = self._gateways[eid]
-                if tx.freq_hz not in gw.channels_hz:
-                    continue
-                outcome = self.capture(tx, rivals, eid, 0)
-                if outcome == DECODED:
-                    engine.trace("decode", eid, source=tx.source, frame=tx.kind, bytes=tx.phy_payload_bytes)
-                    gw.on_frame_decoded(tx)
-                else:
-                    engine.count(outcome)
-                    engine.trace("drop", eid, reason=outcome, source=tx.source)
+                if tx.freq_hz in gw.channels_hz:
+                    self._report(tx, gw, self.capture(tx, rivals, eid, 0))
+
+    def _report(self, tx: phy.Transmission, receiver, outcome: str) -> None:
+        """Trace ``outcome`` at ``receiver``; hand it tx if decoded, else count it."""
+        engine = self.engine
+        if outcome == DECODED:
+            engine.trace("decode", receiver.eid, source=tx.source, frame=tx.kind,
+                         bytes=tx.phy_payload_bytes)
+            receiver.on_frame_decoded(tx)
+        else:
+            engine.count(outcome)
+            engine.trace("drop", receiver.eid, reason=outcome, source=tx.source)

@@ -135,8 +135,10 @@ class Scenario:
             for dr in self.sensitivity_dbm:
                 if not 0 <= dr <= 7:
                     raise ScenarioError("sensitivity_dbm", f"DR{dr} is not defined")
-        if not 0 <= self.rx2_dr <= 7:
-            raise ScenarioError("rx2_dr", f"DR{self.rx2_dr} is not defined")
+            missing = [f"DR{dr}" for dr in range(8) if dr not in self.sensitivity_dbm]
+            if missing:
+                raise ScenarioError("sensitivity_dbm", f"lacks {', '.join(missing)}")
+        self._check_window_dr("rx2_dr", self.rx2_dr)
         self._check_freq("rx2_freq_hz", self.rx2_freq_hz)
         if self.receive_delay1_s <= 0:
             raise ScenarioError("receive_delay1_s", "must be positive")
@@ -159,8 +161,7 @@ class Scenario:
                 raise ScenarioError(f"{path}.period_s", "must be positive")
             if not 0.0 <= dev.jitter_frac < 0.5:
                 raise ScenarioError(f"{path}.jitter_frac", "must lie in [0, 0.5)")
-            if not 0 <= dev.dr <= 7:
-                raise ScenarioError(f"{path}.dr", f"DR{dev.dr} is not defined")
+            self._check_window_dr(f"{path}.dr", dev.dr)
             try:
                 phy.check_tx_power(dev.tx_power_dbm)
             except phy.PhyError as exc:
@@ -248,6 +249,13 @@ class Scenario:
             regulator.classify(freq_hz, self.effective_bands)
         except regulator.RegulatorError as exc:
             raise ScenarioError(path, str(exc)) from exc
+
+    @staticmethod
+    def _check_window_dr(path: str, dr: int) -> None:
+        """A class A receive window is a count of preamble symbols, which
+        this model defines for the LoRa rates DR0..DR6 only."""
+        if not 0 <= dr <= 6:
+            raise ScenarioError(path, f"DR{dr} has no receive window; use DR0..DR6")
 
     # -- serialization ------------------------------------------------------
 

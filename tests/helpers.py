@@ -17,11 +17,9 @@ RX2_DR = 0
 
 def make_rig(seed: int = 0, *, trace: bool = True,
              capture_threshold_db: float = 6.0,
-             d2d_frame_loss_prob: float = 0.0,
-             sensitivity_table: dict[int, float] | None = None):
+             d2d_frame_loss_prob: float = 0.0):
     engine = Engine(seed=seed, trace=trace)
     medium = Medium(engine, phy.PathLossModel(),
-                    sensitivity_table=sensitivity_table,
                     capture_threshold_db=capture_threshold_db,
                     d2d_frame_loss_prob=d2d_frame_loss_prob)
     return engine, medium
@@ -122,7 +120,7 @@ class _Receiver:
         pass
 
 
-def hear(frames, positions, *, freq_hz, dr, window_us, sensitivity_table=None):
+def hear(frames, positions, *, freq_hz, dr, window_us):
     """What a receiver at the origin, listening on (freq_hz, dr) from
     window_us[0], makes of ``frames`` when a Medium decides it.
 
@@ -136,7 +134,7 @@ def hear(frames, positions, *, freq_hz, dr, window_us, sensitivity_table=None):
     ("below_sensitivity", None) when every frame that reached the receiver
     was too weak, else ("none", None).
     """
-    engine, medium = make_rig(sensitivity_table=sensitivity_table)
+    engine, medium = make_rig()
     medium.register_position(_Receiver.eid, (0.0, 0.0))
     for eid, position in positions.items():
         medium.register_position(eid, position)

@@ -58,8 +58,8 @@ def time_on_air_s(dr: int, phy_payload_bytes: int, preamble_symbols: int = 8) ->
 
 # -- reception referee -------------------------------------------------------
 #
-# A frame is a plain tuple: (source, start_us, end_us, freq_hz, sf,
-# tx_power_dbm, (x_m, y_m)).
+# A frame is a plain tuple: (source, start_us, end_us, freq_hz,
+# (sf, bandwidth_hz), tx_power_dbm, (x_m, y_m)).
 
 
 def _rssi_dbm(frame, rx_position, pl0_db, d0_m, exponent) -> float:
@@ -73,23 +73,24 @@ def _share_air(a, b) -> bool:
     return a[1] < b[2] and b[1] < a[2]
 
 
-def arbitrate_reference(rx_position, listening_freq_hz: int, listening_sf,
+def arbitrate_reference(rx_position, listening_freq_hz: int, listening_rate,
                         window_us, frames, *, sens_dbm: float,
                         capture_threshold_db: float = 6.0,
                         pl0_db: float = 127.5, d0_m: float = 1000.0,
                         exponent: float = 2.9):
     """Decide what a tuned receiver hears; returns (kind, source or None).
 
-    Tuned frames share the listening frequency and spreading factor and touch
-    the half-open window.  A tuned frame is audible when its received power
-    clears the sensitivity floor.  An audible frame wins when, against every
+    Tuned frames share the listening frequency and rate, a (spreading factor,
+    bandwidth) pair, and touch the half-open window.  A tuned frame is
+    audible when its received power clears the sensitivity floor, which is
+    the listening rate's.  An audible frame wins when, against every
     other audible frame it shares air time with, it is stronger by at least
     the capture threshold.  The earliest-ending winner is reported; audible
     frames with no winner are a collision.
     """
     w0, w1 = window_us
     tuned = [f for f in frames
-             if f[3] == listening_freq_hz and f[4] == listening_sf
+             if f[3] == listening_freq_hz and f[4] == listening_rate
              and f[1] < w1 and w0 < f[2]]
     if not tuned:
         return ("none", None)

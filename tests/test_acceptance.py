@@ -113,16 +113,13 @@ def test_criterion_05_duty_cycle_audit():
 
 
 def _against_reference(listening_dr, window, txs, positions):
-    # The reference receiver has one sensitivity floor; the medium looks the
-    # floor up by each frame's own data rate, so give every rate this one.
-    floor = {dr: phy.sensitivity(listening_dr) for dr in range(8)}
     got = helpers.hear(txs, positions, freq_hz=868_100_000, dr=listening_dr,
-                       window_us=window, sensitivity_table=floor)
+                       window_us=window)
     frames = [(tx.source, tx.start_us, tx.end_us, tx.freq_hz,
-               oracles.LORA_RATES[tx.dr][0], tx.tx_power_dbm,
+               oracles.LORA_RATES[tx.dr], tx.tx_power_dbm,
                positions[tx.source]) for tx in txs]
     want = oracles.arbitrate_reference(
-        (0.0, 0.0), 868_100_000, oracles.LORA_RATES[listening_dr][0],
+        (0.0, 0.0), 868_100_000, oracles.LORA_RATES[listening_dr],
         window, frames, sens_dbm=phy.sensitivity(listening_dr))
     return got, want
 

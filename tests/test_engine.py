@@ -5,7 +5,7 @@ import pytest
 import helpers
 from lorad2d import phy
 from lorad2d.engine import (BELOW_SENSITIVITY, COLLISION, DECODED, POLARITY,
-                            Engine, Medium, RngManager, SimulationError, sf_key)
+                            Engine, Medium, RngManager, SimulationError)
 
 
 def test_same_time_events_run_in_schedule_order():
@@ -79,14 +79,6 @@ def test_trace_switch_and_record_shape():
     silent.schedule(7, lambda _: silent.trace("ping", "unit", value=3))
     silent.run()
     assert silent.trace_records == []
-
-
-def test_sf_key_merges_co_preamble_rates():
-    assert sf_key(0) == 12
-    assert sf_key(5) == sf_key(6) == 7     # 125 and 250 kHz share SF7
-    assert sf_key(7) == "gfsk"
-    with pytest.raises(phy.PhyError):
-        sf_key(9)
 
 
 # -- reception arbitration ---------------------------------------------------
@@ -177,12 +169,6 @@ def test_rival_below_sensitivity_does_not_collide():
     txs = [frame("a", 0, 5000), frame("b", 2000, 5000)]
     pos = {"a": (5500.0, 0.0), "b": (7000.0, 0.0)}
     assert decide(txs, pos) == (DECODED, "a")
-
-
-def test_co_sf7_rates_share_the_air():
-    # DR5 listening hears a DR6 frame as interference-compatible traffic
-    out = decide([frame("a", 0, 5000, dr=6)], {"a": (1000.0, 0.0)}, dr=5)
-    assert out == (DECODED, "a")
 
 
 # -- medium bookkeeping ------------------------------------------------------
@@ -287,6 +273,32 @@ def test_other_channel_or_sf_neither_locks_nor_reaches():
     assert helpers.trace_kinds(engine, "r") == []       # no drop either
 
 
+@pytest.mark.parametrize("listen_dr,frame_dr", [(5, 6), (6, 5), (5, 5), (6, 6)])
+def test_bandwidth_separates_co_sf7_rates(listen_dr, frame_dr):
+    # DR5 (SF7/125 kHz) and DR6 (SF7/250 kHz) share a spreading factor but
+    # not a bandwidth: a receiver on one neither locks to, decodes nor drops
+    # a frame on the other.  Same-rate pairs are the positive control.
+    engine, medium, rx = _rig("s")
+    medium.listen(rx, F, listen_dr, "up")
+    medium.begin_tx(frame("s", 1000, 5000, dr=frame_dr), owner=_Recorder("s"))
+    locks = []
+    _locks_at(engine, medium, 3000, locks)
+    engine.run()
+    if listen_dr == frame_dr:
+        assert locks == [6000] and rx.heard == ["s"]
+    else:
+        assert locks == [0] and rx.heard == []
+        assert helpers.trace_kinds(engine, "r") == []
+
+
+def test_data_rate_outside_the_table_is_an_error():
+    engine, medium, rx = _rig("s")
+    with pytest.raises(phy.PhyError):
+        medium.listen(rx, F, 9, "up")
+    with pytest.raises(phy.PhyError):
+        medium.begin_tx(frame("s", 1000, 5000, dr=9), owner=None)
+
+
 def test_buckets_stay_bounded_after_pruning():
     engine, medium, rx = _rig("s")
     keys = [(F, 0), (F2, 0), (F, 3)]
@@ -294,7 +306,7 @@ def test_buckets_stay_bounded_after_pruning():
 
     class Sender(_Recorder):
         def on_own_tx_end(self, tx):
-            sizes.append(len(medium._active[(tx.freq_hz, sf_key(tx.dr), "up")]))
+            sizes.append(len(medium._active[(tx.freq_hz, tx.dr, "up")]))
 
     for k in range(60):
         freq, dr = keys[k % 3]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lorad2d import regulator
+from lorad2d import phy, regulator
 from lorad2d.energy import PowerProfile
 from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
                               bundled_names, load_bundled, make_duty_audit)
@@ -59,14 +59,14 @@ def test_optional_blocks_round_trip():
         name="full",
         end_time_s=5.0,
         bands=(regulator.SubBand("x", 865_000_000, 870_000_000, 0.05, 20.0),),
-        sensitivity_dbm={0: -130.0, 5: -120.0},
+        sensitivity_dbm={**phy.DEFAULT_SENSITIVITY_DBM, 0: -130.0, 5: -120.0},
         profile=PowerProfile(name="p", p_tx14_w=0.2),
         devices=[DeviceSpec(eid="dev", dev_addr=1, channels_hz=[865_100_000])],
         gateways=[GatewaySpec(eid="gw", channels_hz=[865_100_000])],
     ).validate()
     again = Scenario.from_json(scn.to_json())
     assert again.bands == scn.bands
-    assert again.sensitivity_dbm == {0: -130.0, 5: -120.0}
+    assert again.sensitivity_dbm == scn.sensitivity_dbm
     assert again.profile == scn.profile
     assert again.to_json() == scn.to_json()
 
@@ -197,7 +197,7 @@ def full_doc():
         radio={"pl0_db": 127.5},
         bands=[{"ident": "x", "low_hz": 865_000_000, "high_hz": 870_000_000,
                 "duty_cycle_limit": 0.01}],
-        sensitivity_dbm={"0": -137.0},
+        sensitivity_dbm={str(dr): v for dr, v in phy.DEFAULT_SENSITIVITY_DBM.items()},
         profile=PowerProfile(name="p").to_dict(),
         rx2_freq_hz=869_525_000,
         devices=[{"eid": "a", "dev_addr": 1, "position": [0.0, 0.0],
@@ -287,6 +287,11 @@ def test_full_doc_is_valid():
     # profile value types
     (("profile", "p_tx14_w"), "lots", "profile"),
     (("profile", "p_sleep_w"), True, "profile"),
+    # a partial sensitivity table: the medium needs a floor for every rate
+    (("sensitivity_dbm", "3"), _DELETE, "sensitivity_dbm"),
+    # a class A receive window is undefined at the GFSK rate
+    (("rx2_dr",), 7, "rx2_dr"),
+    (("devices", 0, "dr"), 7, "devices[0].dr"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
@@ -301,6 +306,21 @@ def test_bad_value_error_paths(where, value, path):
         Scenario.from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
     assert str(err.value).startswith(f"{path}: ")   # names an unknown key too
+
+
+def test_partial_sensitivity_table_names_the_missing_rates():
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["sensitivity_dbm"] = {"0": -137.0}
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == "sensitivity_dbm: lacks DR1, DR2, DR3, DR4, DR5, DR6, DR7"
+
+
+def test_d2d_directive_may_use_the_gfsk_rate():
+    # only class A receive windows need a preamble-symbol length
+    doc = full_doc()
+    doc["d2d_directives"][0]["dr"] = 7
+    assert Scenario.from_dict(doc).d2d_directives[0].dr == 7
 
 
 @pytest.mark.parametrize("block", ["devices", "gateways", "transfers", "d2d_directives"])
