@@ -13,7 +13,7 @@ from .d2d import (D2DCodecError, D2DDataFrame, D2DProtocolError, D2DSession,
 from .energy import (CalibrationError, EnergyLedger, PowerProfile, StateUsage,
                      fit_profile)
 from .engine import Engine, Medium, RngManager, SimulationError
-from .mac import EndDevice, MacState, MacTimings
+from .mac import EndDevice, MacState, ReceiveWindows
 from .netserver import (DeviceRecord, DownlinkError, Gateway,
                         InfeasiblePlanError, NetworkServer, PlanError)
 from .phy import PathLossModel, PhyError, Transmission, data_rate, sensitivity, time_on_air
@@ -31,7 +31,7 @@ __all__ = [
     "encode_setup",
     "CalibrationError", "EnergyLedger", "PowerProfile", "StateUsage", "fit_profile",
     "Engine", "Medium", "RngManager", "SimulationError",
-    "EndDevice", "MacState", "MacTimings",
+    "EndDevice", "MacState", "ReceiveWindows",
     "DeviceRecord", "DownlinkError", "Gateway", "InfeasiblePlanError",
     "NetworkServer", "PlanError",
     "PathLossModel", "PhyError", "Transmission", "data_rate", "sensitivity",

@@ -320,8 +320,8 @@ class D2DSession:
             return
         self.consecutive_timeouts = 0
         self._cancel("linger")
-        # stay in receive through the turnaround; transmitting tears the
-        # listener down when the ack goes out
+        # the host stops listening as soon as the ack is queued, but the
+        # ledger bills the turnaround as receive time up to the ack's start
         if self.state is D2DState.SCANNING:
             self.state = D2DState.EXCHANGE
             self.established = True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import d2d, phy, regulator
 from .energy import EnergyLedger, usage_between
@@ -23,7 +24,6 @@ JOIN_ACCEPT_PHY_BYTES = 17
 
 class MacState(Enum):
     NOT_JOINED = "not_joined"
-    JOINING = "joining"
     SLEEP = "sleep"
     TX = "tx"
     WAIT_RW1 = "wait_rw1"
@@ -63,19 +63,40 @@ class JoinAccept:
     assigned_addr: int
 
 
-@dataclass
-class MacTimings:
+@dataclass(frozen=True)
+class ReceiveWindows:
+    """The class A receive-window rule, shared by end devices and the network
+    server: RX1 opens on the uplink's channel and data rate one delay after
+    the uplink ends, RX2 on a fixed channel and rate after a second delay.
+    A window that catches no preamble closes after `length_us[dr]`."""
+
+    rx2_freq_hz: int
+    rx2_dr: int
     receive_delay1_s: float = 1.0
     receive_delay2_s: float = 2.0
     preamble_detect_symbols: int = 8
 
-    @property
-    def rd1_us(self) -> int:
-        return round(self.receive_delay1_s * 1e6)
+    @cached_property
+    def _delays_us(self) -> tuple[int, int]:
+        return round(self.receive_delay1_s * 1e6), round(self.receive_delay2_s * 1e6)
 
-    @property
-    def rd2_us(self) -> int:
-        return round(self.receive_delay2_s * 1e6)
+    @cached_property
+    def length_us(self) -> tuple[int, ...]:
+        """Unheld window length per LoRa DR (DR0-DR6)."""
+        return tuple(round(self.preamble_detect_symbols * phy.symbol_time(dr) * 1e6)
+                     for dr in range(7))
+
+    def after(self, uplink: phy.Transmission) -> tuple[tuple, tuple]:
+        """RX1 and RX2 after ``uplink``, each as (window, open_us, freq_hz, dr)."""
+        rd1, rd2 = self._delays_us
+        end = uplink.end_us
+        return ((1, end + rd1, uplink.freq_hz, uplink.dr),
+                (2, end + rd2, self.rx2_freq_hz, self.rx2_dr))
+
+
+# MAC state and close-event kind of each receive window
+_RX_STATE = {1: MacState.RX1, 2: MacState.RX2}
+_RX_CLOSE_KIND = {1: "rx1_close", 2: "rx2_close"}
 
 
 class EndDevice:
@@ -83,8 +104,8 @@ class EndDevice:
                  position: tuple[float, float], period_s: float, phase_s: float,
                  jitter_frac: float, dr: int, tx_power_dbm: int,
                  app_payload_bytes: int, channels_hz: list[int],
-                 rx2_freq_hz: int, rx2_dr: int, timings: MacTimings,
-                 bands, duty_enforced: bool, duty_applies_to_d2d: bool,
+                 windows: ReceiveWindows, bands, duty_enforced: bool,
+                 duty_applies_to_d2d: bool,
                  max_uplinks: int | None = None, prejoined: bool = True):
         self.engine = engine
         self.medium = medium
@@ -97,9 +118,7 @@ class EndDevice:
         self.tx_power_dbm = phy.check_tx_power(tx_power_dbm)
         self.app_payload_bytes = app_payload_bytes
         self.channels_hz = list(channels_hz)
-        self.rx2_freq_hz = rx2_freq_hz
-        self.rx2_dr = rx2_dr
-        self.timings = timings
+        self.windows = windows
         self.max_uplinks = max_uplinks
         self.prejoined = prejoined
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
@@ -120,14 +139,12 @@ class EndDevice:
         }
         self.app_deliveries: list[tuple[int, int]] = []   # (t_us, bytes)
         self.first_uplink_start_us: int | None = None
-        self.last_uplink: phy.Transmission | None = None
 
         self._next_nominal_us = self.phase_us
         self._rx_events: list = []
         self._d2d_listening = False
         self._uplink_phy_bytes = app_payload_bytes + phy.FRAME_OVERHEAD_BYTES
         self._uplink_toa_us = phy.time_on_air_us(dr, self._uplink_phy_bytes)
-        self._window_us_by_dr: dict[int, int] = {}
 
         medium.register_position(eid, position)
 
@@ -158,18 +175,11 @@ class EndDevice:
         self._schedule_on_grid(self._begin_uplink, "uplink_timer")
 
     def _begin_uplink(self, _=None) -> None:
-        if self.mac_state is MacState.D2D_SUSPENDED:
-            return                  # resume will re-anchor the grid
-        if self.mac_state is not MacState.SLEEP:
-            # previous cycle still in its receive windows; try again shortly
-            self.engine.schedule(self.engine.now_us + 100_000, self._begin_uplink,
-                                 kind="uplink_retry", target=self.eid)
-            return
         channel = self.channels_hz[int(self.rng.integers(0, len(self.channels_hz)))]
         now = self.engine.now_us
         phy_bytes = self._uplink_phy_bytes
         toa = self._uplink_toa_us
-        start = self.duty.next_allowed_us(channel, now, toa)
+        start = self.duty.next_allowed_us(channel, now)
         if start > now:
             self.counters["duty_deferrals"] += 1
             self.engine.trace("duty_defer", self.eid, until_us=start, freq_hz=channel)
@@ -189,7 +199,6 @@ class EndDevice:
             source=self.eid, kind=kind, frame=frame,
         )
         self.mac_state = MacState.TX
-        self.last_uplink = tx
         self.medium.begin_tx(tx, owner=self)
 
     def on_own_tx_start(self, tx: phy.Transmission) -> None:
@@ -202,60 +211,44 @@ class EndDevice:
                 self.session.on_tx_end(self, tx.frame)
             return
         # class A: two receive windows pegged to the uplink end
-        now = self.engine.now_us
         self.mac_state = MacState.WAIT_RW1
-        ev1 = self.engine.schedule(now + self.timings.rd1_us, self._open_rx, 1,
-                                   kind="rx1_open", target=self.eid)
-        ev2 = self.engine.schedule(now + self.timings.rd2_us, self._open_rx, 2,
-                                   kind="rx2_open", target=self.eid)
-        self._rx_events = [ev1, ev2]
+        rx1, rx2 = self.windows.after(tx)
+        self._rx_events = [
+            self.engine.schedule(rx1[1], self._open_rx, rx1, kind="rx1_open", target=self.eid),
+            self.engine.schedule(rx2[1], self._open_rx, rx2, kind="rx2_open", target=self.eid),
+        ]
 
-    def _window_us(self, dr: int) -> int:
-        w = self._window_us_by_dr.get(dr)
-        if w is None:
-            w = round(self.timings.preamble_detect_symbols * phy.symbol_time(dr) * 1e6)
-            self._window_us_by_dr[dr] = w
-        return w
-
-    def _open_rx(self, which: int) -> None:
-        if which == 1:
-            freq, dr = self.last_uplink.freq_hz, self.last_uplink.dr
-            self.mac_state = MacState.RX1
-        else:
-            if self.mac_state is MacState.RX1:
-                # still receiving in the first window past the second's start;
-                # the second window is skipped for this cycle
-                return
-            freq, dr = self.rx2_freq_hz, self.rx2_dr
-            self.mac_state = MacState.RX2
+    def _open_rx(self, window: tuple) -> None:
+        if self.mac_state is MacState.RX1:
+            # still receiving in the first window past the second's start;
+            # the second window is skipped for this cycle
+            return
+        which, _, freq, dr = window
+        self.mac_state = _RX_STATE[which]
         self.ledger.set_state(self.engine.now_us, "rx")
         self.medium.listen(self, freq, dr, "down")
         self.engine.trace("rx_open", self.eid, window=which, freq_hz=freq, dr=dr)
-        close_at = self.engine.now_us + self._window_us(dr)
+        close_at = self.engine.now_us + self.windows.length_us[dr]
         ev = self.engine.schedule(close_at, self._close_rx, which,
-                                  kind=f"rx{which}_close", target=self.eid)
+                                  kind=_RX_CLOSE_KIND[which], target=self.eid)
         self._rx_events.append(ev)
 
     def _close_rx(self, which: int) -> None:
-        if self.mac_state is not (MacState.RX1 if which == 1 else MacState.RX2):
+        if self.mac_state is not _RX_STATE[which]:
             return
         lock = self.medium.lock_until_us(self.eid)
         if lock > self.engine.now_us:
             ev = self.engine.schedule(lock, self._close_rx, which,
-                                      kind=f"rx{which}_close", target=self.eid)
+                                      kind=_RX_CLOSE_KIND[which], target=self.eid)
             self._rx_events.append(ev)
             return
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
         self.engine.trace("rx_close", self.eid, window=which)
-        if which == 1:
-            rx2_at = self.last_uplink.end_us + self.timings.rd2_us
-            if self.engine.now_us >= rx2_at:
-                # a reception held the first window open past the second
-                # window's slot, so that slot was skipped; the cycle is over
-                self._cycle_complete()
-            else:
-                self.mac_state = MacState.WAIT_RW2
+        # _rx_events[1] is this cycle's RX2 open; once its time has come, a
+        # reception held the first window past it and it was skipped
+        if which == 1 and self.engine.now_us < self._rx_events[1].t_us:
+            self.mac_state = MacState.WAIT_RW2
         else:
             self._cycle_complete()
 
@@ -337,12 +330,10 @@ class EndDevice:
         self._schedule_on_grid(self._begin_join, "join_timer")
 
     def _begin_join(self, _=None) -> None:
-        if self.mac_state not in (MacState.NOT_JOINED, MacState.SLEEP):
-            return
         channel = self.channels_hz[int(self.rng.integers(0, len(self.channels_hz)))]
         now = self.engine.now_us
         toa = phy.time_on_air_us(self.uplink_dr, JOIN_REQUEST_PHY_BYTES)
-        start = self.duty.next_allowed_us(channel, now, toa)
+        start = self.duty.next_allowed_us(channel, now)
         self.counters["join_attempts"] += 1
         self.engine.trace("join_request", self.eid, freq_hz=channel)
         request = JoinRequest(self.eid, dev_nonce=self.counters["join_attempts"])
@@ -371,7 +362,7 @@ class EndDevice:
         toa = phy.time_on_air_us(dr, phy_bytes)
         start = max(at_us, self.engine.now_us)
         if self.duty_applies_to_d2d:
-            start = self.duty.next_allowed_us(freq_hz, start, toa)
+            start = self.duty.next_allowed_us(freq_hz, start)
             self.duty.record_transmission(freq_hz, start, toa)
         if self._d2d_listening:
             self.medium.unlisten(self)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import d2d, phy, regulator
 from .mac import (JOIN_ACCEPT_PHY_BYTES, JoinAccept, JoinRequest,
-                  LoRaWANDownlink, LoRaWANUplink, MacTimings)
+                  LoRaWANDownlink, LoRaWANUplink, ReceiveWindows)
 
 
 class PlanError(ValueError):
@@ -94,10 +94,10 @@ class Gateway:
     def _forward(self, tx: phy.Transmission) -> None:
         self.server.on_uplink(tx, self)
 
-    def can_transmit(self, freq_hz: int, start_us: int, toa_us: int) -> bool:
+    def can_transmit(self, freq_hz: int, start_us: int) -> bool:
         if start_us < self.busy_until_us:
             return False
-        return self.duty.next_allowed_us(freq_hz, start_us, toa_us) <= start_us
+        return self.duty.next_allowed_us(freq_hz, start_us) <= start_us
 
     def transmit(self, frame, *, freq_hz: int, dr: int, phy_payload_bytes: int,
                  start_us: int, kind: str) -> phy.Transmission:
@@ -117,12 +117,10 @@ class Gateway:
 
 
 class NetworkServer:
-    def __init__(self, engine, *, timings: MacTimings, rx2_freq_hz: int, rx2_dr: int,
+    def __init__(self, engine, *, windows: ReceiveWindows,
                  join_success_prob: float = 1.0, bands=regulator.DEFAULT_BANDS):
         self.engine = engine
-        self.timings = timings
-        self.rx2_freq_hz = rx2_freq_hz
-        self.rx2_dr = rx2_dr
+        self.windows = windows
         self.join_success_prob = join_success_prob
         self.bands = bands
         self.devices: dict[int, DeviceRecord] = {}
@@ -209,22 +207,20 @@ class NetworkServer:
         """Raise `error` unless a downlink of `app_bytes` to `record` fits
         its first or its second receive window."""
         phy_bytes = app_bytes + phy.FRAME_OVERHEAD_BYTES
-        if not self._fits(self.rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
+        rx2_dr = self.windows.rx2_dr
+        if not self._fits(rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
             raise error(
                 f"{app_bytes} application bytes fit neither receive window "
-                f"(uplink DR{record.dr}, RX2 DR{self.rx2_dr})")
+                f"(uplink DR{record.dr}, RX2 DR{rx2_dr})")
 
     def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
         """The first receive window after ``uplink`` whose data rate carries
         ``phy_bytes`` and in which ``gw`` may transmit, as (window, start_us,
         freq_hz, dr); None if neither qualifies."""
-        end = uplink.end_us
-        for window, start, freq, dr in (
-                (1, end + self.timings.rd1_us, uplink.freq_hz, uplink.dr),
-                (2, end + self.timings.rd2_us, self.rx2_freq_hz, self.rx2_dr)):
-            if (self._fits(dr, phy_bytes)
-                    and gw.can_transmit(freq, start, phy.time_on_air_us(dr, phy_bytes))):
-                return window, start, freq, dr
+        for window in self.windows.after(uplink):
+            _, start, freq, dr = window
+            if self._fits(dr, phy_bytes) and gw.can_transmit(freq, start):
+                return window
         return None
 
     def _try_place_downlink(self, dev_addr: int, uplink: phy.Transmission,
@@ -281,8 +277,9 @@ class NetworkServer:
         """Uplink airtime, and setup delivery at the end of RX1 and of RX2."""
         toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
-        rw1 = self.timings.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
-        rw2 = self.timings.receive_delay2_s + phy.time_on_air(self.rx2_dr, setup_phy)
+        windows = self.windows
+        rw1 = windows.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
+        rw2 = windows.receive_delay2_s + phy.time_on_air(windows.rx2_dr, setup_phy)
         return toa_up, rw1, rw2
 
     def _worst_setup_delivery_s(self, record: DeviceRecord) -> float:

@@ -89,12 +89,8 @@ class DutyLedger:
             acct = self.accounts[band.ident] = _BandAccount()
         return acct
 
-    def next_allowed_us(self, freq_hz: int, now_us: int, toa_us: int = 0) -> int:
-        """Earliest start time >= now_us at which a frame may begin on this band.
-
-        toa_us is accepted for symmetry with sliding-window policies; the
-        per-transmission rule does not depend on it.
-        """
+    def next_allowed_us(self, freq_hz: int, now_us: int) -> int:
+        """Earliest start time >= now_us at which a frame may begin on this band."""
         if not self.enforced:
             return now_us
         band = classify(freq_hz, self.bands)

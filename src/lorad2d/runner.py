@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import metrics, phy
 from .energy import DEFAULT_PROFILE, PowerProfile, StateUsage, fit_profile
 from .engine import Engine, Medium
-from .mac import EndDevice, MacTimings
+from .mac import EndDevice, ReceiveWindows
 from .netserver import DeviceRecord, Gateway, NetworkServer, PlanError
 from .scenario import Scenario, load_bundled
 
@@ -79,12 +79,11 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
         capture_threshold_db=scn.radio.capture_threshold_db,
         d2d_frame_loss_prob=scn.radio.d2d_frame_loss_prob,
     )
-    timings = MacTimings(scn.receive_delay1_s, scn.receive_delay2_s,
-                         scn.preamble_detect_symbols)
+    windows = ReceiveWindows(scn.rx2_freq_hz, scn.rx2_dr, scn.receive_delay1_s,
+                             scn.receive_delay2_s, scn.preamble_detect_symbols)
     bands = scn.effective_bands
-    ns = NetworkServer(engine, timings=timings, rx2_freq_hz=scn.rx2_freq_hz,
-                       rx2_dr=scn.rx2_dr, join_success_prob=scn.join_success_prob,
-                       bands=bands)
+    ns = NetworkServer(engine, windows=windows,
+                       join_success_prob=scn.join_success_prob, bands=bands)
 
     gateways: dict[str, Gateway] = {}
     for gspec in scn.gateways:
@@ -103,8 +102,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
             jitter_frac=dspec.jitter_frac, dr=dspec.dr,
             tx_power_dbm=dspec.tx_power_dbm,
             app_payload_bytes=dspec.app_payload_bytes,
-            channels_hz=dspec.channels_hz, rx2_freq_hz=scn.rx2_freq_hz,
-            rx2_dr=scn.rx2_dr, timings=timings, bands=bands,
+            channels_hz=dspec.channels_hz, windows=windows, bands=bands,
             duty_enforced=scn.duty_cycle_enforced,
             duty_applies_to_d2d=scn.duty_cycle_applies_to_d2d,
             max_uplinks=dspec.max_uplinks, prejoined=dspec.prejoined,
@@ -276,8 +274,8 @@ def summarize(result: RunResult) -> dict:
     net = doc["network"]
     duty_max_fraction = 0.0
     duty_frames = 0
-    for dev in result.devices.values():
-        for band in dev.duty.audit(result.engine.now_us).values():
+    for dev in doc["devices"].values():
+        for band in dev["duty"].values():
             duty_frames += band["frames"]
             if band["frames"]:
                 duty_max_fraction = max(duty_max_fraction, band["fraction"] / band["limit"])

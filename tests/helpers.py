@@ -13,6 +13,7 @@ CH1 = 868_300_000
 CH2 = 868_500_000
 RX2_FREQ = 869_525_000
 RX2_DR = 0
+WINDOWS = mac.ReceiveWindows(RX2_FREQ, RX2_DR)
 
 
 def make_rig(seed: int = 0, *, trace: bool = True,
@@ -28,27 +29,23 @@ def make_rig(seed: int = 0, *, trace: bool = True,
 def make_device(engine, medium, *, eid="dev", dev_addr=0x0100_0001,
                 position=(0.0, 0.0), period_s=10.0, phase_s=1.0,
                 jitter_frac=0.0, dr=0, tx_power_dbm=14, app_payload_bytes=12,
-                channels_hz=(CH0,), rx2_freq_hz=RX2_FREQ, rx2_dr=RX2_DR,
-                timings=None, bands=regulator.DEFAULT_BANDS,
+                channels_hz=(CH0,), windows=WINDOWS, bands=regulator.DEFAULT_BANDS,
                 duty_enforced=False, duty_applies_to_d2d=False,
                 max_uplinks=None, prejoined=True):
     return mac.EndDevice(
         engine, medium, eid=eid, dev_addr=dev_addr, position=position,
         period_s=period_s, phase_s=phase_s, jitter_frac=jitter_frac, dr=dr,
         tx_power_dbm=tx_power_dbm, app_payload_bytes=app_payload_bytes,
-        channels_hz=list(channels_hz), rx2_freq_hz=rx2_freq_hz, rx2_dr=rx2_dr,
-        timings=timings or mac.MacTimings(), bands=bands,
+        channels_hz=list(channels_hz), windows=windows, bands=bands,
         duty_enforced=duty_enforced, duty_applies_to_d2d=duty_applies_to_d2d,
         max_uplinks=max_uplinks, prejoined=prejoined)
 
 
 def make_server(engine, medium, *, gateways=(("gw0", (2000.0, 0.0)),),
-                channels_hz=(CH0, CH1), timings=None, backhaul_delay_s=0.02,
+                channels_hz=(CH0, CH1), windows=WINDOWS, backhaul_delay_s=0.02,
                 gw_duty_enforced=False, join_success_prob=1.0):
-    timings = timings or mac.MacTimings()
-    server = netserver.NetworkServer(
-        engine, timings=timings, rx2_freq_hz=RX2_FREQ, rx2_dr=RX2_DR,
-        join_success_prob=join_success_prob)
+    server = netserver.NetworkServer(engine, windows=windows,
+                                     join_success_prob=join_success_prob)
     gws = {}
     for eid, position in gateways:
         gw = netserver.Gateway(engine, medium, eid=eid, position=position,

@@ -128,3 +128,20 @@ def test_end_devices_hear_only_gateways(name, heard_from):
     sources = {r["source"] for r in result.engine.trace_records
                if r["kind"] in ("decode", "drop") and r["entity"] not in gateways}
     assert sources == heard_from
+
+
+@pytest.mark.parametrize("name", ["join-cell", "table2_conventional"])
+def test_gateways_transmit_only_into_open_windows(name):
+    # the server places each downlink and join-accept by the same receive
+    # window rule the device opens its windows by, so every gateway
+    # transmission starts at a window open on its channel and rate
+    scn = _scenario(name)
+    result = runner.run(scn, seed=0, trace=True)
+    gateways = {gw.eid for gw in scn.gateways}
+    records = result.engine.trace_records
+    opens = {(r["t_us"], r["freq_hz"], r["dr"])
+             for r in records if r["kind"] == "rx_open"}
+    sent = [(r["t_us"], r["freq_hz"], r["dr"])
+            for r in records if r["kind"] == "tx_start" and r["entity"] in gateways]
+    assert sent
+    assert [tx for tx in sent if tx not in opens] == []

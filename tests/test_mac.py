@@ -3,8 +3,8 @@ import pytest
 import helpers
 from lorad2d import mac, phy, regulator
 from lorad2d.d2d import ExchangeParams
-from lorad2d.mac import MacState, MacTimings
-from lorad2d.netserver import DeviceRecord, NetworkServer
+from lorad2d.mac import MacState, ReceiveWindows
+from lorad2d.netserver import DeviceRecord
 
 
 def uplink_starts(engine, eid):
@@ -153,7 +153,7 @@ def test_receive_window_ignores_uplinks_and_d2d_frames(kind):
     assert helpers.records(engine, "drop", entity="dev") == []
     assert dev.counters["ignored_frames"] == 0
     close = helpers.records(engine, "rx_close", entity="dev")[0]
-    assert (close["window"], close["t_us"]) == (1, rx1_at + dev._window_us(0))
+    assert (close["window"], close["t_us"]) == (1, rx1_at + dev.windows.length_us[0])
 
 
 def test_receive_window_locks_onto_a_downlink():
@@ -183,20 +183,13 @@ def test_d2d_listener_ignores_a_co_channel_uplink():
     assert scan_dev.session_history[0].completed
 
 
-def wire_device_and_server(engine, medium, *, dev_kw=None, rx2_dr=helpers.RX2_DR):
+def wire_device_and_server(engine, medium, *, dev_kw=None, windows=helpers.WINDOWS):
     dev_kw = dict(dev_kw or {})
     dev_kw.setdefault("position", (0.0, 0.0))
-    dev_kw.setdefault("rx2_dr", rx2_dr)
-    dev = helpers.make_device(engine, medium, **dev_kw)
-    timings = MacTimings()
-    server = NetworkServer(engine, timings=timings,
-                           rx2_freq_hz=helpers.RX2_FREQ, rx2_dr=rx2_dr)
-    import lorad2d.netserver as netserver
-    gw = netserver.Gateway(engine, medium, eid="gw0", position=(1000.0, 0.0),
-                           channels_hz=[helpers.CH0, helpers.CH1],
-                           tx_power_dbm=14, backhaul_delay_s=0.02,
-                           bands=regulator.DEFAULT_BANDS, duty_enforced=False)
-    gw.server = server
+    dev = helpers.make_device(engine, medium, windows=windows, **dev_kw)
+    server, gws = helpers.make_server(engine, medium, windows=windows,
+                                      gateways=(("gw0", (1000.0, 0.0)),))
+    gw = gws["gw0"]
     helpers.register(server, dev)
     return dev, server, gw
 
@@ -220,7 +213,7 @@ def test_oversized_downlink_falls_back_to_second_window():
     # 110 application bytes never fit the DR0 first window but do fit RX2 at DR3
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, rx2_dr=3,
+        engine, medium, windows=ReceiveWindows(helpers.RX2_FREQ, 3),
         dev_kw=dict(period_s=30.0, phase_s=1.0, dr=0, max_uplinks=1))
     server.enqueue_downlink(dev.dev_addr, port=1, app_bytes=110)
     dev.start()
