@@ -137,6 +137,7 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
     network["below_sensitivity"] = engine.counters.get("below_sensitivity", 0)
     network["d2d_frames_lost"] = engine.counters.get("d2d_frames_lost", 0)
     network["d2d_plan_failures"] = engine.counters.get("d2d_plan_failed", 0)
+    network["transfer_failures"] = engine.counters.get("transfer_failed", 0)
     network["events_executed"] = engine.events_executed
 
     device_block = {}

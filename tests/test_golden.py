@@ -18,50 +18,50 @@ from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, TransferSpec,
 GOLDEN = [
     ("table2_conventional", 0,
      "e51c52e0c95da59234d526ffcae8b5154b6ce89c2c077d4bdc1e15e1c6398785",
-     "c1b1ccf0a5967cb0b3ee26c95e85f891ad88acd8c39a2cd66233b84840cff0f5"),
+     "d778172208be2070157dbc748ad76b9c31f23c133168a3bded17a85958cc29e7"),
     ("table2_d2d", 0,
      "10e18980f278b033c787bffcc94c3e378ab12b4a57299b20271f5507da53ce2e",
-     "1d69521c80f7a12fe1850ce74624f786472d999d78872e06c4ec97df0fcab3eb"),
+     "71eddc916168436caff9be1849edd4f05895e161bb45b8b9202c6967602bba49"),
     # 50 devices on one ring with no gateway: nothing is sent that an end
     # device can hear, so no frame is decoded or dropped
     ("duty-audit", 0,
      "0dc9c6834dff993fcf127ae5e07f8d35de4f6eb684c46f32299e1f855999d862",
-     "90d22d5083774bfdb85582ec8af94835b3726e0b3dfe8c63389510faadf2a732"),
+     "2c17ca8c6e49b492284fa2827601d30becec5a42c9e7ee3cdbf50dddeeaa5b8d"),
     ("duty-audit", 1,
      "4cbeb679657288d85bf3a85db83056121e1b130bbc1774cd36bc9e51d41d7622",
-     "8acddc52521033e610d223333bf99ef61d84618ecd4ffe6f678556bef5c90d75"),
+     "a4295f089154f3e264a377fe850b325b4491d431a000d27e7a8b47394f0e7e40"),
     ("duty-audit", 2,
      "17a0174f410c7c097b814f7482a93faac35dbe9091b963cb93b8b83d094dd0cf",
-     "5eb140a921ca0ce643a23c30c0e1046640cb3e18d27185810826d899b2e33c6d"),
+     "fab1610f1fa71a10af1283ba0792f22b613bca757d8573bb28680abffe9a4aaa"),
     ("duty-audit", 3,
      "a9a8c75a9fdf38b54426c6c7b18aada782c54a545ff479be87ad9ad1f14f3dbc",
-     "f3e5e3083fd9316a0f84ebe4a2adb4e96b3eba789bea20c826d1c3893b9362f4"),
+     "d08cc3a7d91b4deeec985a9d26e89605c61ccd8261a9f207eaeaa8257266f76e"),
     ("duty-audit", 4,
      "a439fca4adc45fc11ce96e60cc175930379a4d5d9adc171f862cb3dd52611c8b",
-     "447c2759de9654d6e3d3d1192e5d796bf29a229765bf19b78701d8b856313be2"),
+     "60c131d96ea50d84e26d4fec31d72ec2140df653cd5a86c9a2cd74ae754968f7"),
     # 200 devices and one gateway for 30 min: the gateway decodes 114
     # uplinks and loses 1,247 to collisions; no end device hears an uplink
     ("contention-200", 0,
      "a4c49283e6b55ac24fe34edfad17236ed9477c42c2c3b148fe4f3ab36b5ed072",
-     "2538e2f10b691b9a4a7ae0aaf4529f69f36740563f665efc0c887c3bbb20e602"),
+     "a3d5715319a3a4fc228eebf43b297396390f0f710a6ed3e02f208bdbf74c2fab"),
     # table2_d2d losing 15% of D2D frames: seed 0 retries, re-acks and
     # completes; seed 2 ends in retry_budget_exhausted and session_timeout
     ("lossy-d2d", 0,
      "bc459c70d1745f0e841c47f663065b950115e84dd5aaa18e74812c81c82320e3",
-     "8a39771c6b6bfd60588fac48767c89170111969e8227662ab3fdbf6e402d5851"),
+     "dc6e52cbeb741c7b6adc488be922ea38e5dfabad10dd03ec02ef83b6d3baf35c"),
     ("lossy-d2d", 2,
      "103b4519c5839a1f134773a2dada4c72a3bc0d496bb32c40c021625b386a0931",
-     "000fbb0f5cb3fffdaa3cb3100bc6c3b5e8271b2774b5c820f20b3bf250ce33ba"),
+     "3b38fb620f460d42db6f0153c14817ebf7e452bf40963ade9fa6d8fbc9468a73"),
     # 12 over-the-air joins (12 accepted, 5 dropped) beside a relayed
     # transfer through one gateway; end devices hear only its downlinks
     ("join-cell", 0,
      "8fb518febfa375d3c5eae4ce1844d4a54ddf8b634f4fa4ba21e5a968892d4081",
-     "a1999da7cd2604e66bcc4daae4790f34b551f5afe79a7563ca84c31c66af616f"),
+     "b2e1e829dc74f19317a37be4511c6db17f528aed12491b582b8b72533a18f7cc"),
     # table2_d2d plus a swapped-role directive of 3 packets, over 60 s: the
     # first session acks 10 packets on both halves, the second 3
     ("two-directives", 0,
      "948d63bd47870cc955b992f707e2f0041652415936b90e6e8f82265255889258",
-     "5ea6401b8ac0485174a22fe2817e9aeb6218a1f2893ce2c9b6d7cc85b3890bed"),
+     "6d386f19a833273e5bba0222cb5622d54c4ecd4b16544934badfdc8187a2c2d5"),
 ]
 
 

@@ -98,6 +98,7 @@ def test_transfer_with_unjoined_endpoint_is_counted_failed():
 
     res = runner.run(scn, seed=0, trace=True)
     assert res.engine.counters["transfer_failed"] == 1
+    assert res.document["network"]["transfer_failures"] == 1
     assert res.document["transfers"] == []
     failures = [r for r in res.engine.trace_records if r["kind"] == "transfer_failed"]
     assert failures and failures[0]["dest"] == "receiver"
@@ -114,6 +115,7 @@ def test_transfer_too_large_for_the_destination_is_counted_failed():
 
     res = runner.run(scn, seed=0, trace=True)
     assert res.engine.counters["transfer_failed"] == 1
+    assert res.document["network"]["transfer_failures"] == 1
     assert res.document["transfers"] == []
     assert res.document["network"]["uplinks"] > 0
     failures = [r for r in res.engine.trace_records if r["kind"] == "transfer_failed"]
