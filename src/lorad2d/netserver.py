@@ -277,9 +277,8 @@ class NetworkServer:
         """Uplink airtime, and setup delivery at the end of RX1 and of RX2."""
         toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
-        windows = self.windows
-        rw1 = windows.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
-        rw2 = windows.receive_delay2_s + phy.time_on_air(windows.rx2_dr, setup_phy)
+        rw1 = self.windows.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
+        rw2 = self.windows.receive_delay2_s + phy.time_on_air(self.windows.rx2_dr, setup_phy)
         return toa_up, rw1, rw2
 
     def _worst_setup_delivery_s(self, record: DeviceRecord) -> float:

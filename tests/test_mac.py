@@ -4,7 +4,6 @@ import helpers
 from lorad2d import mac, phy, regulator
 from lorad2d.d2d import ExchangeParams
 from lorad2d.mac import MacState, ReceiveWindows
-from lorad2d.netserver import DeviceRecord
 
 
 def uplink_starts(engine, eid):
