@@ -134,11 +134,6 @@ class _Listening:
         self.lock_until_us = 0
 
 
-# Transmissions older than this can no longer interfere with a frame that is
-# ending now (longest EU 868 frame is ~9 s at DR0).
-_PRUNE_HORIZON_US = 12_000_000
-
-
 class Medium:
     """Tracks in-flight transmissions and arbitrates receptions.
 
@@ -147,11 +142,15 @@ class Medium:
     listeners are kept in buckets under the key ``(freq_hz, dr, polarity)``.
     Each LoRa data rate is one (spreading factor, bandwidth) pair, so a
     bucket holds one rate and is judged against that rate's sensitivity
-    floor.  A listener names the polarity it demodulates: receive windows
-    listen for ``down``, D2D sessions for ``d2d``.  Reception is decided at
-    each frame's end by :meth:`capture`, once for every listener in the
-    frame's bucket and, for ``up`` frames, once for every gateway tuned to
-    its frequency.
+    floor.  A frame bucket holds only the frames on the air: a frame joins
+    it at its start and leaves it at its end.  A frame's rivals are the
+    co-bucket frames that were on the air at some moment during it: when a
+    frame starts, it and each frame still on the air add each other.  A
+    listener names the polarity it demodulates: receive windows listen for
+    ``down``, D2D sessions for ``d2d``.  Reception is decided at each
+    frame's end by :meth:`capture`, once for every listener in the frame's
+    bucket and, for ``up`` frames, once for every gateway tuned to its
+    frequency.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -164,7 +163,9 @@ class Medium:
         self._floor_dbm = [phy.sensitivity(d.index, sensitivity_table) for d in phy.DATA_RATES]
         self.capture_threshold_db = capture_threshold_db
         self.d2d_frame_loss_prob = d2d_frame_loss_prob
-        self._active: defaultdict[tuple, list[phy.Transmission]] = defaultdict(list)
+        # frames on the air, as (tx, rivals), keyed by the id of the rival
+        # list: begin_tx makes a fresh one per frame
+        self._on_air: defaultdict[tuple, dict[int, tuple]] = defaultdict(dict)
         self._listeners: dict[str, _Listening] = {}
         self._tuned: defaultdict[tuple, dict[str, _Listening]] = defaultdict(dict)
         self._gateways: dict[str, object] = {}
@@ -197,7 +198,7 @@ class Medium:
         lst = _Listening(entity, (freq_hz, dr, polarity), now)
         # A frame already in flight locks the receiver just like one that
         # starts later; count it so window-close logic can extend.
-        for tx in self._active[lst.key]:
+        for tx, _ in self._on_air[lst.key].values():
             if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= floor:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         prev = self._listeners.get(eid)
@@ -228,12 +229,19 @@ class Medium:
         if polarity is None:
             raise SimulationError(f"transmission kind {tx.kind!r} has no IQ polarity")
         key = (tx.freq_hz, phy.data_rate(tx.dr).index, polarity)   # PhyError outside 0..7
-        self.engine.schedule(tx.start_us, self._tx_start, (tx, owner, key),
+        self.engine.schedule(tx.start_us, self._tx_start, (tx, owner, key, []),
                              kind="tx_start", target=tx.source)
 
     def _tx_start(self, data) -> None:
-        tx, owner, key = data
-        self._active[key].append(tx)
+        tx, owner, key, rivals = data
+        on_air = self._on_air[key]
+        # A frame that ends as tx starts, but whose tx_end has not run yet,
+        # does not overlap tx: frames hold the air over [start, end).
+        for other, other_rivals in on_air.values():
+            if other.end_us > tx.start_us:
+                other_rivals.append(tx)
+                rivals.append(other)
+        on_air[id(rivals)] = (tx, rivals)
         self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
                           bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
         on_start = getattr(owner, "on_own_tx_start", None)
@@ -246,15 +254,12 @@ class Medium:
         self.engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
     def _tx_end(self, data) -> None:
-        tx, owner, key = data
+        tx, owner, key, rivals = data
         self.engine.trace("tx_end", tx.source, frame=tx.kind)
-        active = self._active[key]
-        self._deliver(tx, key, active)
+        del self._on_air[key][id(rivals)]
+        self._deliver(tx, key, rivals)
         if owner is not None:
             owner.on_own_tx_end(tx)
-        if len(active) > 8:
-            horizon_us = self.engine.now_us - _PRUNE_HORIZON_US
-            active[:] = [t for t in active if t.end_us >= horizon_us]
 
     # -- reception -------------------------------------------------------
 
@@ -281,15 +286,12 @@ class Medium:
                 return COLLISION
         return DECODED
 
-    def _deliver(self, tx: phy.Transmission, key: tuple, active: list[phy.Transmission]) -> None:
+    def _deliver(self, tx: phy.Transmission, key: tuple, rivals: list[phy.Transmission]) -> None:
         engine = self.engine
         tuned = self._tuned[key]
         to_gateways = key[2] == "up"
         if not tuned and not (to_gateways and self._gateways):
             return
-        # No frame starts or ends during delivery, so one rival list serves
-        # every receiver.
-        rivals = [t for t in active if t is not tx and t.overlaps(tx.start_us, tx.end_us)]
         # A callback below may close a listener not yet visited, hence the
         # fresh lookup.  A listener retuned or (re)opened during delivery
         # opens at now == tx.end_us, so the window check skips it: visiting

@@ -234,8 +234,6 @@ class EndDevice:
         self._rx_events.append(ev)
 
     def _close_rx(self, which: int) -> None:
-        if self.mac_state is not _RX_STATE[which]:
-            return
         lock = self.medium.lock_until_us(self.eid)
         if lock > self.engine.now_us:
             ev = self.engine.schedule(lock, self._close_rx, which,

@@ -79,15 +79,6 @@ def data_rate(index: int) -> DataRateDescriptor:
     return DATA_RATES[index]
 
 
-def raw_bit_rate(sf: int, bandwidth_hz: int) -> float:
-    """Raw LoRa chip-level bit rate SF * BW / 2**SF in bit/s."""
-    if not 7 <= sf <= 12:
-        raise PhyError(f"spreading factor {sf} outside 7..12")
-    if bandwidth_hz <= 0:
-        raise PhyError("bandwidth must be positive")
-    return sf * bandwidth_hz / (1 << sf)
-
-
 @dataclass(frozen=True)
 class FrameOptions:
     """Framing knobs for the airtime computation.
@@ -166,9 +157,6 @@ class PathLossModel:
             raise PhyError("distance must be positive")
         return self.pl0_db + 10.0 * self.exponent * math.log10(distance_m / self.d0_m)
 
-    def rssi_dbm(self, tx_power_dbm: float, distance_m: float) -> float:
-        return tx_power_dbm - self.path_loss_db(distance_m)
-
 
 def check_tx_power(power_dbm: int) -> int:
     if not TX_POWER_MIN_DBM <= power_dbm <= TX_POWER_MAX_DBM:
@@ -199,14 +187,6 @@ class Transmission:
     @property
     def end_us(self) -> int:
         return self.start_us + self.duration_us
-
-    @property
-    def start(self) -> float:
-        return self.start_us / 1e6
-
-    @property
-    def duration(self) -> float:
-        return self.duration_us / 1e6
 
     def overlaps(self, t0_us: int, t1_us: int) -> bool:
         """True when [start, end) intersects [t0, t1)."""

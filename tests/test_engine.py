@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -299,29 +300,106 @@ def test_data_rate_outside_the_table_is_an_error():
         medium.begin_tx(frame("s", 1000, 5000, dr=9), owner=None)
 
 
-def test_buckets_stay_bounded_after_pruning():
+def test_buckets_hold_only_frames_on_the_air():
     engine, medium, rx = _rig("s")
     keys = [(F, 0), (F2, 0), (F, 3)]
-    sizes = []
+    held = []
 
     class Sender(_Recorder):
         def on_own_tx_end(self, tx):
-            sizes.append(len(medium._active[(tx.freq_hz, tx.dr, "up")]))
+            bucket = medium._on_air[(tx.freq_hz, tx.dr, "up")]
+            assert all(t is not tx for t, _ in bucket.values())
+            held.append(len(bucket))
 
+    # 2 s frames every 1.5 s in each bucket: as one ends, the next is on the air
     for k in range(60):
         freq, dr = keys[k % 3]
-        medium.begin_tx(frame("s", 1000 + 5_000_000 * k, 1_000_000, freq=freq, dr=dr),
+        medium.begin_tx(frame("s", 1000 + 500_000 * k, 2_000_000, freq=freq, dr=dr),
                         owner=Sender("s"))
     engine.run()
-    # each bucket is pruned to the 12 s horizon once it holds more than 8
-    assert len(sizes) == 60 and max(sizes) == 9
-    assert all(len(bucket) <= 9 for bucket in medium._active.values())
+    assert held == [1] * 57 + [0] * 3
+    assert not any(medium._on_air.values())
     for k in range(100):
         freq, dr = keys[k % 3]
         medium.listen(rx, freq, dr, "up")
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 1
     medium.unlisten(rx)
     assert sum(len(bucket) for bucket in medium._tuned.values()) == 0
+
+
+class _RivalLog(Medium):
+    """Records the rivals handed to every capture, by frame."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rivals = []
+
+    def capture(self, tx, rivals, dst_eid, window0_us):
+        self.rivals.append((tx, list(rivals)))
+        return super().capture(tx, rivals, dst_eid, window0_us)
+
+
+def _bucket(tx):
+    return tx.freq_hz, tx.dr, POLARITY[tx.kind]
+
+
+def _frame_set(seed):
+    """(frame, begun_late) pairs: fixed same-start and touching frames in one
+    bucket, then seeded random frames on a 1 ms grid across several buckets.
+    A frame begun late is begun by an event at its own start, so its tx_start
+    runs after every tx_end already due then; one begun up front runs first."""
+    rng = random.Random(seed)
+    fixed = [(1000, 5000, False), (1000, 3000, False),       # same start
+             (10_000, 5000, False), (15_000, 5000, False),   # start before end
+             (20_000, 5000, True)]                           # end before start
+    out = [(frame(f"x{i}", start, dur), late) for i, (start, dur, late) in enumerate(fixed)]
+    for i in range(40):
+        if rng.random() < 0.6:
+            freq, dr, kind = F, 0, "uplink"
+        else:
+            freq, dr, kind = rng.choice((F, F2)), rng.choice((0, 3)), \
+                rng.choice(("uplink", "downlink", "d2d_data"))
+        out.append((frame(f"f{i}", 1000 * rng.randrange(1, 40), 1000 * rng.randrange(1, 8),
+                          freq=freq, dr=dr, kind=kind), rng.random() < 0.5))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rivals_are_exactly_the_overlapping_co_bucket_frames(seed):
+    engine = Engine()
+    medium = _RivalLog(engine, LOSS)
+    frames = _frame_set(seed)
+    gw = _Recorder("gw")
+    gw.channels_hz = [F, F2]
+    medium.register_position("gw", (0.0, 0.0))
+    medium.listen_gateway(gw)
+    for n, key in enumerate(sorted({_bucket(tx) for tx, _ in frames})):
+        rx = _Recorder(f"r{n}")
+        medium.register_position(rx.eid, (0.0, 0.0))
+        medium.listen(rx, *key)
+    for k, (tx, late) in enumerate(frames):
+        medium.register_position(tx.source, (100.0 * (k + 1), 0.0))
+        if late:
+            engine.schedule(tx.start_us, lambda _, tx=tx: medium.begin_tx(tx, owner=None))
+        else:
+            medium.begin_tx(tx, owner=None)
+    engine.run()
+
+    by_source = {tx.source: tx for tx, _ in frames}
+    assert {tx.source for tx, _ in medium.rivals} == set(by_source)
+    for tx, rivals in medium.rivals:
+        expected = [t for t in by_source.values() if t is not tx
+                    and _bucket(t) == _bucket(tx) and t.overlaps(tx.start_us, tx.end_us)]
+        assert sorted(map(id, rivals)) == sorted(map(id, expected)), tx.source
+    # both event orders of touching co-bucket frames occurred
+    orders = set()
+    records = [r for r in engine.trace_records if r["kind"] in ("tx_start", "tx_end")]
+    for a, b in zip(records, records[1:]):
+        ta, tb = by_source[a["entity"]], by_source[b["entity"]]
+        if a["t_us"] == b["t_us"] and _bucket(ta) == _bucket(tb) and a["kind"] != b["kind"]:
+            orders.add(a["kind"])
+    assert orders == {"tx_start", "tx_end"}
 
 
 def test_delivery_callbacks_retuning_other_listeners():
