@@ -160,14 +160,14 @@ class EnergyLedger:
 
 
 def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
-                *, p_sleep_w: float = 3e-6, name: str = "fitted",
-                supply_v: float = 3.0) -> tuple[PowerProfile, dict[str, dict]]:
+                *, name: str = "fitted") -> tuple[PowerProfile, dict[str, dict]]:
     """Fit (p_tx14, p_rx, command overhead) to measured per-role energies.
 
     Each role contributes one equation: the ledger's state durations priced
-    with the unknown parameters must equal the target.  Sleep power is pinned
-    (it is far below the resolution of whole-transfer energy totals).  The
-    system is solved in a least-squares sense with rows weighted by 1/target
+    with the unknown parameters must equal the target.  Sleep power and
+    supply voltage keep their :class:`PowerProfile` defaults (sleep power is
+    far below the resolution of whole-transfer energy totals).  The system
+    is solved in a least-squares sense with rows weighted by 1/target
     so relative errors are balanced.  Raises CalibrationError when the fit is
     degenerate or needs a negative power.
     """
@@ -185,7 +185,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
         u = usages[role]
         tx_col = sum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
         rows.append([tx_col, u.rx_s, float(u.commands)])
-        rhs.append(targets_j[role] - p_sleep_w * u.sleep_s)
+        rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
         weights.append(1.0 / targets_j[role])
     a = np.asarray(rows) * np.asarray(weights)[:, None]
     b = np.asarray(rhs) * np.asarray(weights)
@@ -200,8 +200,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
             f"fit produced negative parameters (p_tx14={p_tx14:.4g} W, "
             f"p_rx={p_rx:.4g} W, command={c_cmd:.4g} J); the energy model "
             "cannot reproduce these targets")
-    profile = PowerProfile(name=name, supply_v=supply_v, p_tx14_w=max(p_tx14, 0.0),
-                           p_rx_w=max(p_rx, 0.0), p_sleep_w=p_sleep_w,
+    profile = PowerProfile(name=name, p_tx14_w=max(p_tx14, 0.0), p_rx_w=max(p_rx, 0.0),
                            command_overhead_j=max(c_cmd, 0.0))
     residuals = {}
     for role in roles:

@@ -90,8 +90,8 @@ class Engine:
         if until_us is not None and until_us > self.now_us:
             self.now_us = until_us
 
-    def count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
+    def count(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     def trace(self, kind: str, entity: str, **fields) -> None:
         if not self.trace_enabled:
@@ -147,10 +147,10 @@ class Medium:
     co-bucket frames that were on the air at some moment during it: when a
     frame starts, it and each frame still on the air add each other.  A
     listener names the polarity it demodulates: receive windows listen for
-    ``down``, D2D sessions for ``d2d``.  Reception is decided at each
-    frame's end by :meth:`capture`, once for every listener in the frame's
-    bucket and, for ``up`` frames, once for every gateway tuned to its
-    frequency.
+    ``down``, D2D sessions for ``d2d``.  A gateway is a listener too, filed
+    in the ``up`` bucket of every data rate on each of its channels from
+    time 0.  Reception is decided at each frame's end by :meth:`capture`,
+    once for every listener in the frame's bucket.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -168,7 +168,6 @@ class Medium:
         self._on_air: defaultdict[tuple, dict[int, tuple]] = defaultdict(dict)
         self._listeners: dict[str, _Listening] = {}
         self._tuned: defaultdict[tuple, dict[str, _Listening]] = defaultdict(dict)
-        self._gateways: dict[str, object] = {}
         self._positions: dict[str, tuple[float, float]] = {}
         # path loss to a receiver, by source; one dict per receiver rather
         # than (source, receiver) tuple keys, which would cost a tuple each
@@ -217,8 +216,11 @@ class Medium:
         return lst.lock_until_us if lst is not None else 0
 
     def listen_gateway(self, gateway) -> None:
-        """Hear uplinks on every frequency in ``gateway.channels_hz``."""
-        self._gateways[gateway.eid] = gateway
+        """Hear uplinks at every data rate on each of ``gateway.channels_hz``."""
+        for freq_hz in gateway.channels_hz:
+            for dr in range(len(phy.DATA_RATES)):
+                key = (freq_hz, dr, "up")
+                self._tuned[key][gateway.eid] = _Listening(gateway, key, 0)
 
     # -- transmission ----------------------------------------------------
 
@@ -289,15 +291,14 @@ class Medium:
     def _deliver(self, tx: phy.Transmission, key: tuple, rivals: list[phy.Transmission]) -> None:
         engine = self.engine
         tuned = self._tuned[key]
-        to_gateways = key[2] == "up"
-        if not tuned and not (to_gateways and self._gateways):
-            return
         # A callback below may close a listener not yet visited, hence the
-        # fresh lookup.  A listener retuned or (re)opened during delivery
-        # opens at now == tx.end_us, so the window check skips it: visiting
-        # the bucket as it stood when tx ended loses no receiver.
+        # fresh lookup in the bucket: a gateway sits in many buckets, so
+        # _listeners cannot hold it.  A listener retuned or (re)opened during
+        # delivery is either gone from the bucket or opens at now ==
+        # tx.end_us, so the window check skips it: visiting the bucket as it
+        # stood when tx ended loses no receiver.
         for eid in sorted(tuned):
-            lst = self._listeners.get(eid)
+            lst = tuned.get(eid)
             if lst is None or eid == tx.source:
                 continue
             if not tx.overlaps(lst.opened_us, engine.now_us + 1):
@@ -310,11 +311,6 @@ class Medium:
                     engine.trace("drop", eid, reason="d2d_loss", source=tx.source)
                     continue
             self._report(tx, lst.entity, outcome)
-        if to_gateways:
-            for eid in sorted(self._gateways):
-                gw = self._gateways[eid]
-                if tx.freq_hz in gw.channels_hz:
-                    self._report(tx, gw, self.capture(tx, rivals, eid, 0))
 
     def _report(self, tx: phy.Transmission, receiver, outcome: str) -> None:
         """Trace ``outcome`` at ``receiver``; hand it tx if decoded, else count it."""

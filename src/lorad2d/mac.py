@@ -133,12 +133,10 @@ class EndDevice:
         self.ledger = EnergyLedger()
         self.rng = engine.rng.stream(f"dev:{eid}")
         self.counters: dict[str, int] = {
-            "uplinks_sent": 0, "downlinks_rw1": 0, "downlinks_rw2": 0,
-            "ignored_frames": 0, "malformed_setups": 0, "join_attempts": 0,
-            "duty_deferrals": 0,
+            "downlinks_rw1": 0, "downlinks_rw2": 0, "ignored_frames": 0,
+            "malformed_setups": 0, "join_attempts": 0, "duty_deferrals": 0,
         }
         self.app_deliveries: list[tuple[int, int]] = []   # (t_us, bytes)
-        self.first_uplink_start_us: int | None = None
 
         self._next_nominal_us = self.phase_us
         self._rx_events: list = []
@@ -170,7 +168,7 @@ class EndDevice:
         self.engine.schedule(t, fn, kind=kind, target=self.eid)
 
     def _schedule_next_uplink(self) -> None:
-        if self.max_uplinks is not None and self.counters["uplinks_sent"] >= self.max_uplinks:
+        if self.max_uplinks is not None and self.fcnt_up >= self.max_uplinks:
             return
         self._schedule_on_grid(self._begin_uplink, "uplink_timer")
 
@@ -186,9 +184,6 @@ class EndDevice:
         frame = LoRaWANUplink(self.dev_addr, self.fcnt_up, UPLINK_PORT, self.app_payload_bytes)
         self._transmit_lorawan(start, channel, self.uplink_dr, phy_bytes, "uplink", frame, toa)
         self.fcnt_up += 1
-        self.counters["uplinks_sent"] += 1
-        if self.first_uplink_start_us is None:
-            self.first_uplink_start_us = start
 
     def _transmit_lorawan(self, start_us: int, freq_hz: int, dr: int, phy_bytes: int,
                           kind: str, frame, toa_us: int) -> None:
@@ -417,6 +412,7 @@ class EndDevice:
             "dev_addr": self.dev_addr,
             "mac_state": self.mac_state.value,
             "fcnt_up": self.fcnt_up,
+            "uplinks_sent": self.fcnt_up,
             **self.counters,
             "app_bytes_received": sum(b for _, b in self.app_deliveries),
             "duty": self.duty.audit(self.engine.now_us),

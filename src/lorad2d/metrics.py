@@ -78,10 +78,8 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
     for tr in ns.transfers:
         source = addr_to_eid.get(tr.source_addr)
         dest = addr_to_eid.get(tr.dest_addr)
-        src_dev = devices.get(source)
         dst_dev = devices.get(dest)
-        first_tx_s = (None if src_dev is None or src_dev.first_uplink_start_us is None
-                      else src_dev.first_uplink_start_us / 1e6)
+        first_tx_s = None if tr.first_uplink_us is None else tr.first_uplink_us / 1e6
         deliveries = dst_dev.app_deliveries if dst_dev is not None else []
         bytes_delivered = sum(b for _, b in deliveries)
         last_delivery_s = deliveries[-1][0] / 1e6 if deliveries else None

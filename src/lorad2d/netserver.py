@@ -67,6 +67,7 @@ class TransferState:
     port: int = 1
     bytes_relayed: int = 0
     chunks_relayed: int = 0
+    first_uplink_us: int | None = None   # start of the first relayed uplink
 
 
 class Gateway:
@@ -176,15 +177,18 @@ class NetworkServer:
             return
         self.counters["uplinks"] += 1
         self.uplinks_by_addr[frame.dev_addr] = self.uplinks_by_addr.get(frame.dev_addr, 0) + 1
-        self._relay(frame)
+        self._relay(tx)
         self._try_place_downlink(frame.dev_addr, tx, gw)
 
-    def _relay(self, frame: LoRaWANUplink) -> None:
+    def _relay(self, tx: phy.Transmission) -> None:
+        frame = tx.frame
         if frame.app_bytes <= 0:
             return
         for tr in self.transfers:
             if tr.source_addr != frame.dev_addr or tr.bytes_relayed >= tr.total_bytes:
                 continue
+            if tr.first_uplink_us is None:
+                tr.first_uplink_us = tx.start_us
             n = min(frame.app_bytes, tr.total_bytes - tr.bytes_relayed)
             tr.bytes_relayed += n
             tr.chunks_relayed += 1

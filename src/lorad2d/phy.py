@@ -1,8 +1,10 @@
 """LoRa/GFSK physical layer: data rate table, airtime, sensitivity, link budget.
 
-Airtime follows the usual SX127x symbol-count recipe (explicit header, CRC on,
-coding rate 4/5 unless overridden).  All data rates are the EU 868 set, indexed
-0..7; DR7 is the FSK rate and gets the simple bit-per-second treatment.
+Airtime follows the usual SX127x symbol-count recipe with one framing for
+every frame: 8 preamble symbols, explicit header, CRC on, coding rate 4/5 and
+low-data-rate optimization on for SF11/SF12 at 125 kHz.  All data rates are
+the EU 868 set, indexed 0..7; DR7 is the FSK rate and gets the simple
+bit-per-second treatment.
 """
 
 from __future__ import annotations
@@ -79,55 +81,26 @@ def data_rate(index: int) -> DataRateDescriptor:
     return DATA_RATES[index]
 
 
-@dataclass(frozen=True)
-class FrameOptions:
-    """Framing knobs for the airtime computation.
-
-    coding_rate is the CR field (1..4 meaning 4/5..4/8).  low_dr_optimize None
-    means auto: on for SF11/SF12 at 125 kHz.
-    """
-
-    preamble_symbols: int = 8
-    explicit_header: bool = True
-    crc: bool = True
-    coding_rate: int = 1
-    low_dr_optimize: bool | None = None
-
-
-DEFAULT_FRAME_OPTIONS = FrameOptions()
-
-
-def _lora_payload_symbols(sf: int, payload_bytes: int, de: int, opts: FrameOptions) -> int:
-    crc = 1 if opts.crc else 0
-    ih = 0 if opts.explicit_header else 1
-    numer = 8 * payload_bytes - 4 * sf + 28 + 16 * crc - 20 * ih
-    block = max(0, math.ceil(numer / (4 * (sf - 2 * de))))
-    return 8 + block * (opts.coding_rate + 4)
-
-
-def time_on_air(dr: int, phy_payload_bytes: int, opts: FrameOptions = DEFAULT_FRAME_OPTIONS) -> float:
+def time_on_air(dr: int, phy_payload_bytes: int) -> float:
     """Airtime in seconds of a frame with the given PHY payload length."""
     if not 0 <= phy_payload_bytes <= MAX_PHY_PAYLOAD_BYTES:
         raise PhyError(f"payload {phy_payload_bytes} outside 0..{MAX_PHY_PAYLOAD_BYTES}")
-    if not 1 <= opts.coding_rate <= 4:
-        raise PhyError(f"coding rate {opts.coding_rate} outside 1..4")
     desc = data_rate(dr)
     if not desc.is_lora:
         return (8 * phy_payload_bytes + GFSK_PREAMBLE_SYNC_BITS) / GFSK_BIT_RATE_BPS
     sf, bw = desc.sf, desc.bandwidth_hz
-    if opts.low_dr_optimize is None:
-        de = 1 if (sf >= 11 and bw <= 125_000) else 0
-    else:
-        de = 1 if opts.low_dr_optimize else 0
+    de = 1 if (sf >= 11 and bw <= 125_000) else 0
     t_sym = (1 << sf) / bw
-    n_preamble = opts.preamble_symbols + 4.25
-    n_payload = _lora_payload_symbols(sf, phy_payload_bytes, de, opts)
-    return (n_preamble + n_payload) * t_sym
+    # +16 for the CRC; an explicit header subtracts nothing
+    numer = 8 * phy_payload_bytes - 4 * sf + 28 + 16
+    block = max(0, math.ceil(numer / (4 * (sf - 2 * de))))
+    n_payload = 8 + block * 5          # coding rate 4/5
+    return (8 + 4.25 + n_payload) * t_sym   # 8 preamble symbols, 4.25 of sync
 
 
-def time_on_air_us(dr: int, phy_payload_bytes: int, opts: FrameOptions = DEFAULT_FRAME_OPTIONS) -> int:
+def time_on_air_us(dr: int, phy_payload_bytes: int) -> int:
     """Airtime rounded to integer microseconds (the engine's clock unit)."""
-    return round(time_on_air(dr, phy_payload_bytes, opts) * 1e6)
+    return round(time_on_air(dr, phy_payload_bytes) * 1e6)
 
 
 def symbol_time(dr: int) -> float:

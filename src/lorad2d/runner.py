@@ -56,20 +56,18 @@ class RunResult:
         return self.engine.trace_jsonl()
 
 
-def run(scn: Scenario, *, seed: int | None = None, trace: bool = False,
-        profile: PowerProfile | None = None) -> RunResult:
+def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunResult:
     """Execute a scenario to its end time and summarize it.
 
-    The seed defaults to the scenario's own; `profile` prices the energy
-    ledgers in the output document (scenario-embedded profile, then the
-    generic default): each device over the whole run, and each finished D2D
-    session over its own window.
+    The seed defaults to the scenario's own.  The scenario-embedded profile,
+    else the generic default, prices the energy ledgers in the output
+    document: each device over the whole run, and each finished D2D session
+    over its own window.
     """
     scn.validate()
     if seed is None:
         seed = scn.seed
-    if profile is None:
-        profile = scn.profile if scn.profile is not None else DEFAULT_PROFILE
+    profile = scn.profile if scn.profile is not None else DEFAULT_PROFILE
 
     engine = Engine(seed=seed, trace=trace)
     medium = Medium(
@@ -219,17 +217,15 @@ def _benchmark_times(runs: dict[str, RunResult]) -> dict[str, float | None]:
     return {"conventional": conv_time, "d2d": d2d_time}
 
 
-def table2(seed: int = 0, profile: PowerProfile | None = None) -> dict:
+def table2(seed: int = 0) -> dict:
     """Run both benchmark scenarios and compare against the published table.
 
-    With no profile given, one is calibrated from the same runs first.  The
-    returned document carries, for each cell, the simulated value, the
-    reference and the relative error, plus the headline ratios.
+    A profile is calibrated from the same runs first.  The returned document
+    carries, for each cell, the simulated value, the reference and the
+    relative error, plus the headline ratios and the calibration residuals.
     """
     runs = benchmark_runs(seed)
-    residuals = None
-    if profile is None:
-        profile, residuals = calibrate(runs=runs)
+    profile, residuals = calibrate(runs=runs)
     usages = benchmark_usages(runs)
     times = _benchmark_times(runs)
 
@@ -249,9 +245,8 @@ def table2(seed: int = 0, profile: PowerProfile | None = None) -> dict:
                    for k in ("conventional", "d2d")},
         "energy_j": energy,
         "ratios": {},
+        "calibration_residuals": residuals,
     }
-    if residuals is not None:
-        doc["calibration_residuals"] = residuals
     if times["conventional"] is not None and times["d2d"] is not None:
         doc["ratios"]["time_conventional_over_d2d"] = cell(
             times["conventional"] / times["d2d"],

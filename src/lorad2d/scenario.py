@@ -197,6 +197,12 @@ class Scenario:
                 raise ScenarioError(f"{path}.total_bytes", "must be positive")
             if tr.at_s < 0:
                 raise ScenarioError(f"{path}.at_s", "must be non-negative")
+            # LoRaWAN FPort 1..223 carries application data
+            if not 1 <= tr.port <= 223:
+                raise ScenarioError(f"{path}.port", f"{tr.port} outside 1..223")
+            if tr.port == d2d.SETUP_PORT:
+                raise ScenarioError(f"{path}.port",
+                                    f"{tr.port} is the D2D setup command port")
 
         for i, dd in enumerate(self.d2d_directives):
             path = f"d2d_directives[{i}]"

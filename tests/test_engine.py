@@ -469,6 +469,25 @@ def test_gateway_hears_only_up_frames():
     assert engine.counters == {}
 
 
+def test_gateway_hears_every_data_rate_on_its_channels_only():
+    # one uplink per (channel, DR), one after another; the gateway lacks F3
+    F3 = 868_500_000
+    engine = Engine()
+    medium = Medium(engine, LOSS)
+    gw = _Recorder("gw")
+    gw.channels_hz = [F, F2]
+    medium.register_position("gw", (0.0, 0.0))
+    medium.listen_gateway(gw)
+    sent = [(freq, dr) for freq in (F, F2, F3) for dr in range(8)]
+    for k, (freq, dr) in enumerate(sent):
+        eid = f"{freq}/DR{dr}"
+        medium.register_position(eid, (100.0, 0.0))
+        medium.begin_tx(frame(eid, 1000 + 10_000 * k, 5000, dr=dr, freq=freq), owner=None)
+    engine.run()
+    assert gw.heard == [f"{freq}/DR{dr}" for freq, dr in sent if freq != F3]
+    assert helpers.trace_kinds(engine, "gw") == ["decode"] * 16
+
+
 def test_kind_without_polarity_is_an_error():
     engine, medium, _ = _rig("s")
     with pytest.raises(SimulationError, match="'join'"):

@@ -56,7 +56,7 @@ GOLDEN = [
     # transfer through one gateway; end devices hear only its downlinks
     ("join-cell", 0,
      "8fb518febfa375d3c5eae4ce1844d4a54ddf8b634f4fa4ba21e5a968892d4081",
-     "b2e1e829dc74f19317a37be4511c6db17f528aed12491b582b8b72533a18f7cc"),
+     "73a5936c0bd09fcf3c9206937c6315e7539a009c5c1668a70ad7b7be5cff6601"),
     # table2_d2d plus a swapped-role directive of 3 packets, over 60 s: the
     # first session acks 10 packets on both halves, the second 3
     ("two-directives", 0,

@@ -246,7 +246,7 @@ def test_uplink_cap_stops_the_device():
                               dr=5, max_uplinks=47)
     dev.start()
     engine.run(until_us=1_000_000_000)
-    assert dev.counters["uplinks_sent"] == 47
+    assert dev.fcnt_up == 47
     assert len(uplink_starts(engine, "dev")) == 47
 
 

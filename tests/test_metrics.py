@@ -1,6 +1,7 @@
 """Result document shape, persistence, and content checks."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -91,6 +92,21 @@ def test_transfer_record_content(conventional_result):
     assert tr["last_delivery_s"] > tr["first_tx_s"]
     assert tr["total_transfer_time_s"] == pytest.approx(
         tr["last_delivery_s"] - tr["first_tx_s"])
+
+
+def test_transfer_time_starts_at_the_first_relayed_uplink():
+    # The transfer fires at 12.5 s, after the transmitter's first three
+    # uplinks have reached the server, so the fourth carries the first chunk.
+    scn = load_bundled(runner.CONVENTIONAL_SCENARIO)
+    scn = dataclasses.replace(
+        scn, transfers=[dataclasses.replace(scn.transfers[0], at_s=12.5)])
+    res = runner.run(scn, trace=True)
+    starts = [r["t_us"] for r in res.engine.trace_records
+              if r["kind"] == "tx_start" and r["entity"] == "transmitter"]
+    assert starts[2] < 12_500_000 < starts[3]
+    tr = res.document["transfers"][0]
+    assert tr["first_tx_s"] == starts[3] / 1e6
+    assert tr["total_transfer_time_s"] == tr["last_delivery_s"] - tr["first_tx_s"]
 
 
 def test_d2d_session_record_content(d2d_result):

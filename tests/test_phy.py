@@ -86,27 +86,11 @@ def test_gfsk_airtime_formula(payload):
     assert phy.time_on_air(7, payload) == (8 * payload + 40) / 50_000
 
 
-def test_longer_preamble_adds_whole_symbols():
-    base = phy.time_on_air(5, 20)
-    longer = phy.time_on_air(5, 20, phy.FrameOptions(preamble_symbols=12))
-    assert longer - base == pytest.approx(4 * phy.symbol_time(5))
-
-
-def test_low_rate_optimize_override():
-    auto = phy.time_on_air(0, 64)
-    forced_off = phy.time_on_air(0, 64, phy.FrameOptions(low_dr_optimize=False))
-    forced_on = phy.time_on_air(0, 64, phy.FrameOptions(low_dr_optimize=True))
-    assert forced_on == auto          # SF12 at 125 kHz enables it by default
-    assert forced_off < auto          # denser symbols without the guard
-
-
 def test_time_on_air_validation():
     with pytest.raises(phy.PhyError):
         phy.time_on_air(0, 256)
     with pytest.raises(phy.PhyError):
         phy.time_on_air(0, -1)
-    with pytest.raises(phy.PhyError):
-        phy.time_on_air(0, 10, phy.FrameOptions(coding_rate=5))
     with pytest.raises(phy.PhyError):
         phy.time_on_air(8, 10)
     with pytest.raises(phy.PhyError):

@@ -292,6 +292,10 @@ def test_full_doc_is_valid():
     # a class A receive window is undefined at the GFSK rate
     (("rx2_dr",), 7, "rx2_dr"),
     (("devices", 0, "dr"), 7, "devices[0].dr"),
+    # application data travels on FPort 1..223, and 221 is the setup port
+    (("transfers", 0, "port"), 0, "transfers[0].port"),
+    (("transfers", 0, "port"), 221, "transfers[0].port"),
+    (("transfers", 0, "port"), 224, "transfers[0].port"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
