@@ -10,9 +10,9 @@ with a hash, so adding an entity never perturbs the draws of another.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from collections import defaultdict
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -24,15 +24,12 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    __slots__ = ("t_us", "seq", "fn", "data", "kind", "target", "cancelled")
+    __slots__ = ("t_us", "fn", "data", "cancelled")
 
-    def __init__(self, t_us: int, seq: int, fn, data, kind: str, target: str):
+    def __init__(self, t_us: int, fn, data):
         self.t_us = t_us
-        self.seq = seq
         self.fn = fn
         self.data = data
-        self.kind = kind
-        self.target = target
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -68,20 +65,26 @@ class Engine:
         self.events_executed = 0
 
     def schedule(self, t_us: int, fn, data=None, kind: str = "", target: str = "") -> Event:
+        """Call ``fn(data)`` at ``t_us``.
+
+        ``kind`` and ``target`` label the event for observers that wrap this
+        method, such as the benchmark probes; they are not stored.
+        """
         if t_us < self.now_us:
             raise SimulationError(f"cannot schedule {kind or fn} at {t_us} before now {self.now_us}")
-        self._seq += 1
-        ev = Event(t_us, self._seq, fn, data, kind, target)
-        heapq.heappush(self._heap, (t_us, ev.seq, ev))
+        self._seq = seq = self._seq + 1
+        ev = Event(t_us, fn, data)
+        heappush(self._heap, (t_us, seq, ev))
         return ev
 
     def run(self, until_us: int | None = None) -> None:
         heap = self._heap
+        horizon = float("inf") if until_us is None else until_us
         while heap:
-            t_us, _, ev = heap[0]
-            if until_us is not None and t_us > until_us:
+            t_us = heap[0][0]
+            if t_us > horizon:
                 break
-            heapq.heappop(heap)
+            ev = heappop(heap)[2]
             if ev.cancelled:
                 continue
             self.now_us = t_us
@@ -244,20 +247,25 @@ class Medium:
                 other_rivals.append(tx)
                 rivals.append(other)
         on_air[id(rivals)] = (tx, rivals)
-        self.engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
-                          bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
+        engine = self.engine
+        if engine.trace_enabled:
+            engine.trace("tx_start", tx.source, freq_hz=tx.freq_hz, dr=tx.dr,
+                         bytes=tx.phy_payload_bytes, frame=tx.kind, dur_us=tx.duration_us)
         on_start = getattr(owner, "on_own_tx_start", None)
         if on_start is not None:
             on_start(tx)
         floor = self._floor_dbm[tx.dr]
+        listeners = self._listeners
         for eid, lst in self._tuned[key].items():
-            if eid != tx.source and self._rssi(tx, eid) >= floor:
+            # only end devices' locks are read, and a gateway is not in _listeners
+            if eid != tx.source and eid in listeners and self._rssi(tx, eid) >= floor:
                 lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
-        self.engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
+        engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
     def _tx_end(self, data) -> None:
         tx, owner, key, rivals = data
-        self.engine.trace("tx_end", tx.source, frame=tx.kind)
+        if self.engine.trace_enabled:
+            self.engine.trace("tx_end", tx.source, frame=tx.kind)
         del self._on_air[key][id(rivals)]
         self._deliver(tx, key, rivals)
         if owner is not None:

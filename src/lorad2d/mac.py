@@ -49,6 +49,7 @@ class LoRaWANDownlink:
     app_bytes: int
     payload: bytes | None = None
     plan: d2d.SessionPlan | None = None   # out of band, beside a setup payload
+    transfer: int | None = None   # out of band: index of the relayed transfer
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ class EndDevice:
             "malformed_setups": 0, "join_attempts": 0, "duty_deferrals": 0,
         }
         self.app_deliveries: list[tuple[int, int]] = []   # (t_us, bytes)
+        # the same, by index of the relayed transfer that carried them
+        self.transfer_deliveries: dict[int, list[tuple[int, int]]] = {}
 
         self._next_nominal_us = self.phase_us
         self._rx_events: list = []
@@ -163,7 +166,9 @@ class EndDevice:
         self._next_nominal_us = nominal + self.period_us
         jitter_us = 0
         if self.jitter_frac:
-            jitter_us = round(self.rng.uniform(-self.jitter_frac, self.jitter_frac) * self.period_us)
+            # what Generator.uniform(-j, j) computes, without its argument handling
+            j = self.jitter_frac
+            jitter_us = round((-j + 2 * j * self.rng.random()) * self.period_us)
         t = max(nominal + jitter_us, self.engine.now_us)
         self.engine.schedule(t, fn, kind=kind, target=self.eid)
 
@@ -180,7 +185,8 @@ class EndDevice:
         start = self.duty.next_allowed_us(channel, now)
         if start > now:
             self.counters["duty_deferrals"] += 1
-            self.engine.trace("duty_defer", self.eid, until_us=start, freq_hz=channel)
+            if self.engine.trace_enabled:
+                self.engine.trace("duty_defer", self.eid, until_us=start, freq_hz=channel)
         frame = LoRaWANUplink(self.dev_addr, self.fcnt_up, UPLINK_PORT, self.app_payload_bytes)
         self._transmit_lorawan(start, channel, self.uplink_dr, phy_bytes, "uplink", frame, toa)
         self.fcnt_up += 1
@@ -222,7 +228,8 @@ class EndDevice:
         self.mac_state = _RX_STATE[which]
         self.ledger.set_state(self.engine.now_us, "rx")
         self.medium.listen(self, freq, dr, "down")
-        self.engine.trace("rx_open", self.eid, window=which, freq_hz=freq, dr=dr)
+        if self.engine.trace_enabled:
+            self.engine.trace("rx_open", self.eid, window=which, freq_hz=freq, dr=dr)
         close_at = self.engine.now_us + self.windows.length_us[dr]
         ev = self.engine.schedule(close_at, self._close_rx, which,
                                   kind=_RX_CLOSE_KIND[which], target=self.eid)
@@ -237,7 +244,8 @@ class EndDevice:
             return
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
-        self.engine.trace("rx_close", self.eid, window=which)
+        if self.engine.trace_enabled:
+            self.engine.trace("rx_close", self.eid, window=which)
         # _rx_events[1] is this cycle's RX2 open; once its time has come, a
         # reception held the first window past it and it was skipped
         if which == 1 and self.engine.now_us < self._rx_events[1].t_us:
@@ -291,7 +299,10 @@ class EndDevice:
         if frame.port == d2d.SETUP_PORT:
             self._handle_setup(frame)
         else:
-            self.app_deliveries.append((self.engine.now_us, frame.app_bytes))
+            delivery = (self.engine.now_us, frame.app_bytes)
+            self.app_deliveries.append(delivery)
+            if frame.transfer is not None:
+                self.transfer_deliveries.setdefault(frame.transfer, []).append(delivery)
             self.engine.trace("app_delivery", self.eid, bytes=frame.app_bytes)
             self._cycle_complete()
 

@@ -75,12 +75,13 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
                    if dev.dev_addr is not None}
 
     transfers = []
-    for tr in ns.transfers:
+    for index, tr in enumerate(ns.transfers):
         source = addr_to_eid.get(tr.source_addr)
         dest = addr_to_eid.get(tr.dest_addr)
         dst_dev = devices.get(dest)
         first_tx_s = None if tr.first_uplink_us is None else tr.first_uplink_us / 1e6
-        deliveries = dst_dev.app_deliveries if dst_dev is not None else []
+        deliveries = ([] if dst_dev is None
+                      else dst_dev.transfer_deliveries.get(index, []))
         bytes_delivered = sum(b for _, b in deliveries)
         last_delivery_s = deliveries[-1][0] / 1e6 if deliveries else None
         total = None

@@ -44,6 +44,7 @@ class _QueuedDownlink:
     app_bytes: int
     payload: bytes | None = None
     plan: d2d.SessionPlan | None = None
+    transfer: int | None = None
 
 
 @dataclass
@@ -184,7 +185,7 @@ class NetworkServer:
         frame = tx.frame
         if frame.app_bytes <= 0:
             return
-        for tr in self.transfers:
+        for index, tr in enumerate(self.transfers):
             if tr.source_addr != frame.dev_addr or tr.bytes_relayed >= tr.total_bytes:
                 continue
             if tr.first_uplink_us is None:
@@ -192,16 +193,19 @@ class NetworkServer:
             n = min(frame.app_bytes, tr.total_bytes - tr.bytes_relayed)
             tr.bytes_relayed += n
             tr.chunks_relayed += 1
-            self.enqueue_downlink(tr.dest_addr, tr.port, n)
+            self.enqueue_downlink(tr.dest_addr, tr.port, n, transfer=index)
 
     # -- downlink path -----------------------------------------------------------
 
-    def enqueue_downlink(self, dev_addr: int, port: int, app_bytes: int) -> None:
+    def enqueue_downlink(self, dev_addr: int, port: int, app_bytes: int,
+                         transfer: int | None = None) -> None:
+        """Queue a downlink; ``transfer`` is the index in ``transfers`` of the
+        relayed transfer it carries a chunk of, if any."""
         if dev_addr not in self.devices:
             raise DownlinkError(f"0x{dev_addr:08x} is not a joined device")
         record = self.devices[dev_addr]
         self._check_fits(record, app_bytes, DownlinkError)
-        record.queue.append(_QueuedDownlink(port, app_bytes))
+        record.queue.append(_QueuedDownlink(port, app_bytes, transfer=transfer))
 
     @staticmethod
     def _fits(dr: int, phy_bytes: int) -> bool:
@@ -241,7 +245,7 @@ class NetworkServer:
         window, start, freq, dr = slot
         record.queue.pop(0)
         frame = LoRaWANDownlink(dev_addr, record.fcnt_down, item.port, item.app_bytes,
-                                item.payload, item.plan)
+                                item.payload, item.plan, item.transfer)
         record.fcnt_down += 1
         gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
                     start_us=start, kind="downlink")

@@ -10,7 +10,7 @@ bit-per-second treatment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # PHY payload = application payload + MHDR/addressing/MIC overhead.
 FRAME_OVERHEAD_BYTES = 13
@@ -137,29 +137,31 @@ def check_tx_power(power_dbm: int) -> int:
     return power_dbm
 
 
-@dataclass(frozen=True)
 class Transmission:
-    """A single frame on the air.  Times are integer microseconds."""
+    """A single frame on the air.  Times are integer microseconds; the end
+    time is stored at construction, since the medium reads it far more often
+    than a frame is made.  ``kind`` is one of uplink, join_request, downlink,
+    join_accept, d2d_data and d2d_ack."""
 
-    start_us: int
-    duration_us: int
-    freq_hz: int
-    dr: int
-    tx_power_dbm: int
-    phy_payload_bytes: int
-    source: str
-    # uplink | join_request | downlink | join_accept | d2d_data | d2d_ack
-    kind: str = "uplink"
-    frame: object | None = field(default=None, compare=False)
+    __slots__ = ("start_us", "duration_us", "end_us", "freq_hz", "dr", "tx_power_dbm",
+                 "phy_payload_bytes", "source", "kind", "frame")
 
-    def __post_init__(self) -> None:
-        check_tx_power(self.tx_power_dbm)
-        if self.duration_us <= 0:
+    def __init__(self, start_us: int, duration_us: int, freq_hz: int, dr: int,
+                 tx_power_dbm: int, phy_payload_bytes: int, source: str,
+                 kind: str = "uplink", frame: object | None = None):
+        check_tx_power(tx_power_dbm)
+        if duration_us <= 0:
             raise PhyError("duration must be positive")
-
-    @property
-    def end_us(self) -> int:
-        return self.start_us + self.duration_us
+        self.start_us = start_us
+        self.duration_us = duration_us
+        self.end_us = start_us + duration_us
+        self.freq_hz = freq_hz
+        self.dr = dr
+        self.tx_power_dbm = tx_power_dbm
+        self.phy_payload_bytes = phy_payload_bytes
+        self.source = source
+        self.kind = kind
+        self.frame = frame
 
     def overlaps(self, t0_us: int, t1_us: int) -> bool:
         """True when [start, end) intersects [t0, t1)."""

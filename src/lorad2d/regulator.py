@@ -82,6 +82,15 @@ class DutyLedger:
     bands: tuple[SubBand, ...] = DEFAULT_BANDS
     enforced: bool = True
     accounts: dict[str, _BandAccount] = field(default_factory=dict)
+    # sub-band of each frequency seen so far
+    _band_of: dict[int, SubBand] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
+
+    def _band(self, freq_hz: int) -> SubBand:
+        band = self._band_of.get(freq_hz)
+        if band is None:
+            band = self._band_of[freq_hz] = classify(freq_hz, self.bands)
+        return band
 
     def _account(self, band: SubBand) -> _BandAccount:
         acct = self.accounts.get(band.ident)
@@ -93,11 +102,11 @@ class DutyLedger:
         """Earliest start time >= now_us at which a frame may begin on this band."""
         if not self.enforced:
             return now_us
-        band = classify(freq_hz, self.bands)
+        band = self._band(freq_hz)
         return max(now_us, self._account(band).next_allowed_us)
 
     def record_transmission(self, freq_hz: int, start_us: int, toa_us: int) -> None:
-        band = classify(freq_hz, self.bands)
+        band = self._band(freq_hz)
         acct = self._account(band)
         if self.enforced and start_us < acct.next_allowed_us:
             raise DutyCycleViolation(

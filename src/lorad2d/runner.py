@@ -12,7 +12,6 @@ state durations price out to the published energy totals.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import metrics, phy
@@ -314,6 +313,8 @@ def sweep(scn: Scenario, seeds, jobs: int | None = None) -> list[dict]:
     work = [(text, int(s)) for s in seeds]
     if jobs is not None and jobs <= 1:
         return [_sweep_worker(item) for item in work]
+    # imported here: it pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sweep_worker, work, chunksize=max(1, len(work) // 32)))
 

@@ -116,6 +116,19 @@ def test_trace_and_metrics_digests(name, seed, trace_digest, doc_digest):
 
 
 
+@pytest.mark.parametrize("name", ["table2_conventional", "table2_d2d", "duty-audit",
+                                  "join-cell"])
+def test_tracing_does_not_change_the_metrics_document(name):
+    # the goldens run traced and the benchmark untraced, so this is what
+    # shows that skipping the trace calls skips no other work
+    untraced, traced = (runner.run(_scenario(name), seed=0, trace=trace)
+                        for trace in (False, True))
+    assert untraced.engine.trace_records == [] and traced.engine.trace_records
+    assert (json.dumps(untraced.document, sort_keys=True)
+            == json.dumps(traced.document, sort_keys=True))
+    assert untraced.engine.events_executed == traced.engine.events_executed
+
+
 @pytest.mark.parametrize("name,heard_from", [("contention-200", set()),
                                              ("join-cell", {"gw0"})])
 def test_end_devices_hear_only_gateways(name, heard_from):

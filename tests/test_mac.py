@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import helpers
@@ -33,6 +34,21 @@ def test_jitter_is_bounded_and_does_not_accumulate():
     # late cycles are as tight as early ones: drift would show up here
     assert max(abs(o) for o in offsets[-20:]) <= 500_000
     assert len({o for o in offsets}) > 10    # jitter actually draws
+
+
+@pytest.mark.parametrize("j", [0.05, 0.1, 0.3333, 0.5])
+def test_jitter_draw_matches_generator_uniform(j):
+    # the MAC draws its jitter as -j + 2 * j * random(), which is what
+    # Generator.uniform(-j, j) computes; both must read the same stream bit
+    # for bit, here interleaved with channel draws as in the uplink cycle
+    ref, new = (np.random.Generator(np.random.PCG64(12345)) for _ in range(2))
+    expected, got = [], []
+    for _ in range(10_000):
+        expected.append(ref.uniform(-j, j))
+        got.append(-j + 2 * j * new.random())
+        assert ref.integers(0, 3) == new.integers(0, 3)
+    assert np.array_equal(np.array(expected).view(np.uint64),
+                          np.array(got).view(np.uint64))
 
 
 def test_devices_draw_from_private_streams():

@@ -140,3 +140,11 @@ def test_transmission_validation_and_overlap():
     with pytest.raises(phy.PhyError):
         phy.Transmission(start_us=0, duration_us=10, freq_hz=868_100_000,
                          dr=0, tx_power_dbm=25, phy_payload_bytes=1, source="a")
+
+
+def test_transmission_stores_its_end_in_a_slot():
+    tx = phy.Transmission(start_us=1000, duration_us=500, freq_hz=868_100_000,
+                          dr=0, tx_power_dbm=14, phy_payload_bytes=20, source="a")
+    assert tx.end_us == tx.start_us + tx.duration_us == 1500
+    assert not hasattr(tx, "__dict__")
+    assert (tx.kind, tx.frame) == ("uplink", None)
