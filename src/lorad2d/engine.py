@@ -127,16 +127,6 @@ COLLISION = "collision"
 BELOW_SENSITIVITY = "below_sensitivity"
 
 
-class _Listening:
-    __slots__ = ("entity", "key", "opened_us", "lock_until_us")
-
-    def __init__(self, entity, key: tuple, opened_us: int):
-        self.entity = entity
-        self.key = key
-        self.opened_us = opened_us
-        self.lock_until_us = 0
-
-
 class Medium:
     """Tracks in-flight transmissions and arbitrates receptions.
 
@@ -153,7 +143,8 @@ class Medium:
     ``down``, D2D sessions for ``d2d``.  A gateway is a listener too, filed
     in the ``up`` bucket of every data rate on each of its channels from
     time 0.  Reception is decided at each frame's end by :meth:`capture`,
-    once for every listener in the frame's bucket.
+    once for every listener in the frame's bucket.  Which frames hold a
+    listener is read from the frames on the air, by :meth:`lock_until_us`.
     """
 
     def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
@@ -169,8 +160,9 @@ class Medium:
         # frames on the air, as (tx, rivals), keyed by the id of the rival
         # list: begin_tx makes a fresh one per frame
         self._on_air: defaultdict[tuple, dict[int, tuple]] = defaultdict(dict)
-        self._listeners: dict[str, _Listening] = {}
-        self._tuned: defaultdict[tuple, dict[str, _Listening]] = defaultdict(dict)
+        # end device eid -> bucket key; bucket -> {eid: (entity, opened_us)}
+        self._listeners: dict[str, tuple] = {}
+        self._tuned: defaultdict[tuple, dict[str, tuple]] = defaultdict(dict)
         self._positions: dict[str, tuple[float, float]] = {}
         # path loss to a receiver, by source; one dict per receiver rather
         # than (source, receiver) tuple keys, which would cost a tuple each
@@ -195,35 +187,38 @@ class Medium:
     def listen(self, entity, freq_hz: int, dr: int, polarity: str) -> None:
         """Tune ``entity`` to frames of one polarity class on (freq_hz, dr)."""
         eid = entity.eid
-        now = self.engine.now_us
-        floor = self._floor_dbm[phy.data_rate(dr).index]   # PhyError outside 0..7
-        lst = _Listening(entity, (freq_hz, dr, polarity), now)
-        # A frame already in flight locks the receiver just like one that
-        # starts later; count it so window-close logic can extend.
-        for tx, _ in self._on_air[lst.key].values():
-            if tx.end_us > now and tx.source != eid and self._rssi(tx, eid) >= floor:
-                lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
+        phy.data_rate(dr)   # PhyError outside 0..7
+        key = (freq_hz, dr, polarity)
         prev = self._listeners.get(eid)
         if prev is not None:
-            del self._tuned[prev.key][eid]
-        self._listeners[eid] = lst
-        self._tuned[lst.key][eid] = lst
+            del self._tuned[prev][eid]
+        self._listeners[eid] = key
+        self._tuned[key][eid] = (entity, self.engine.now_us)
 
     def unlisten(self, entity) -> None:
-        lst = self._listeners.pop(entity.eid, None)
-        if lst is not None:
-            del self._tuned[lst.key][entity.eid]
+        key = self._listeners.pop(entity.eid, None)
+        if key is not None:
+            del self._tuned[key][entity.eid]
 
     def lock_until_us(self, eid: str) -> int:
-        lst = self._listeners.get(eid)
-        return lst.lock_until_us if lst is not None else 0
+        """Latest end of the frames on the air in listener ``eid``'s bucket,
+        above its floor and not its own; 0 if none or not listening."""
+        key = self._listeners.get(eid)
+        on_air = self._on_air.get(key)
+        if not on_air:
+            return 0
+        floor = self._floor_dbm[key[1]]
+        lock = 0
+        for tx, _ in on_air.values():
+            if tx.end_us > lock and tx.source != eid and self._rssi(tx, eid) >= floor:
+                lock = tx.end_us
+        return lock
 
     def listen_gateway(self, gateway) -> None:
         """Hear uplinks at every data rate on each of ``gateway.channels_hz``."""
         for freq_hz in gateway.channels_hz:
             for dr in range(len(phy.DATA_RATES)):
-                key = (freq_hz, dr, "up")
-                self._tuned[key][gateway.eid] = _Listening(gateway, key, 0)
+                self._tuned[(freq_hz, dr, "up")][gateway.eid] = (gateway, 0)
 
     # -- transmission ----------------------------------------------------
 
@@ -254,12 +249,6 @@ class Medium:
         on_start = getattr(owner, "on_own_tx_start", None)
         if on_start is not None:
             on_start(tx)
-        floor = self._floor_dbm[tx.dr]
-        listeners = self._listeners
-        for eid, lst in self._tuned[key].items():
-            # only end devices' locks are read, and a gateway is not in _listeners
-            if eid != tx.source and eid in listeners and self._rssi(tx, eid) >= floor:
-                lst.lock_until_us = max(lst.lock_until_us, tx.end_us)
         engine.schedule(tx.end_us, self._tx_end, data, kind="tx_end", target=tx.source)
 
     def _tx_end(self, data) -> None:
@@ -300,25 +289,25 @@ class Medium:
         engine = self.engine
         tuned = self._tuned[key]
         # A callback below may close a listener not yet visited, hence the
-        # fresh lookup in the bucket: a gateway sits in many buckets, so
-        # _listeners cannot hold it.  A listener retuned or (re)opened during
-        # delivery is either gone from the bucket or opens at now ==
-        # tx.end_us, so the window check skips it: visiting the bucket as it
-        # stood when tx ended loses no receiver.
+        # fresh lookup of each (entity, opened_us) in the bucket.  A listener
+        # retuned or (re)opened during delivery is either gone from the
+        # bucket or opens at now == tx.end_us, so the window check skips it:
+        # visiting the bucket as it stood when tx ended loses no receiver.
         for eid in sorted(tuned):
-            lst = tuned.get(eid)
-            if lst is None or eid == tx.source:
+            listener = tuned.get(eid)
+            if listener is None or eid == tx.source:
                 continue
-            if not tx.overlaps(lst.opened_us, engine.now_us + 1):
+            entity, opened_us = listener
+            if not tx.overlaps(opened_us, engine.now_us + 1):
                 continue
-            outcome = self.capture(tx, rivals, eid, lst.opened_us)
+            outcome = self.capture(tx, rivals, eid, opened_us)
             if outcome == DECODED and key[2] == "d2d" and self.d2d_frame_loss_prob > 0.0:
                 draw = engine.rng.stream(f"d2dloss:{eid}").random()
                 if draw < self.d2d_frame_loss_prob:
                     engine.count("d2d_frames_lost")
                     engine.trace("drop", eid, reason="d2d_loss", source=tx.source)
                     continue
-            self._report(tx, lst.entity, outcome)
+            self._report(tx, entity, outcome)
 
     def _report(self, tx: phy.Transmission, receiver, outcome: str) -> None:
         """Trace ``outcome`` at ``receiver``; hand it tx if decoded, else count it."""

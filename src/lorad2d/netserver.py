@@ -182,6 +182,8 @@ class NetworkServer:
         self._try_place_downlink(frame.dev_addr, tx, gw)
 
     def _relay(self, tx: phy.Transmission) -> None:
+        """Credit an uplink's payload to the earliest open transfer from its
+        source; what that transfer does not need is not relayed."""
         frame = tx.frame
         if frame.app_bytes <= 0:
             return
@@ -194,6 +196,7 @@ class NetworkServer:
             tr.bytes_relayed += n
             tr.chunks_relayed += 1
             self.enqueue_downlink(tr.dest_addr, tr.port, n, transfer=index)
+            return
 
     # -- downlink path -----------------------------------------------------------
 

@@ -194,13 +194,10 @@ def benchmark_usages(runs: dict[str, RunResult]) -> dict[str, StateUsage]:
     return usages
 
 
-def calibrate(seed: int = 0, runs: dict[str, RunResult] | None = None,
-              ) -> tuple[PowerProfile, dict[str, dict]]:
+def calibrate(seed: int = 0) -> tuple[PowerProfile, dict[str, dict]]:
     """Fit a power profile so benchmark state durations match the published
     per-role energy totals.  Returns the profile and per-role residuals."""
-    if runs is None:
-        runs = benchmark_runs(seed)
-    usages = benchmark_usages(runs)
+    usages = benchmark_usages(benchmark_runs(seed))
     return fit_profile(usages, REFERENCE_ENERGY_J, name="benchmark-fit")
 
 
@@ -224,8 +221,8 @@ def table2(seed: int = 0) -> dict:
     relative error, plus the headline ratios and the calibration residuals.
     """
     runs = benchmark_runs(seed)
-    profile, residuals = calibrate(runs=runs)
     usages = benchmark_usages(runs)
+    profile, residuals = fit_profile(usages, REFERENCE_ENERGY_J, name="benchmark-fit")
     times = _benchmark_times(runs)
 
     def cell(simulated, reference):

@@ -217,18 +217,16 @@ class Scenario:
             self._check_freq(f"{path}.freq_hz", dd.freq_hz)
             if not 0 <= dd.dr <= 7:
                 raise ScenarioError(f"{path}.dr", f"DR{dd.dr} is not defined")
-            try:
-                # a throwaway encode runs the wire-level range checks
-                d2d.encode_setup(d2d.D2DSetupCommand(
-                    role=d2d.Role.SCANNER, freq_hz=dd.freq_hz, dr=dd.dr,
-                    power_dbm=dd.power_dbm, t1_s=dd.t1_scanner_s, t2_s=dd.t2_s,
-                    peer_addr=0))
-                d2d.encode_setup(d2d.D2DSetupCommand(
-                    role=d2d.Role.INITIATOR, freq_hz=dd.freq_hz, dr=dd.dr,
-                    power_dbm=dd.power_dbm, t1_s=dd.t1_initiator_s, t2_s=dd.t2_s,
-                    peer_addr=0))
-            except (d2d.D2DCodecError, d2d.D2DProtocolError) as exc:
-                raise ScenarioError(path, str(exc)) from exc
+            # a throwaway encode of each setup runs the wire-level range
+            # checks, the scanner's first
+            for role, t1_s in ((d2d.Role.SCANNER, dd.t1_scanner_s),
+                               (d2d.Role.INITIATOR, dd.t1_initiator_s)):
+                try:
+                    d2d.encode_setup(d2d.D2DSetupCommand(
+                        role=role, freq_hz=dd.freq_hz, dr=dd.dr, power_dbm=dd.power_dbm,
+                        t1_s=t1_s, t2_s=dd.t2_s, peer_addr=0))
+                except (d2d.D2DCodecError, d2d.D2DProtocolError) as exc:
+                    raise ScenarioError(path, str(exc)) from exc
         return self
 
     # Shared by devices and gateways; a device checks its own fields between

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -400,6 +401,81 @@ def test_rivals_are_exactly_the_overlapping_co_bucket_frames(seed):
         if a["t_us"] == b["t_us"] and _bucket(ta) == _bucket(tb) and a["kind"] != b["kind"]:
             orders.add(a["kind"])
     assert orders == {"tx_start", "tx_end"}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lock_is_the_latest_end_of_the_held_frames_on_the_air(seed):
+    # Listeners open, relisten and close on a 1 ms grid, before, during and
+    # after seeded frames in several buckets, some of them their own and
+    # some below the floor.  Each query, at half past a grid step, must
+    # agree with a brute force over the whole frame list.
+    rng = random.Random(seed)
+    engine = Engine()
+    medium = Medium(engine, LOSS)
+    receivers = {f"r{n}": (0.0, 300.0 * n) for n in range(3)}
+    senders = {f"s{n}": (rng.choice((500.0, 2000.0, 5500.0, 7000.0, 20_000.0)), 0.0)
+               for n in range(6)}
+    positions = {**receivers, **senders}
+    for eid, pos in positions.items():
+        medium.register_position(eid, pos)
+    frames = []
+    for i in range(40):
+        freq, dr = rng.choice(((F, 0), (F, 0), (F2, 3), (F2, 0)))
+        frames.append(frame(rng.choice([*senders, *receivers]), 1000 * rng.randrange(1, 60),
+                            1000 * rng.randrange(1, 12), freq=freq, dr=dr,
+                            kind=rng.choice(("downlink", "d2d_data", "uplink"))))
+    buckets = [(F, 0, "down"), (F, 0, "d2d"), (F2, 3, "down"), None]   # None: unlisten
+    tuned = {eid: [(1000 * t, rng.choice(buckets))
+                   for t in sorted(rng.sample(range(70), rng.randrange(1, 8)))]
+             for eid in receivers}
+    setup = [("tx", tx) for tx in frames]
+    setup += [("listen", (eid, t, key)) for eid, steps in tuned.items() for t, key in steps]
+    rng.shuffle(setup)
+
+    def retune(step):
+        eid, _, key = step
+        rx = _Recorder(eid)
+        if key is None:
+            medium.unlisten(rx)
+        else:
+            medium.listen(rx, *key)
+
+    for what, item in setup:
+        if what == "tx":
+            if rng.random() < 0.5:
+                engine.schedule(item.start_us,
+                                lambda _, tx=item: medium.begin_tx(tx, owner=None))
+            else:
+                medium.begin_tx(item, owner=None)
+        else:
+            engine.schedule(item[1], retune, item)
+    seen = []
+    for t in range(500, 80_000, 1000):
+        for eid in receivers:
+            engine.schedule(t, lambda _, eid=eid: seen.append(
+                (engine.now_us, eid, medium.lock_until_us(eid))))
+    engine.run()
+
+    def expected(t_us, eid):
+        keys = [key for t, key in tuned[eid] if t < t_us]
+        if not keys or keys[-1] is None:
+            return 0, []
+        key = keys[-1]
+        floor = phy.sensitivity(key[1])
+        held = [tx for tx in frames if _bucket(tx) == key and tx.source != eid
+                and tx.start_us < t_us < tx.end_us
+                and tx.tx_power_dbm - LOSS.path_loss_db(
+                    max(math.dist(positions[eid], positions[tx.source]), 1e-3)) >= floor]
+        return max((tx.end_us for tx in held), default=0), held
+
+    holds = 0
+    for t_us, eid, lock in seen:
+        want, held = expected(t_us, eid)
+        assert (lock > t_us) == bool(held), (t_us, eid)
+        if held:
+            holds += 1
+            assert lock == want, (t_us, eid)
+    assert len(seen) == 80 * 3 and holds > 0
 
 
 def test_delivery_callbacks_retuning_other_listeners():

@@ -110,16 +110,19 @@ def test_transfer_time_starts_at_the_first_relayed_uplink():
 
 
 def test_each_transfer_counts_only_its_own_deliveries():
-    # A 100-byte second transfer on the Table 2 pair shares the receiver's
-    # downlinks with the 2397-byte first one, which no longer completes.
+    # A 100-byte second transfer on the Table 2 pair waits for the 2397-byte
+    # first one: each uplink goes to the earliest open transfer from its
+    # source, and the transmitter sends only what the first one needs.
     scn = load_bundled(runner.CONVENTIONAL_SCENARIO)
     second = dataclasses.replace(scn.transfers[0], total_bytes=100)
     doc = runner.run(dataclasses.replace(scn, transfers=[*scn.transfers, second])).document
     first, extra = doc["transfers"]
-    assert (extra["bytes_delivered"], extra["complete"]) == (100, True)
-    assert (first["bytes_delivered"], first["complete"]) == (2295, False)
-    assert 2295 + 100 == doc["devices"]["receiver"]["app_bytes_received"]
-    assert extra["last_delivery_s"] < first["last_delivery_s"]
+    assert (first["bytes_delivered"], first["complete"]) == (2397, True)
+    assert (extra["bytes_delivered"], extra["complete"]) == (0, False)
+    assert 2397 == doc["devices"]["receiver"]["app_bytes_received"]
+    source = next(dev for dev in scn.devices if dev.eid == first["source"])
+    sent = doc["devices"][source.eid]["uplinks_sent"] * source.app_payload_bytes
+    assert first["bytes_relayed"] + extra["bytes_relayed"] <= sent
 
 
 def test_d2d_session_record_content(d2d_result):
