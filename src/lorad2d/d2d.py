@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from . import phy
+from .engine import Engine
 
 SETUP_PORT = 0xDD
 SETUP_WIRE_BYTES = 14
@@ -189,7 +190,7 @@ class D2DSession:
         host.now_us() -> int
         host.d2d_transmit(session, frame, power_dbm, freq_hz, dr, at_us)
         host.d2d_listen_on(session) / host.d2d_listen_off(session)
-        host.schedule_session_timer(session, at_us, tag) -> cancellable event
+        host.schedule_session_timer(session, at_us, tag) -> engine entry, for Engine.cancel
         host.session_finished(session)
     """
 
@@ -361,7 +362,7 @@ class D2DSession:
     def _cancel(self, tag: str) -> None:
         ev = self._timers.pop(tag, None)
         if ev is not None:
-            ev.cancel()
+            Engine.cancel(ev)
 
     # -- terminal ----------------------------------------------------------
 
@@ -371,7 +372,7 @@ class D2DSession:
 
     def _finish(self, host, state: D2DState) -> None:
         for ev in self._timers.values():
-            ev.cancel()
+            Engine.cancel(ev)
         self._timers.clear()
         self.state = state
         self.terminal_us = host.now_us()

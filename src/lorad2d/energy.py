@@ -129,7 +129,14 @@ class EnergyLedger:
     def set_state(self, t_us: int, state: str, power_dbm: int | None = None) -> None:
         if state not in ("tx", "rx", "sleep"):
             raise ValueError(f"unknown radio state {state!r}")
-        self._accumulate(t_us)
+        # _accumulate, inline: this runs several times per class-A cycle
+        dt = t_us - self._since_us
+        if dt < 0:
+            raise ValueError("energy ledger time went backwards")
+        if dt:
+            key = (self._state, self._power)
+            self.totals_us[key] = self.totals_us.get(key, 0) + dt
+        self._since_us = t_us
         self._state = state
         self._power = power_dbm if state == "tx" else None
 

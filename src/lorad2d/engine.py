@@ -3,8 +3,10 @@
 The clock is integer microseconds.  Events execute in (time, sequence) order
 where sequence is assigned at scheduling time, so equal timestamps resolve in
 scheduling order and a (seed, scenario) pair always replays to the identical
-trace.  Randomness is split into named substreams derived from the master seed
-with a hash, so adding an entity never perturbs the draws of another.
+trace.  An event is its own heap entry, the list ``[t_us, seq, fn, data]``;
+:meth:`Engine.cancel` clears its ``fn`` and the loop drops it when it is
+popped.  Randomness is split into named substreams derived from the master
+seed with a hash, so adding an entity never perturbs the draws of another.
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ from . import phy
 
 class SimulationError(RuntimeError):
     pass
-
-
-class Event:
-    __slots__ = ("t_us", "fn", "data", "cancelled")
-
-    def __init__(self, t_us: int, fn, data):
-        self.t_us = t_us
-        self.fn = fn
-        self.data = data
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class RngManager:
@@ -54,18 +43,28 @@ class RngManager:
 
 
 class Engine:
+    """Clock, event queue, RNG streams, counters and trace of one run.
+
+    Each pending event is one heap entry, the list ``[t_us, seq, fn, data]``,
+    which :meth:`schedule` pushes and returns as the event's handle.  ``seq``
+    is unique and rises with every call, so entries never compare past it
+    and equal times run in scheduling order.  :meth:`cancel` sets the
+    entry's ``fn`` to None; the entry stays in the heap until its time and
+    :meth:`run` then drops it without counting it in ``events_executed``.
+    """
+
     def __init__(self, seed: int = 0, trace: bool = True):
         self.now_us = 0
         self.rng = RngManager(seed)
         self.trace_enabled = trace
         self.trace_records: list[dict] = []
         self.counters: dict[str, int] = {}
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[list] = []
         self._seq = 0
         self.events_executed = 0
 
-    def schedule(self, t_us: int, fn, data=None, kind: str = "", target: str = "") -> Event:
-        """Call ``fn(data)`` at ``t_us``.
+    def schedule(self, t_us: int, fn, data=None, kind: str = "", target: str = "") -> list:
+        """Call ``fn(data)`` at ``t_us``; return the event's heap entry.
 
         ``kind`` and ``target`` label the event for observers that wrap this
         method, such as the benchmark probes; they are not stored.
@@ -73,23 +72,25 @@ class Engine:
         if t_us < self.now_us:
             raise SimulationError(f"cannot schedule {kind or fn} at {t_us} before now {self.now_us}")
         self._seq = seq = self._seq + 1
-        ev = Event(t_us, fn, data)
-        heappush(self._heap, (t_us, seq, ev))
-        return ev
+        entry = [t_us, seq, fn, data]
+        heappush(self._heap, entry)
+        return entry
+
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Stop a scheduled event from running; harmless once it has run."""
+        entry[2] = None
 
     def run(self, until_us: int | None = None) -> None:
         heap = self._heap
         horizon = float("inf") if until_us is None else until_us
-        while heap:
-            t_us = heap[0][0]
-            if t_us > horizon:
-                break
-            ev = heappop(heap)[2]
-            if ev.cancelled:
+        while heap and heap[0][0] <= horizon:
+            t_us, _, fn, data = heappop(heap)
+            if fn is None:
                 continue
             self.now_us = t_us
             self.events_executed += 1
-            ev.fn(ev.data)
+            fn(data)
         if until_us is not None and until_us > self.now_us:
             self.now_us = until_us
 
@@ -187,7 +188,8 @@ class Medium:
     def listen(self, entity, freq_hz: int, dr: int, polarity: str) -> None:
         """Tune ``entity`` to frames of one polarity class on (freq_hz, dr)."""
         eid = entity.eid
-        phy.data_rate(dr)   # PhyError outside 0..7
+        if not 0 <= dr <= 7:
+            phy.data_rate(dr)   # raises PhyError
         key = (freq_hz, dr, polarity)
         prev = self._listeners.get(eid)
         if prev is not None:
@@ -228,7 +230,10 @@ class Medium:
         polarity = POLARITY.get(tx.kind)
         if polarity is None:
             raise SimulationError(f"transmission kind {tx.kind!r} has no IQ polarity")
-        key = (tx.freq_hz, phy.data_rate(tx.dr).index, polarity)   # PhyError outside 0..7
+        dr = tx.dr
+        if not 0 <= dr <= 7:
+            phy.data_rate(dr)   # raises PhyError
+        key = (tx.freq_hz, dr, polarity)
         self.engine.schedule(tx.start_us, self._tx_start, (tx, owner, key, []),
                              kind="tx_start", target=tx.source)
 
@@ -305,7 +310,8 @@ class Medium:
                 draw = engine.rng.stream(f"d2dloss:{eid}").random()
                 if draw < self.d2d_frame_loss_prob:
                     engine.count("d2d_frames_lost")
-                    engine.trace("drop", eid, reason="d2d_loss", source=tx.source)
+                    if engine.trace_enabled:
+                        engine.trace("drop", eid, reason="d2d_loss", source=tx.source)
                     continue
             self._report(tx, entity, outcome)
 
@@ -313,9 +319,11 @@ class Medium:
         """Trace ``outcome`` at ``receiver``; hand it tx if decoded, else count it."""
         engine = self.engine
         if outcome == DECODED:
-            engine.trace("decode", receiver.eid, source=tx.source, frame=tx.kind,
-                         bytes=tx.phy_payload_bytes)
+            if engine.trace_enabled:
+                engine.trace("decode", receiver.eid, source=tx.source, frame=tx.kind,
+                             bytes=tx.phy_payload_bytes)
             receiver.on_frame_decoded(tx)
         else:
             engine.count(outcome)
-            engine.trace("drop", receiver.eid, reason=outcome, source=tx.source)
+            if engine.trace_enabled:
+                engine.trace("drop", receiver.eid, reason=outcome, source=tx.source)

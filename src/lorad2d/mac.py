@@ -33,12 +33,21 @@ class MacState(Enum):
     D2D_SUSPENDED = "d2d_suspended"
 
 
-@dataclass(frozen=True)
+_set_attr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class LoRaWANUplink:
     dev_addr: int
     fcnt: int
     port: int
     app_bytes: int
+
+    def __init__(self, dev_addr: int, fcnt: int, port: int, app_bytes: int):
+        # one uplink per class-A cycle: set the four frozen fields in one
+        # call, where the generated __init__ makes one call per field
+        _set_attr(self, "__dict__", {"dev_addr": dev_addr, "fcnt": fcnt, "port": port,
+                                     "app_bytes": app_bytes})
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,61 @@ class ReceiveWindows:
                 (2, end + rd2, self.rx2_freq_hz, self.rx2_dr))
 
 
+class DeviceDraws:
+    """``Generator.random()`` and ``Generator.integers(0, n)`` of one PCG64
+    stream, bit for bit, computed in Python from blocks of raw output.
+
+    numpy spends most of a scalar draw on argument handling; these draws
+    cost a few integer operations.  ``random`` is ``(x >> 11) * 2**-53`` of
+    the next 64-bit output.  ``below(n)`` is numpy's 32-bit Lemire rule,
+    rejection loop included, fed 32 bits at a time: a 64-bit output gives
+    its low half and keeps the high half for the next 32-bit draw, which
+    ``random`` does not disturb.  The raw block runs ahead of the draws, so
+    once wrapped the generator must be drawn from through this object only.
+    """
+
+    __slots__ = ("_bitgen", "_block", "_high")
+
+    _BLOCK = 8   # raw outputs fetched at once; each costs memory per device
+
+    def __init__(self, gen):
+        self._bitgen = gen.bit_generator
+        self._block: list[int] = []   # pending raw outputs, next one last
+        self._high: int | None = None  # upper half of a raw output, not yet drawn
+
+    def _next64(self) -> int:
+        block = self._block
+        if not block:
+            block = self._block = self._bitgen.random_raw(self._BLOCK).tolist()
+            block.reverse()
+        return block.pop()
+
+    def _next32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        x = self._next64()
+        self._high = x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def below(self, n: int) -> int:
+        """``integers(0, n)`` for 1 <= n <= 2**32; n == 1 draws nothing."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"bound {n} outside 1..2**32")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+
 # MAC state and close-event kind of each receive window
 _RX_STATE = {1: MacState.RX1, 2: MacState.RX2}
 _RX_CLOSE_KIND = {1: "rx1_close", 2: "rx2_close"}
@@ -132,7 +196,7 @@ class EndDevice:
         self._session_mark: tuple | None = None   # ledger.mark when `session` armed
 
         self.ledger = EnergyLedger()
-        self.rng = engine.rng.stream(f"dev:{eid}")
+        self.rng = DeviceDraws(engine.rng.stream(f"dev:{eid}"))
         self.counters: dict[str, int] = {
             "downlinks_rw1": 0, "downlinks_rw2": 0, "ignored_frames": 0,
             "malformed_setups": 0, "join_attempts": 0, "duty_deferrals": 0,
@@ -142,7 +206,8 @@ class EndDevice:
         self.transfer_deliveries: dict[int, list[tuple[int, int]]] = {}
 
         self._next_nominal_us = self.phase_us
-        self._rx_events: list = []
+        self._rx_events: list = []   # engine entries of this cycle's RX opens and closes
+        self._rx2_open_us = 0
         self._d2d_listening = False
         self._uplink_phy_bytes = app_payload_bytes + phy.FRAME_OVERHEAD_BYTES
         self._uplink_toa_us = phy.time_on_air_us(dr, self._uplink_phy_bytes)
@@ -178,7 +243,7 @@ class EndDevice:
         self._schedule_on_grid(self._begin_uplink, "uplink_timer")
 
     def _begin_uplink(self, _=None) -> None:
-        channel = self.channels_hz[int(self.rng.integers(0, len(self.channels_hz)))]
+        channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
         now = self.engine.now_us
         phy_bytes = self._uplink_phy_bytes
         toa = self._uplink_toa_us
@@ -214,6 +279,7 @@ class EndDevice:
         # class A: two receive windows pegged to the uplink end
         self.mac_state = MacState.WAIT_RW1
         rx1, rx2 = self.windows.after(tx)
+        self._rx2_open_us = rx2[1]
         self._rx_events = [
             self.engine.schedule(rx1[1], self._open_rx, rx1, kind="rx1_open", target=self.eid),
             self.engine.schedule(rx2[1], self._open_rx, rx2, kind="rx2_open", target=self.eid),
@@ -246,16 +312,16 @@ class EndDevice:
         self.ledger.set_state(self.engine.now_us, "sleep")
         if self.engine.trace_enabled:
             self.engine.trace("rx_close", self.eid, window=which)
-        # _rx_events[1] is this cycle's RX2 open; once its time has come, a
-        # reception held the first window past it and it was skipped
-        if which == 1 and self.engine.now_us < self._rx_events[1].t_us:
+        # once RX2's open time has come, a reception held the first window
+        # past it and RX2 was skipped
+        if which == 1 and self.engine.now_us < self._rx2_open_us:
             self.mac_state = MacState.WAIT_RW2
         else:
             self._cycle_complete()
 
     def _cancel_rx_events(self) -> None:
         for ev in self._rx_events:
-            ev.cancel()
+            self.engine.cancel(ev)
         self._rx_events = []
 
     def _cycle_complete(self) -> None:
@@ -294,8 +360,9 @@ class EndDevice:
         self._cancel_rx_events()
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
-        self.engine.trace("downlink_rx", self.eid, window=window, port=frame.port,
-                          bytes=frame.app_bytes)
+        if self.engine.trace_enabled:
+            self.engine.trace("downlink_rx", self.eid, window=window, port=frame.port,
+                              bytes=frame.app_bytes)
         if frame.port == d2d.SETUP_PORT:
             self._handle_setup(frame)
         else:
@@ -303,7 +370,8 @@ class EndDevice:
             self.app_deliveries.append(delivery)
             if frame.transfer is not None:
                 self.transfer_deliveries.setdefault(frame.transfer, []).append(delivery)
-            self.engine.trace("app_delivery", self.eid, bytes=frame.app_bytes)
+            if self.engine.trace_enabled:
+                self.engine.trace("app_delivery", self.eid, bytes=frame.app_bytes)
             self._cycle_complete()
 
     def _handle_setup(self, frame: LoRaWANDownlink) -> None:
@@ -334,7 +402,7 @@ class EndDevice:
         self._schedule_on_grid(self._begin_join, "join_timer")
 
     def _begin_join(self, _=None) -> None:
-        channel = self.channels_hz[int(self.rng.integers(0, len(self.channels_hz)))]
+        channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
         now = self.engine.now_us
         toa = phy.time_on_air_us(self.uplink_dr, JOIN_REQUEST_PHY_BYTES)
         start = self.duty.next_allowed_us(channel, now)

@@ -254,8 +254,9 @@ class NetworkServer:
                     start_us=start, kind="downlink")
         self.counters["downlinks_scheduled"] += 1
         self.counters[f"downlinks_rw{window}"] += 1
-        self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
-                          window=window, port=item.port, bytes=item.app_bytes)
+        if self.engine.trace_enabled:
+            self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
+                              window=window, port=item.port, bytes=item.app_bytes)
 
     # -- join ---------------------------------------------------------------
 

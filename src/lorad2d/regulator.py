@@ -68,7 +68,7 @@ def off_time_us(toa_us: int, duty_cycle_limit: float) -> int:
     return math.ceil(toa_us * (1.0 / duty_cycle_limit - 1.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class _BandAccount:
     accumulated_on_air_us: int = 0
     next_allowed_us: int = 0
@@ -82,32 +82,28 @@ class DutyLedger:
     bands: tuple[SubBand, ...] = DEFAULT_BANDS
     enforced: bool = True
     accounts: dict[str, _BandAccount] = field(default_factory=dict)
-    # sub-band of each frequency seen so far
-    _band_of: dict[int, SubBand] = field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
+    # (sub-band, account) of each frequency seen so far; channels of one
+    # sub-band share its account
+    _by_freq: dict[int, tuple[SubBand, _BandAccount]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def _band(self, freq_hz: int) -> SubBand:
-        band = self._band_of.get(freq_hz)
-        if band is None:
-            band = self._band_of[freq_hz] = classify(freq_hz, self.bands)
-        return band
-
-    def _account(self, band: SubBand) -> _BandAccount:
+    def _classify(self, freq_hz: int) -> tuple[SubBand, _BandAccount]:
+        band = classify(freq_hz, self.bands)   # raises outside every band
         acct = self.accounts.get(band.ident)
         if acct is None:
             acct = self.accounts[band.ident] = _BandAccount()
-        return acct
+        pair = self._by_freq[freq_hz] = (band, acct)
+        return pair
 
     def next_allowed_us(self, freq_hz: int, now_us: int) -> int:
         """Earliest start time >= now_us at which a frame may begin on this band."""
         if not self.enforced:
             return now_us
-        band = self._band(freq_hz)
-        return max(now_us, self._account(band).next_allowed_us)
+        allowed = (self._by_freq.get(freq_hz) or self._classify(freq_hz))[1].next_allowed_us
+        return allowed if allowed > now_us else now_us
 
     def record_transmission(self, freq_hz: int, start_us: int, toa_us: int) -> None:
-        band = self._band(freq_hz)
-        acct = self._account(band)
+        band, acct = self._by_freq.get(freq_hz) or self._classify(freq_hz)
         if self.enforced and start_us < acct.next_allowed_us:
             raise DutyCycleViolation(
                 f"band {band.ident}: transmission at {start_us} us before "

@@ -123,6 +123,23 @@ def test_ledger_validates_inputs():
         ledger.mark(500)
 
 
+def test_set_state_checks_hold_on_every_call():
+    ledger = EnergyLedger()
+    ledger.set_state(0, "sleep")
+    ledger.set_state(2000, "tx", 14)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="backwards"):
+            ledger.set_state(1999, "sleep")
+        with pytest.raises(ValueError, match="unknown radio state"):
+            ledger.set_state(3000, "idle")
+    # a rejected call changes nothing
+    assert ledger.totals_us == {("sleep", None): 2000}
+    ledger.set_state(2000, "rx")          # zero-length tx: adds no key
+    ledger.set_state(2000, "sleep")       # zero-length rx: adds no key
+    ledger.set_state(2500, "sleep")
+    assert ledger.totals_us == {("sleep", None): 2500}
+
+
 @given(durations=st.lists(st.integers(1, 10_000_000), min_size=1, max_size=30),
        tail=st.integers(0, 10_000_000))
 def test_state_durations_sum_to_the_lifetime(durations, tail):

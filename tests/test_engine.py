@@ -33,10 +33,50 @@ def test_cancelled_events_do_not_fire():
     hits = []
     ev = engine.schedule(1000, lambda _: hits.append(1))
     engine.schedule(2000, lambda _: hits.append(2))
-    ev.cancel()
+    engine.cancel(ev)
     engine.run()
     assert hits == [2]
     assert engine.now_us == 2000
+
+
+def test_event_cancelled_at_its_own_instant_does_not_fire():
+    engine = Engine()
+    hits = []
+    engine.schedule(1000, lambda _: engine.cancel(victim))
+    victim = engine.schedule(1000, lambda _: hits.append("victim"))
+    engine.schedule(1000, lambda _: hits.append("after"))
+    engine.run()
+    assert hits == ["after"]
+    assert engine.events_executed == 2
+
+
+def test_cancelling_an_event_that_already_ran_is_harmless():
+    engine = Engine()
+    hits = []
+    done = engine.schedule(1000, lambda _: hits.append(1))
+    engine.schedule(2000, lambda _: engine.cancel(done))
+    engine.schedule(3000, lambda _: hits.append(3))
+    engine.run()
+    engine.cancel(done)
+    assert hits == [1, 3]
+    assert engine.events_executed == 3
+
+
+def test_equal_times_keep_scheduling_order_around_cancelled_events():
+    engine = Engine()
+    order = []
+
+    def first(_):
+        order.append(0)
+        # scheduled at the shared instant itself, so it queues behind the rest
+        engine.schedule(1000, lambda _: order.append(8))
+
+    entries = [engine.schedule(1000, first)]
+    entries += [engine.schedule(1000, lambda _, n=n: order.append(n)) for n in range(1, 8)]
+    engine.schedule(500, lambda _: [engine.cancel(entries[i]) for i in (1, 4)])
+    engine.run()
+    assert order == [0, 2, 3, 5, 6, 7, 8]
+    assert engine.events_executed == 8
 
 
 def test_run_until_advances_the_clock_past_the_last_event():

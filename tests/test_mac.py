@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -36,19 +39,75 @@ def test_jitter_is_bounded_and_does_not_accumulate():
     assert len({o for o in offsets}) > 10    # jitter actually draws
 
 
+def pcg64(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 @pytest.mark.parametrize("j", [0.05, 0.1, 0.3333, 0.5])
 def test_jitter_draw_matches_generator_uniform(j):
     # the MAC draws its jitter as -j + 2 * j * random(), which is what
     # Generator.uniform(-j, j) computes; both must read the same stream bit
     # for bit, here interleaved with channel draws as in the uplink cycle
-    ref, new = (np.random.Generator(np.random.PCG64(12345)) for _ in range(2))
+    ref, new = pcg64(12345), mac.DeviceDraws(pcg64(12345))
     expected, got = [], []
     for _ in range(10_000):
         expected.append(ref.uniform(-j, j))
         got.append(-j + 2 * j * new.random())
-        assert ref.integers(0, 3) == new.integers(0, 3)
+        assert ref.integers(0, 3) == new.below(3)
     assert np.array_equal(np.array(expected).view(np.uint64),
                           np.array(got).view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
+def test_device_draws_match_numpy_bit_for_bit(seed):
+    # 2**31 + 5 rejects about half of its 32-bit words in numpy's Lemire rule
+    bounds = (1, 2, 3, 5, 8, 2**31 + 5)
+    ref, draws = pcg64(seed), mac.DeviceDraws(pcg64(seed))
+    pick = random.Random(seed)
+    expected, got = [], []
+    for _ in range(10_000):
+        if pick.random() < 0.5:
+            expected.append(ref.random())
+            got.append(draws.random())
+        else:
+            n = pick.choice(bounds)
+            value = draws.below(n)
+            assert type(value) is int
+            assert value == ref.integers(0, n)
+    assert np.array_equal(np.array(expected).view(np.uint64),
+                          np.array(got).view(np.uint64))
+    # both streams stand at the same place afterwards
+    assert draws.below(5) == ref.integers(0, 5)
+    assert draws.random() == ref.random()
+
+
+def test_a_bound_of_one_consumes_no_draw():
+    fresh, draws = pcg64(99), mac.DeviceDraws(pcg64(99))
+    assert [draws.below(1) for _ in range(100)] == [0] * 100
+    assert draws.below(3) == fresh.integers(0, 3)
+    # nor does it drop the buffered upper half-word of the last 32-bit draw
+    assert draws.below(1) == 0
+    assert draws.below(7) == fresh.integers(0, 7)
+    assert draws.random() == fresh.random()
+
+
+def test_uplink_record_keeps_frozen_dataclass_semantics():
+    up = mac.LoRaWANUplink(0x0100_0001, 7, 1, 40)
+    assert up == mac.LoRaWANUplink(dev_addr=0x0100_0001, fcnt=7, port=1, app_bytes=40)
+    assert hash(up) == hash(mac.LoRaWANUplink(0x0100_0001, 7, 1, 40))
+    assert up != mac.LoRaWANUplink(0x0100_0001, 8, 1, 40)
+    assert up != mac.LoRaWANDownlink(0x0100_0001, 7, 1, 40)
+    assert up != (0x0100_0001, 7, 1, 40)
+    assert dataclasses.replace(up, fcnt=8).fcnt == 8 and up.fcnt == 7
+    assert dataclasses.astuple(up) == (0x0100_0001, 7, 1, 40)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        up.fcnt = 9
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
+def test_device_draws_reject_bounds_outside_32_bits(n):
+    with pytest.raises(ValueError):
+        mac.DeviceDraws(pcg64(1)).below(n)
 
 
 def test_devices_draw_from_private_streams():

@@ -140,3 +140,29 @@ def test_default_plan_is_consistent():
     assert idents == ["g", "g1", "g2", "g3", "g4"]
     limits = {b.ident: b.duty_cycle_limit for b in DEFAULT_BANDS}
     assert limits == {"g": 0.01, "g1": 0.01, "g2": 0.001, "g3": 0.10, "g4": 0.01}
+
+
+def test_channels_of_one_sub_band_share_one_off_time_budget():
+    ledger = DutyLedger(enforced=True)
+    ledger.record_transmission(868_100_000, 0, 1_000_000)
+    # 868.3 MHz is in g1 as well: silenced by the 868.1 MHz frame
+    assert ledger.next_allowed_us(868_300_000, 0) == 100_000_000
+    with pytest.raises(DutyCycleViolation):
+        ledger.record_transmission(868_300_000, 50_000_000, 1_000_000)
+    ledger.record_transmission(868_300_000, 100_000_000, 1_000_000)
+    assert ledger.next_allowed_us(868_100_000, 0) == 200_000_000
+    audit = ledger.audit(300_000_000)["g1"]
+    assert audit["frames"] == 2 and audit["on_air_s"] == 2.0
+    assert list(ledger.accounts) == ["g1"]
+
+
+@pytest.mark.parametrize("enforced", [True, False])
+def test_uncovered_frequency_raises_on_every_call(enforced):
+    ledger = DutyLedger(enforced=enforced)
+    for _ in range(3):
+        with pytest.raises(RegulatorError):
+            ledger.record_transmission(869_300_000, 0, 1000)
+        if enforced:
+            with pytest.raises(RegulatorError):
+                ledger.next_allowed_us(869_300_000, 0)
+    assert ledger.accounts == {}
