@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 from . import phy
+from .energy import usage_between
 from .engine import Engine
 
 SETUP_PORT = 0xDD
@@ -170,37 +171,25 @@ class SessionPlan:
     exchange: ExchangeParams
 
 
-def exchange_phase_duration_s(params: ExchangeParams, dr: int) -> float:
-    """Nominal duration of the alternating exchange with a clean channel.
-
-    Each of the N rounds costs one data frame, one turnaround, one ack and one
-    more turnaround before the next data frame (or the completion event).
-    """
-    toa_data = phy.time_on_air(dr, params.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-    toa_ack = phy.time_on_air(dr, params.ack_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-    return params.data_packets * (toa_data + params.turnaround_s + toa_ack + params.turnaround_s)
-
-
 class D2DSession:
     """One device's half of a session.
 
-    The host object (the owning device) supplies the radio and timer
-    primitives; the session only sequences them:
-
-        host.now_us() -> int
-        host.d2d_transmit(session, frame, power_dbm, freq_hz, dr, at_us)
-        host.d2d_listen_on(session) / host.d2d_listen_off(session)
-        host.schedule_session_timer(session, at_us, tag) -> engine entry, for Engine.cancel
-        host.session_finished(session)
+    The session drives the device that runs it.  It schedules its own timers
+    on the device's engine and keeps at most two: the T2 deadline and one
+    step (start, no_reply, linger or complete).  It opens its energy window
+    on the device's ledger when it is armed and closes it when it ends.  The
+    device lends it the radio: ``d2d_transmit``, which sends no frame that
+    cannot start before T2, ``d2d_listen_on``, ``d2d_listen_off`` and
+    ``session_finished``.
     """
 
-    def __init__(self, cmd: D2DSetupCommand, own_addr: int, activation_us: int,
-                 params: ExchangeParams, plan_id: int | None = None):
+    def __init__(self, cmd: D2DSetupCommand, device, params: ExchangeParams,
+                 plan_id: int | None = None):
         self.cmd = cmd
+        self.device = device
         self.params = params
         self.plan_id = plan_id
-        self.own_addr = own_addr
-        self.activation_us = activation_us
+        self.activation_us = device.engine.now_us
         self.state = D2DState.ARMED
         self.fail_reason: str | None = None
         self.established = False
@@ -213,171 +202,169 @@ class D2DSession:
 
         self.first_data_tx_us: int | None = None
         self.terminal_us: int | None = None
-        self.usage = None    # radio StateUsage over the session, set by the host at the end
+        self.usage = None    # radio StateUsage over the session, set when it ends
+        self._mark = device.ledger.mark(self.activation_us)
 
         self.toa_data_us = phy.time_on_air_us(cmd.dr, params.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         self.toa_ack_us = phy.time_on_air_us(cmd.dr, params.ack_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         self.turnaround_us = round(params.turnaround_s * 1e6)
         self.guard_us = round(params.guard_s * 1e6)
         self.latency_us = round(params.command_latency_s * 1e6)
-        self.deadline_us = activation_us + round(cmd.t2_s * 1e6)
+        self.deadline_us = self.activation_us + round(cmd.t2_s * 1e6)
 
-        self._timers: dict[str, object] = {}     # pending timer event by tag
+        self._step = None       # engine entry of the pending step timer
+        self._deadline = None   # engine entry of the T2 deadline
 
     # -- lifecycle ---------------------------------------------------------
 
-    def activate(self, host) -> None:
+    def activate(self) -> None:
         if self.state is not D2DState.ARMED:
             raise D2DProtocolError(f"activate in state {self.state}")
-        self._arm(host, "start", self.activation_us + round(self.cmd.t1_s * 1e6))
-        self._arm(host, "deadline", self.deadline_us)
+        self._arm(self._on_start, "d2d_start", self.activation_us + round(self.cmd.t1_s * 1e6))
+        self._deadline = self._schedule(self._on_deadline, "d2d_deadline", self.deadline_us)
 
-    def on_timer(self, host, tag: str) -> None:
-        self._timers.pop(tag, None)
-        if self.state in (D2DState.DONE, D2DState.FAILED):
-            return
-        if tag == "start":
-            self._on_start(host)
-        elif tag == "deadline":
-            self._on_deadline(host)
-        elif tag == "no_reply":
-            self._on_no_reply(host)
-        elif tag in ("linger", "complete"):
-            self._finish(host, D2DState.DONE)
-        else:
-            raise D2DProtocolError(f"unknown session timer {tag}")
-
-    def _on_start(self, host) -> None:
+    def _on_start(self, _) -> None:
         if self.cmd.role is Role.SCANNER:
             self.state = D2DState.SCANNING
-            host.d2d_listen_on(self)
+            self.device.d2d_listen_on()
         else:
             self.state = D2DState.INITIATING
-            self._transmit_data(host, host.now_us())
+            self._transmit_data(self.device.engine.now_us)
 
-    def _on_deadline(self, host) -> None:
+    def _on_deadline(self, _) -> None:
         if self.state in (D2DState.SCANNING, D2DState.INITIATING):
-            self._fail(host, "rendezvous_timeout")
+            self._fail("rendezvous_timeout")
         else:
-            self._fail(host, "session_timeout")
+            self._fail("session_timeout")
 
     # -- transmit paths ----------------------------------------------------
 
-    def _transmit_data(self, host, at_us: int) -> None:
+    def _transmit_data(self, at_us: int) -> None:
         frame = D2DDataFrame(
-            source_addr=self.own_addr,
+            source_addr=self.device.dev_addr,
             seq=self.packets_acked + 1,
             app_bytes=self.params.data_payload_bytes,
         )
-        self.data_frames_sent += 1
-        start = at_us + self.latency_us
-        if self.first_data_tx_us is None:
-            self.first_data_tx_us = start
-        host.d2d_transmit(self, frame, self.cmd.power_dbm, self.cmd.freq_hz, self.cmd.dr, start)
+        start = self.device.d2d_transmit(frame, at_us + self.latency_us)
+        if start is not None:
+            self.data_frames_sent += 1
+            if self.first_data_tx_us is None:
+                self.first_data_tx_us = start
 
-    def _transmit_ack(self, host, seq: int, at_us: int) -> None:
-        frame = D2DAckFrame(source_addr=self.own_addr, seq=seq, app_bytes=self.params.ack_payload_bytes)
-        self.ack_frames_sent += 1
-        host.d2d_transmit(self, frame, self.cmd.power_dbm, self.cmd.freq_hz, self.cmd.dr, at_us + self.latency_us)
+    def _transmit_ack(self, seq: int, at_us: int) -> None:
+        frame = D2DAckFrame(source_addr=self.device.dev_addr, seq=seq,
+                            app_bytes=self.params.ack_payload_bytes)
+        if self.device.d2d_transmit(frame, at_us + self.latency_us) is not None:
+            self.ack_frames_sent += 1
 
-    def on_tx_end(self, host, frame) -> None:
+    def on_tx_end(self, frame) -> None:
         """Radio reports our own frame finished; turn around and listen."""
         if self.state in (D2DState.DONE, D2DState.FAILED):
             return
-        now = host.now_us()
-        host.d2d_listen_on(self)
+        now = self.device.engine.now_us
+        self.device.d2d_listen_on()
         if isinstance(frame, D2DDataFrame):
             window = self.turnaround_us + self.toa_ack_us + self.guard_us
-            self._arm(host, "no_reply", now + window)
+            self._arm(self._on_no_reply, "d2d_no_reply", now + window)
         elif self.packets_acked == self.params.data_packets:
             # Hold the receiver long enough to re-ack a duplicate of the
             # final data frame, then declare the session done.
             window = self.turnaround_us + self.toa_data_us + self.guard_us
-            self._arm(host, "linger", now + window)
+            self._arm(self._on_done, "d2d_linger", now + window)
         # otherwise just keep listening: the scanner side never retransmits
         # on its own and is bounded by the T2 deadline alone
 
     # -- receive path ------------------------------------------------------
 
-    def on_frame(self, host, frame) -> None:
+    def on_frame(self, frame) -> None:
         if self.state in (D2DState.DONE, D2DState.FAILED, D2DState.ARMED):
             return
         if getattr(frame, "source_addr", None) != self.cmd.peer_addr:
             self.ignored_frames += 1
             return
-        now = host.now_us()
+        now = self.device.engine.now_us
         if self.cmd.role is Role.SCANNER and isinstance(frame, D2DDataFrame):
-            self._scanner_on_data(host, frame, now)
+            self._scanner_on_data(frame, now)
         elif self.cmd.role is Role.INITIATOR and isinstance(frame, D2DAckFrame):
-            self._initiator_on_ack(host, frame, now)
+            self._initiator_on_ack(frame, now)
         else:
             self.ignored_frames += 1
 
-    def _scanner_on_data(self, host, frame: D2DDataFrame, now: int) -> None:
+    def _scanner_on_data(self, frame: D2DDataFrame, now: int) -> None:
         if frame.seq == self.packets_acked + 1:
             self.packets_acked = frame.seq
         elif frame.seq != self.packets_acked:   # == means our ack was lost; re-ack
             self.ignored_frames += 1
             return
         self.consecutive_timeouts = 0
-        self._cancel("linger")
-        # the host stops listening as soon as the ack is queued, but the
+        self._cancel_step()   # a pending linger
+        # the device stops listening as soon as the ack is queued, but the
         # ledger bills the turnaround as receive time up to the ack's start
         if self.state is D2DState.SCANNING:
             self.state = D2DState.EXCHANGE
             self.established = True
-        self._transmit_ack(host, frame.seq, now + self.turnaround_us)
+        self._transmit_ack(frame.seq, now + self.turnaround_us)
 
-    def _initiator_on_ack(self, host, frame: D2DAckFrame, now: int) -> None:
+    def _initiator_on_ack(self, frame: D2DAckFrame, now: int) -> None:
         current = self.packets_acked + 1
         if frame.seq != current:
             self.ignored_frames += 1
             return
         self.consecutive_timeouts = 0
-        self._cancel("no_reply")
+        self._cancel_step()   # the pending no_reply
         if self.state is D2DState.INITIATING:
             self.state = D2DState.EXCHANGE
             self.established = True
         self.packets_acked = current
         if self.packets_acked == self.params.data_packets:
-            self._arm(host, "complete", now + self.turnaround_us)
+            self._arm(self._on_done, "d2d_complete", now + self.turnaround_us)
         else:
-            self._transmit_data(host, now + self.turnaround_us)
+            self._transmit_data(now + self.turnaround_us)
 
     # -- timeouts ----------------------------------------------------------
 
-    def _on_no_reply(self, host) -> None:
+    def _on_no_reply(self, _) -> None:
         """Initiator ack timeout: burn one retry, retransmit the data frame."""
         self.consecutive_timeouts += 1
         if self.consecutive_timeouts >= self.params.retry_limit:
-            self._fail(host, "retry_budget_exhausted")
+            self._fail("retry_budget_exhausted")
             return
-        self._transmit_data(host, host.now_us())
+        self._transmit_data(self.device.engine.now_us)
 
-    def _arm(self, host, tag: str, at_us: int) -> None:
-        """Set timer ``tag``, replacing a pending one; none outlives T2."""
-        self._cancel(tag)
-        self._timers[tag] = host.schedule_session_timer(self, min(at_us, self.deadline_us), tag)
+    def _on_done(self, _) -> None:
+        self._finish(D2DState.DONE)
 
-    def _cancel(self, tag: str) -> None:
-        ev = self._timers.pop(tag, None)
-        if ev is not None:
-            Engine.cancel(ev)
+    def _schedule(self, fn, kind: str, at_us: int) -> list:
+        """Schedule ``fn`` at ``at_us``, clamped to T2 and to now."""
+        engine = self.device.engine
+        t = max(min(at_us, self.deadline_us), engine.now_us)
+        return engine.schedule(t, fn, kind=kind, target=self.device.eid)
+
+    def _arm(self, fn, kind: str, at_us: int) -> None:
+        """Make ``fn`` the pending step, replacing the one before it."""
+        self._cancel_step()
+        self._step = self._schedule(fn, kind, at_us)
+
+    def _cancel_step(self) -> None:
+        if self._step is not None:
+            Engine.cancel(self._step)
+            self._step = None
 
     # -- terminal ----------------------------------------------------------
 
-    def _fail(self, host, reason: str) -> None:
+    def _fail(self, reason: str) -> None:
         self.fail_reason = reason
-        self._finish(host, D2DState.FAILED)
+        self._finish(D2DState.FAILED)
 
-    def _finish(self, host, state: D2DState) -> None:
-        for ev in self._timers.values():
-            Engine.cancel(ev)
-        self._timers.clear()
+    def _finish(self, state: D2DState) -> None:
+        self._cancel_step()
+        Engine.cancel(self._deadline)
         self.state = state
-        self.terminal_us = host.now_us()
-        host.d2d_listen_off(self)
-        host.session_finished(self)
+        device = self.device
+        self.terminal_us = now = device.engine.now_us
+        device.d2d_listen_off()
+        self.usage = usage_between(self._mark, device.ledger.mark(now))
+        device.session_finished()
 
     @property
     def completed(self) -> bool:

@@ -74,10 +74,6 @@ class StateUsage:
     def tx_s(self) -> float:
         return sum(self.tx_s_by_power.values())
 
-    @property
-    def total_s(self) -> float:
-        return self.tx_s + self.rx_s + self.sleep_s
-
     def energy_j(self, profile: PowerProfile) -> dict[str, float]:
         tx = sum(profile.p_tx_w(p) * s for p, s in self.tx_s_by_power.items())
         rx = profile.p_rx_w * self.rx_s

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import d2d, phy, regulator
-from .energy import EnergyLedger, usage_between
+from .energy import EnergyLedger
 
 UPLINK_PORT = 1
 JOIN_REQUEST_PHY_BYTES = 23
@@ -193,7 +193,6 @@ class EndDevice:
         self.fcnt_up = 0
         self.session: d2d.D2DSession | None = None
         self.session_history: list[d2d.D2DSession] = []
-        self._session_mark: tuple | None = None   # ledger.mark when `session` armed
 
         self.ledger = EnergyLedger()
         self.rng = DeviceDraws(engine.rng.stream(f"dev:{eid}"))
@@ -274,7 +273,7 @@ class EndDevice:
         self.ledger.set_state(self.engine.now_us, "sleep")
         if tx.kind.startswith("d2d"):
             if self.session is not None:
-                self.session.on_tx_end(self, tx.frame)
+                self.session.on_tx_end(tx.frame)
             return
         # class A: two receive windows pegged to the uplink end
         self.mac_state = MacState.WAIT_RW1
@@ -338,8 +337,8 @@ class EndDevice:
     def on_frame_decoded(self, tx: phy.Transmission) -> None:
         frame = tx.frame
         if self.mac_state is MacState.D2D_SUSPENDED:
-            if self.session is not None and tx.kind.startswith("d2d"):
-                self.session.on_frame(self, frame)
+            if tx.kind.startswith("d2d"):
+                self.session.on_frame(frame)
             else:
                 self.counters["ignored_frames"] += 1
             return
@@ -388,13 +387,11 @@ class EndDevice:
                     plan_id: int | None = None) -> None:
         """Suspend LoRaWAN operation and hand the radio to a new session."""
         self.mac_state = MacState.D2D_SUSPENDED
-        self._session_mark = self.ledger.mark(self.engine.now_us)
-        self.session = d2d.D2DSession(cmd, self.dev_addr, self.engine.now_us,
-                                      exchange, plan_id)
+        self.session = d2d.D2DSession(cmd, self, exchange, plan_id)
         self.engine.trace("d2d_armed", self.eid, role=cmd.role.name.lower(),
                           freq_hz=cmd.freq_hz, dr=cmd.dr, t1_ds=round(cmd.t1_s * 10),
                           t2_ds=round(cmd.t2_s * 10), peer=cmd.peer_addr)
-        self.session.activate(self)
+        self.session.activate()
 
     # -- join --------------------------------------------------------------
 
@@ -422,55 +419,54 @@ class EndDevice:
         self._next_nominal_us = self.engine.now_us + self.period_us
         self._schedule_next_uplink()
 
-    # -- D2D host interface --------------------------------------------------
+    # -- radio for the running D2D session -----------------------------------
 
-    def now_us(self) -> int:
-        return self.engine.now_us
-
-    def d2d_transmit(self, session: d2d.D2DSession, frame, power_dbm: int,
-                     freq_hz: int, dr: int, at_us: int) -> None:
-        app = frame.app_bytes
-        phy_bytes = app + phy.FRAME_OVERHEAD_BYTES
-        toa = phy.time_on_air_us(dr, phy_bytes)
+    def d2d_transmit(self, frame, at_us: int) -> int | None:
+        """Send a frame of the running session at ``at_us``, or later if the
+        duty ledger defers it, and return its start.  A frame that cannot
+        start before the session's T2 deadline is not sent: it records no
+        duty, leaves the radio as it is and returns None."""
+        session = self.session
+        cmd = session.cmd
         start = max(at_us, self.engine.now_us)
         if self.duty_applies_to_d2d:
-            start = self.duty.next_allowed_us(freq_hz, start)
-            self.duty.record_transmission(freq_hz, start, toa)
+            start = self.duty.next_allowed_us(cmd.freq_hz, start)
+        if start >= session.deadline_us:
+            return None
+        phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
+        toa = phy.time_on_air_us(cmd.dr, phy_bytes)
+        if self.duty_applies_to_d2d:
+            self.duty.record_transmission(cmd.freq_hz, start, toa)
         if self._d2d_listening:
             self.medium.unlisten(self)
             self._d2d_listening = False
         kind = "d2d_data" if isinstance(frame, d2d.D2DDataFrame) else "d2d_ack"
         tx = phy.Transmission(
-            start_us=start, duration_us=toa, freq_hz=freq_hz, dr=dr,
-            tx_power_dbm=power_dbm, phy_payload_bytes=phy_bytes,
+            start_us=start, duration_us=toa, freq_hz=cmd.freq_hz, dr=cmd.dr,
+            tx_power_dbm=cmd.power_dbm, phy_payload_bytes=phy_bytes,
             source=self.eid, kind=kind, frame=frame,
         )
         self.ledger.command()
         self.medium.begin_tx(tx, owner=self)
+        return start
 
-    def d2d_listen_on(self, session: d2d.D2DSession) -> None:
+    def d2d_listen_on(self) -> None:
         if self._d2d_listening:
             return
         self._d2d_listening = True
         self.ledger.command()
         self.ledger.set_state(self.engine.now_us, "rx")
-        self.medium.listen(self, session.cmd.freq_hz, session.cmd.dr, "d2d")
+        self.medium.listen(self, self.session.cmd.freq_hz, self.session.cmd.dr, "d2d")
 
-    def d2d_listen_off(self, session: d2d.D2DSession) -> None:
+    def d2d_listen_off(self) -> None:
         if not self._d2d_listening:
             return
         self._d2d_listening = False
         self.medium.unlisten(self)
         self.ledger.set_state(self.engine.now_us, "sleep")
 
-    def schedule_session_timer(self, session: d2d.D2DSession, at_us: int, tag: str):
-        t = max(at_us, self.engine.now_us)
-        return self.engine.schedule(t, lambda _: session.on_timer(self, tag),
-                                    kind=f"d2d_{tag}", target=self.eid)
-
-    def session_finished(self, session: d2d.D2DSession) -> None:
-        session.usage = usage_between(self._session_mark,
-                                      self.ledger.mark(self.engine.now_us))
+    def session_finished(self) -> None:
+        session = self.session
         self.session_history.append(session)
         self.session = None
         self.engine.trace("d2d_finished", self.eid, state=session.state.value,

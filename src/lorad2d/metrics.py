@@ -29,9 +29,9 @@ def _energy_block(usage, profile: PowerProfile) -> dict:
     return block
 
 
-def session_record(session, device, profile: PowerProfile) -> dict:
+def session_record(session, profile: PowerProfile) -> dict:
     rec = {
-        "device": device.eid,
+        "device": session.device.eid,
         "role": session.cmd.role.name.lower(),
         "state": session.state.value,
         "established": session.established,
@@ -64,8 +64,7 @@ def _sessions(device) -> list:
 def device_record(device, profile: PowerProfile) -> dict:
     rec = device.snapshot()
     rec["energy"] = _energy_block(device.ledger.usage(), profile)
-    rec["sessions"] = [session_record(s, device, profile)
-                       for s in _sessions(device)]
+    rec["sessions"] = [session_record(s, profile) for s in _sessions(device)]
     return rec
 
 
@@ -119,14 +118,12 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             scan_s = half(entry["scanner"], entry["plan_id"])
             rec["sessions"] = {}
             if init_s is not None:
-                rec["sessions"]["initiator"] = session_record(
-                    init_s, devices[entry["initiator"]], profile)
+                rec["sessions"]["initiator"] = session_record(init_s, profile)
                 if init_s.terminal_us is not None:
                     rec["session_time_s"] = (init_s.terminal_us - entry["trigger_us"]) / 1e6
                 rec["bytes_exchanged"] = init_s.packets_acked * init_s.params.data_payload_bytes
             if scan_s is not None:
-                rec["sessions"]["scanner"] = session_record(
-                    scan_s, devices[entry["scanner"]], profile)
+                rec["sessions"]["scanner"] = session_record(scan_s, profile)
             rec["completed"] = (init_s is not None and init_s.completed
                                 and scan_s is not None and scan_s.completed)
         d2d_sessions.append(rec)

@@ -2,9 +2,10 @@
 
 Everything in this module is written from first principles: the airtime
 counter packs bits block by block instead of using the closed-form ceiling,
-the reception referee enumerates pairwise cases, and the session-completion
-probability is a small recurrence.  Nothing here imports from the package,
-so an implementation bug cannot vouch for itself.
+the reception referee enumerates pairwise cases, the D2D exchange phase is
+summed from the counted airtimes, and the session-completion probability is
+a small recurrence.  Nothing here imports from the package, so an
+implementation bug cannot vouch for itself.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def time_on_air_s(dr: int, phy_payload_bytes: int, preamble_symbols: int = 8) ->
     n_payload = payload_symbol_count(sf, bw, phy_payload_bytes)
     symbol_s = (1 << sf) / bw
     return (preamble_symbols + 4.25 + n_payload) * symbol_s
+
+
+# LoRaWAN bytes around an application payload: MHDR (1), FHDR without
+# options (7), FPort (1) and MIC (4).
+FRAME_OVERHEAD_BYTES = 13
+
+
+def exchange_phase_duration_s(params, dr: int) -> float:
+    """Nominal duration of the alternating D2D exchange on a clean channel.
+
+    ``params`` carries ``data_packets``, ``data_payload_bytes``,
+    ``ack_payload_bytes`` and ``turnaround_s``.  Each of the N rounds costs
+    one data frame, one turnaround, one ack and one more turnaround before
+    the next data frame (or the completion event).
+    """
+    data_s = time_on_air_s(dr, params.data_payload_bytes + FRAME_OVERHEAD_BYTES)
+    ack_s = time_on_air_s(dr, params.ack_payload_bytes + FRAME_OVERHEAD_BYTES)
+    return params.data_packets * (data_s + params.turnaround_s + ack_s + params.turnaround_s)
 
 
 # -- reception referee -------------------------------------------------------

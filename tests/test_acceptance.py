@@ -15,8 +15,9 @@ import pytest
 import helpers
 import oracles
 import test_codec
+from oracles import exchange_phase_duration_s
 from lorad2d import phy, runner
-from lorad2d.d2d import decode_setup, encode_setup, exchange_phase_duration_s
+from lorad2d.d2d import decode_setup, encode_setup
 from lorad2d.scenario import bundled_names, load_bundled, make_duty_audit
 
 TIME_REF_S = {"conventional": 225.6, "d2d": 30.2}

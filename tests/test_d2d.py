@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 import helpers
-from lorad2d import d2d, phy
-from lorad2d.d2d import (D2DProtocolError, D2DState, ExchangeParams,
-                         exchange_phase_duration_s)
+from oracles import exchange_phase_duration_s
+from lorad2d import d2d, phy, runner
+from lorad2d.d2d import D2DProtocolError, D2DState, ExchangeParams
 from lorad2d.engine import DECODED, Medium
+from lorad2d.scenario import load_bundled
 
 SMALL = dict(data_packets=2, data_payload_bytes=20, ack_payload_bytes=5)
 
@@ -151,13 +154,12 @@ def test_frames_from_strangers_are_ignored():
     session = init_dev.session
     assert session is not None and session.state is D2DState.EXCHANGE
     before = session.packets_acked
-    session.on_frame(init_dev, d2d.D2DAckFrame(source_addr=0x9999,
-                                               seq=before + 1, app_bytes=10))
+    session.on_frame(d2d.D2DAckFrame(source_addr=0x9999, seq=before + 1,
+                                     app_bytes=10))
     assert session.packets_acked == before
     assert session.ignored_frames == 1
     # a stale ack from the right peer is ignored too
-    session.on_frame(init_dev, d2d.D2DAckFrame(source_addr=0x22, seq=99,
-                                               app_bytes=10))
+    session.on_frame(d2d.D2DAckFrame(source_addr=0x22, seq=99, app_bytes=10))
     assert session.ignored_frames == 2
 
 
@@ -189,4 +191,57 @@ def test_activating_a_running_session_is_rejected():
     engine.run(until_us=3_000_000)           # past the start timer
     assert init_dev.session.state is D2DState.EXCHANGE
     with pytest.raises(D2DProtocolError):
-        init_dev.session.activate(init_dev)
+        init_dev.session.activate()
+
+
+def _live_timers(engine, session):
+    """Pending engine entries whose callback is a method of ``session``."""
+    return [e for e in engine._heap
+            if e[2] is not None and getattr(e[2], "__self__", None) is session]
+
+
+@pytest.mark.parametrize("rig,arm,endings", [
+    ({}, dict(t1_initiator_s=1.0), {(True, None)}),
+    ({"d2d_frame_loss_prob": 1.0}, dict(t1_initiator_s=1.0),
+     {(False, "retry_budget_exhausted"), (False, "rendezvous_timeout")}),
+    # ten rounds take 3.3 s, so T2 closes the established exchange
+    ({}, dict(t1_initiator_s=1.0, t2_s=2.0), {(False, "session_timeout")}),
+], ids=["complete", "retry_and_rendezvous", "session_timeout"])
+def test_a_session_holds_at_most_two_timers_and_none_once_finished(rig, arm, endings):
+    engine, medium = helpers.make_rig(**rig)
+    devices = helpers.arm_pair(engine, medium, **arm)
+    most = 0
+    while engine._heap and engine._heap[0][0] <= 40_000_000:
+        engine.run(until_us=engine._heap[0][0])   # every event at that instant
+        for dev in devices:
+            if dev.session is not None:
+                most = max(most, len(_live_timers(engine, dev.session)))
+            for done in dev.session_history:
+                assert _live_timers(engine, done) == []
+    assert most == 2   # the T2 deadline and one step
+    halves = [dev.session_history[0] for dev in devices]
+    assert {(s.completed, s.fail_reason) for s in halves} == endings
+
+
+@pytest.mark.parametrize("end_time_s", [None, 60.0])
+def test_no_d2d_frame_goes_out_after_its_session(end_time_s):
+    # table2_d2d with the scenario defaults for the regulator: the first
+    # 240-byte frame buys sub-band g about 20 s of off-time, which pushes
+    # the second data frame past T2.  A frame sent anyway would be counted
+    # but not yet on the air when the bundled run ends, and on the air after
+    # the session when the run lasts 60 s.
+    scn = dataclasses.replace(load_bundled("table2_d2d"), duty_cycle_enforced=True,
+                              duty_cycle_applies_to_d2d=True)
+    if end_time_s is not None:
+        scn = dataclasses.replace(scn, end_time_s=end_time_s)
+    res = runner.run(scn, seed=0, trace=True)
+    for eid in ("initiator", "scanner"):
+        finished = helpers.records(res.engine, "d2d_finished", entity=eid)
+        late = [r for r in helpers.records(res.engine, "tx_start", entity=eid)
+                if r["frame"].startswith("d2d") and finished
+                and r["t_us"] >= finished[0]["t_us"]]
+        assert late == []
+    sent = res.document["d2d_sessions"][0]["sessions"]["initiator"]["data_frames_sent"]
+    on_air = [r for r in helpers.records(res.engine, "tx_start", entity="initiator")
+              if r["frame"] == "d2d_data"]
+    assert sent == len(on_air)
