@@ -18,7 +18,7 @@ from .netserver import (DeviceRecord, DownlinkError, Gateway,
                         InfeasiblePlanError, NetworkServer, PlanError)
 from .phy import PathLossModel, PhyError, Transmission, data_rate, sensitivity, time_on_air
 from .regulator import DutyCycleViolation, DutyLedger, SubBand, classify, off_time_us
-from .runner import RunResult, calibrate, run, summarize, sweep, table2
+from .runner import RunResult, run, summarize, sweep, table2
 from .scenario import Scenario, ScenarioError, bundled_names, load_bundled
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "PathLossModel", "PhyError", "Transmission", "data_rate", "sensitivity",
     "time_on_air",
     "DutyCycleViolation", "DutyLedger", "SubBand", "classify", "off_time_us",
-    "RunResult", "calibrate", "run", "summarize", "sweep", "table2",
+    "RunResult", "run", "summarize", "sweep", "table2",
     "Scenario", "ScenarioError", "bundled_names", "load_bundled",
     "__version__",
 ]

@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` a scenario file or bundled scenario, ``toa`` for airtime
 arithmetic, ``duty`` for the sub-band table and off-time calculator,
-``table2`` for the benchmark comparison, ``calibrate`` to fit and save the
-power profile behind it, ``sweep`` for multi-seed batches (``sweep
+``table2`` for the benchmark comparison, ``calibrate`` to print and save the
+power profile it fits, ``sweep`` for multi-seed batches (``sweep
 duty-audit`` is the regulatory audit: it fails when any run overshoots a
 sub-band's duty-cycle limit).
 """
@@ -170,13 +170,14 @@ def cmd_table2(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    profile, residuals = runner.calibrate(seed=args.seed)
+    doc = runner.table2(seed=args.seed)
+    profile = doc["profile"]
     print("fitted profile")
     for key in ("p_tx14_w", "p_rx_w", "p_sleep_w", "command_overhead_j"):
-        print(f"  {key:<19}{getattr(profile, key):.9f}")
-    _print_residuals(residuals)
+        print(f"  {key:<19}{profile[key]:.9f}")
+    _print_residuals(doc["calibration_residuals"])
     if args.out is not None:
-        metrics.save(profile.to_dict(), args.out)
+        metrics.save(profile, args.out)
         print(f"profile written to {args.out}")
     return 0
 

@@ -152,7 +152,6 @@ class ExchangeParams:
     turnaround_s: float = 0.05
     guard_s: float = NO_REPLY_GUARD_S
     retry_limit: int = DEFAULT_RETRY_LIMIT
-    command_latency_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.data_packets < 1:
@@ -209,7 +208,6 @@ class D2DSession:
         self.toa_ack_us = phy.time_on_air_us(cmd.dr, params.ack_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         self.turnaround_us = round(params.turnaround_s * 1e6)
         self.guard_us = round(params.guard_s * 1e6)
-        self.latency_us = round(params.command_latency_s * 1e6)
         self.deadline_us = self.activation_us + round(cmd.t2_s * 1e6)
 
         self._step = None       # engine entry of the pending step timer
@@ -245,7 +243,7 @@ class D2DSession:
             seq=self.packets_acked + 1,
             app_bytes=self.params.data_payload_bytes,
         )
-        start = self.device.d2d_transmit(frame, at_us + self.latency_us)
+        start = self.device.d2d_transmit(frame, at_us)
         if start is not None:
             self.data_frames_sent += 1
             if self.first_data_tx_us is None:
@@ -254,7 +252,7 @@ class D2DSession:
     def _transmit_ack(self, seq: int, at_us: int) -> None:
         frame = D2DAckFrame(source_addr=self.device.dev_addr, seq=seq,
                             app_bytes=self.params.ack_payload_bytes)
-        if self.device.d2d_transmit(frame, at_us + self.latency_us) is not None:
+        if self.device.d2d_transmit(frame, at_us) is not None:
             self.ack_frames_sent += 1
 
     def on_tx_end(self, frame) -> None:

@@ -15,7 +15,7 @@ output power in linear units.  The scale is monotone in dBm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,19 +44,17 @@ class PowerProfile:
         return self.p_tx14_w * tx_power_scale(power_dbm)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "supply_v": self.supply_v,
-            "p_tx14_w": self.p_tx14_w,
-            "p_rx_w": self.p_rx_w,
-            "p_sleep_w": self.p_sleep_w,
-            "command_overhead_j": self.command_overhead_j,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerProfile":
-        return cls(**{k: data[k] for k in (
-            "name", "supply_v", "p_tx14_w", "p_rx_w", "p_sleep_w", "command_overhead_j")})
+        """The inverse of ``to_dict``: every field is required and no other
+        key is accepted."""
+        names = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise TypeError(f"unknown key {key!r}")
+        return cls(**{k: data[k] for k in names})
 
 
 DEFAULT_PROFILE = PowerProfile()

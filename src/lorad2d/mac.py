@@ -170,7 +170,6 @@ class EndDevice:
                  jitter_frac: float, dr: int, tx_power_dbm: int,
                  app_payload_bytes: int, channels_hz: list[int],
                  windows: ReceiveWindows, bands, duty_enforced: bool,
-                 duty_applies_to_d2d: bool,
                  max_uplinks: int | None = None, prejoined: bool = True):
         self.engine = engine
         self.medium = medium
@@ -187,7 +186,6 @@ class EndDevice:
         self.max_uplinks = max_uplinks
         self.prejoined = prejoined
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
-        self.duty_applies_to_d2d = duty_applies_to_d2d
 
         self.mac_state = MacState.SLEEP if prejoined else MacState.NOT_JOINED
         self.fcnt_up = 0
@@ -423,24 +421,25 @@ class EndDevice:
 
     def d2d_transmit(self, frame, at_us: int) -> int | None:
         """Send a frame of the running session at ``at_us``, or later if the
-        duty ledger defers it, and return its start.  A frame that cannot
-        start before the session's T2 deadline is not sent: it records no
-        duty, leaves the radio as it is and returns None."""
+        duty ledger defers it, and return its start.  The frame counts
+        against the device's one duty ledger, as its uplinks do.  A frame
+        that cannot start before the session's T2 deadline is not sent: it
+        is traced as ``d2d_withheld``, records no duty, leaves the radio as
+        it is and returns None."""
         session = self.session
         cmd = session.cmd
-        start = max(at_us, self.engine.now_us)
-        if self.duty_applies_to_d2d:
-            start = self.duty.next_allowed_us(cmd.freq_hz, start)
+        kind = "d2d_data" if isinstance(frame, d2d.D2DDataFrame) else "d2d_ack"
+        start = self.duty.next_allowed_us(cmd.freq_hz, max(at_us, self.engine.now_us))
         if start >= session.deadline_us:
+            self.engine.trace("d2d_withheld", self.eid, frame=kind, start_us=start,
+                              t2_us=session.deadline_us)
             return None
         phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
         toa = phy.time_on_air_us(cmd.dr, phy_bytes)
-        if self.duty_applies_to_d2d:
-            self.duty.record_transmission(cmd.freq_hz, start, toa)
+        self.duty.record_transmission(cmd.freq_hz, start, toa)
         if self._d2d_listening:
             self.medium.unlisten(self)
             self._d2d_listening = False
-        kind = "d2d_data" if isinstance(frame, d2d.D2DDataFrame) else "d2d_ack"
         tx = phy.Transmission(
             start_us=start, duration_us=toa, freq_hz=cmd.freq_hz, dr=cmd.dr,
             tx_power_dbm=cmd.power_dbm, phy_payload_bytes=phy_bytes,

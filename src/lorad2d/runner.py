@@ -5,8 +5,8 @@ Also home to the benchmark machinery: the two bundled benchmark scenarios
 2400-byte transfer relayed over the network against the same transfer done
 device-to-device.  REFERENCE_* hold the published figures; :func:`table2`
 re-runs both scenarios and reports each cell next to its reference with the
-relative error, and :func:`calibrate` fits a power profile so the simulated
-state durations price out to the published energy totals.
+relative error, beside the power profile it fits so the simulated state
+durations price out to the published energy totals.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 from dataclasses import dataclass, field
 
 from . import metrics, phy
-from .energy import DEFAULT_PROFILE, PowerProfile, StateUsage, fit_profile
+from .energy import DEFAULT_PROFILE, StateUsage, fit_profile
 from .engine import Engine, Medium
 from .mac import EndDevice, ReceiveWindows
 from .netserver import DeviceRecord, Gateway, NetworkServer, PlanError
@@ -101,7 +101,6 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
             app_payload_bytes=dspec.app_payload_bytes,
             channels_hz=dspec.channels_hz, windows=windows, bands=bands,
             duty_enforced=scn.duty_cycle_enforced,
-            duty_applies_to_d2d=scn.duty_cycle_applies_to_d2d,
             max_uplinks=dspec.max_uplinks, prejoined=dspec.prejoined,
         )
         devices[dspec.eid] = dev
@@ -169,12 +168,6 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
 # -- benchmark ----------------------------------------------------------------
 
 
-def benchmark_runs(seed: int = 0) -> dict[str, RunResult]:
-    """Run both bundled benchmark scenarios."""
-    return {name: run(load_bundled(name), seed=seed)
-            for name in (CONVENTIONAL_SCENARIO, D2D_SCENARIO)}
-
-
 def benchmark_usages(runs: dict[str, RunResult]) -> dict[str, StateUsage]:
     """Per-role radio state durations over each role's accounting window.
 
@@ -194,36 +187,22 @@ def benchmark_usages(runs: dict[str, RunResult]) -> dict[str, StateUsage]:
     return usages
 
 
-def calibrate(seed: int = 0) -> tuple[PowerProfile, dict[str, dict]]:
-    """Fit a power profile so benchmark state durations match the published
-    per-role energy totals.  Returns the profile and per-role residuals."""
-    usages = benchmark_usages(benchmark_runs(seed))
-    return fit_profile(usages, REFERENCE_ENERGY_J, name="benchmark-fit")
-
-
-def _benchmark_times(runs: dict[str, RunResult]) -> dict[str, float | None]:
-    conv_doc = runs[CONVENTIONAL_SCENARIO].document
-    d2d_doc = runs[D2D_SCENARIO].document
-    conv_time = None
-    if conv_doc["transfers"]:
-        conv_time = conv_doc["transfers"][0]["total_transfer_time_s"]
-    d2d_time = None
-    if d2d_doc["d2d_sessions"]:
-        d2d_time = d2d_doc["d2d_sessions"][0]["session_time_s"]
-    return {"conventional": conv_time, "d2d": d2d_time}
-
-
 def table2(seed: int = 0) -> dict:
     """Run both benchmark scenarios and compare against the published table.
 
     A profile is calibrated from the same runs first.  The returned document
     carries, for each cell, the simulated value, the reference and the
-    relative error, plus the headline ratios and the calibration residuals.
+    relative error, plus the headline ratios, the fitted profile and the
+    calibration residuals.
     """
-    runs = benchmark_runs(seed)
+    runs = {name: run(load_bundled(name), seed=seed)
+            for name in (CONVENTIONAL_SCENARIO, D2D_SCENARIO)}
     usages = benchmark_usages(runs)
     profile, residuals = fit_profile(usages, REFERENCE_ENERGY_J, name="benchmark-fit")
-    times = _benchmark_times(runs)
+    transfers = runs[CONVENTIONAL_SCENARIO].document["transfers"]
+    sessions = runs[D2D_SCENARIO].document["d2d_sessions"]
+    times = {"conventional": transfers[0]["total_transfer_time_s"] if transfers else None,
+             "d2d": sessions[0]["session_time_s"] if sessions else None}
 
     def cell(simulated, reference):
         rel = None if simulated is None else (simulated - reference) / reference

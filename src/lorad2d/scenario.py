@@ -102,7 +102,6 @@ class Scenario:
     preamble_detect_symbols: int = 8
     backhaul_delay_s: float = 0.05
     duty_cycle_enforced: bool = True
-    duty_cycle_applies_to_d2d: bool = True
     join_success_prob: float = 1.0
     radio: RadioSpec = field(default_factory=RadioSpec)
     bands: tuple[regulator.SubBand, ...] | None = None
@@ -454,9 +453,7 @@ def load_bundled(name: str) -> Scenario:
     return Scenario.from_json(text)
 
 
-def make_duty_audit(num_devices: int = 50, end_time_s: float = 86_400.0,
-                    period_s: float = 150.0, app_payload_bytes: int = 51,
-                    dr: int = 0) -> Scenario:
+def make_duty_audit(num_devices: int = 50, end_time_s: float = 86_400.0) -> Scenario:
     """A regulatory stress scenario: devices offering more airtime than the
     1% sub-bands allow, so every ledger runs pinned at its budget."""
     devices = []
@@ -466,17 +463,17 @@ def make_duty_audit(num_devices: int = 50, end_time_s: float = 86_400.0,
             eid=f"dev{i:03d}",
             dev_addr=0x0200_0000 + i,
             position=(2000.0 * math.cos(angle), 2000.0 * math.sin(angle)),
-            period_s=period_s,
-            phase_s=period_s * i / num_devices,
+            period_s=150.0,
+            phase_s=150.0 * i / num_devices,
             jitter_frac=0.01,
-            dr=dr,
-            app_payload_bytes=app_payload_bytes,
+            dr=0,
+            app_payload_bytes=51,
         ))
     return Scenario(
         name="duty-audit",
-        description=(f"{num_devices} devices offering one {app_payload_bytes}-byte "
-                     f"uplink every {period_s:g} s at DR{dr}; the duty-cycle "
-                     "gate throttles them to the sub-band budgets"),
+        description=(f"{num_devices} devices offering one 51-byte uplink every "
+                     "150 s at DR0; the duty-cycle gate throttles them to the "
+                     "sub-band budgets"),
         end_time_s=end_time_s,
         devices=devices,
     ).validate()

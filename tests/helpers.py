@@ -30,14 +30,14 @@ def make_device(engine, medium, *, eid="dev", dev_addr=0x0100_0001,
                 position=(0.0, 0.0), period_s=10.0, phase_s=1.0,
                 jitter_frac=0.0, dr=0, tx_power_dbm=14, app_payload_bytes=12,
                 channels_hz=(CH0,), windows=WINDOWS, bands=regulator.DEFAULT_BANDS,
-                duty_enforced=False, duty_applies_to_d2d=False,
+                duty_enforced=False,
                 max_uplinks=None, prejoined=True):
     return mac.EndDevice(
         engine, medium, eid=eid, dev_addr=dev_addr, position=position,
         period_s=period_s, phase_s=phase_s, jitter_frac=jitter_frac, dr=dr,
         tx_power_dbm=tx_power_dbm, app_payload_bytes=app_payload_bytes,
         channels_hz=list(channels_hz), windows=windows, bands=bands,
-        duty_enforced=duty_enforced, duty_applies_to_d2d=duty_applies_to_d2d,
+        duty_enforced=duty_enforced,
         max_uplinks=max_uplinks, prejoined=prejoined)
 
 

@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from lorad2d import cli, metrics
+from lorad2d import cli, metrics, runner
 from lorad2d.energy import PowerProfile
 from lorad2d.scenario import load_bundled
 
@@ -147,7 +147,9 @@ def test_calibrate_writes_a_loadable_profile(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fitted profile" in out and "calibration residuals" in out
     assert f"profile written to {path}" in out
-    profile = PowerProfile.from_dict(json.loads(path.read_text()))
+    saved = json.loads(path.read_text())
+    assert saved == runner.table2(0)["profile"]
+    profile = PowerProfile.from_dict(saved)
     assert profile.name == "benchmark-fit"
     assert 0 < profile.p_rx_w < profile.p_tx14_w
 

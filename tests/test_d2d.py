@@ -225,13 +225,12 @@ def test_a_session_holds_at_most_two_timers_and_none_once_finished(rig, arm, end
 
 @pytest.mark.parametrize("end_time_s", [None, 60.0])
 def test_no_d2d_frame_goes_out_after_its_session(end_time_s):
-    # table2_d2d with the scenario defaults for the regulator: the first
-    # 240-byte frame buys sub-band g about 20 s of off-time, which pushes
-    # the second data frame past T2.  A frame sent anyway would be counted
-    # but not yet on the air when the bundled run ends, and on the air after
-    # the session when the run lasts 60 s.
-    scn = dataclasses.replace(load_bundled("table2_d2d"), duty_cycle_enforced=True,
-                              duty_cycle_applies_to_d2d=True)
+    # table2_d2d with the regulator on: the first 240-byte frame buys
+    # sub-band g about 20 s of off-time, which pushes the second data frame
+    # past T2.  A frame sent anyway would be counted but not yet on the air
+    # when the bundled run ends, and on the air after the session when the
+    # run lasts 60 s.
+    scn = dataclasses.replace(load_bundled("table2_d2d"), duty_cycle_enforced=True)
     if end_time_s is not None:
         scn = dataclasses.replace(scn, end_time_s=end_time_s)
     res = runner.run(scn, seed=0, trace=True)
@@ -245,3 +244,28 @@ def test_no_d2d_frame_goes_out_after_its_session(end_time_s):
     on_air = [r for r in helpers.records(res.engine, "tx_start", entity="initiator")
               if r["frame"] == "d2d_data"]
     assert sent == len(on_air)
+    # the withheld frame leaves a record: the second data frame, due at
+    # 27.277 s, could start only at 46.724 s, past T2 at 41.999 s
+    withheld = helpers.records(res.engine, "d2d_withheld")
+    assert [(r["entity"], r["frame"], r["t_us"], r["start_us"], r["t2_us"])
+            for r in withheld] == [
+        ("initiator", "d2d_data", 27_277_152, 46_723_856, 41_999_056)]
+
+
+def test_a_devices_duty_audit_counts_its_d2d_frames():
+    # D2D frames go through the device's one duty ledger, as its uplinks do,
+    # whether or not the regulator defers them; the bundled pair uplinks on
+    # sub-band g1 only, so sub-band g holds its D2D frames alone
+    res = runner.run(load_bundled("table2_d2d"), seed=0)
+    halves = res.document["d2d_sessions"][0]["sessions"]
+    directive = res.scenario.d2d_directives[0]
+    params = directive.exchange
+    for eid, count, app_bytes in (
+            ("initiator", "data_frames_sent", params.data_payload_bytes),
+            ("scanner", "ack_frames_sent", params.ack_payload_bytes)):
+        frames = halves[eid][count]
+        assert frames > 0
+        band = res.document["devices"][eid]["duty"]["g"]
+        assert band["frames"] == frames
+        toa_s = phy.time_on_air_us(directive.dr, app_bytes + phy.FRAME_OVERHEAD_BYTES) / 1e6
+        assert band["on_air_s"] == pytest.approx(frames * toa_s)

@@ -21,7 +21,7 @@ GOLDEN = [
      "d778172208be2070157dbc748ad76b9c31f23c133168a3bded17a85958cc29e7"),
     ("table2_d2d", 0,
      "10e18980f278b033c787bffcc94c3e378ab12b4a57299b20271f5507da53ce2e",
-     "71eddc916168436caff9be1849edd4f05895e161bb45b8b9202c6967602bba49"),
+     "fd1cf7498fcaf9b9310df7b571c8c29a2275737bd97fe330693b35630a2daefd"),
     # 50 devices on one ring with no gateway: nothing is sent that an end
     # device can hear, so no frame is decoded or dropped
     ("duty-audit", 0,
@@ -48,10 +48,10 @@ GOLDEN = [
     # completes; seed 2 ends in retry_budget_exhausted and session_timeout
     ("lossy-d2d", 0,
      "bc459c70d1745f0e841c47f663065b950115e84dd5aaa18e74812c81c82320e3",
-     "dc6e52cbeb741c7b6adc488be922ea38e5dfabad10dd03ec02ef83b6d3baf35c"),
+     "1944df8e3f1e5e64cb902ac858f4877a2340caf694899f22107e95e247f0737f"),
     ("lossy-d2d", 2,
      "103b4519c5839a1f134773a2dada4c72a3bc0d496bb32c40c021625b386a0931",
-     "3b38fb620f460d42db6f0153c14817ebf7e452bf40963ade9fa6d8fbc9468a73"),
+     "6fa3d4eb9650d9945b9a08a21a316342c375c00a9171a1c53cf7a156a3ef4c7c"),
     # 12 over-the-air joins (12 accepted, 5 dropped) beside a relayed
     # transfer through one gateway; end devices hear only its downlinks
     ("join-cell", 0,
@@ -61,7 +61,7 @@ GOLDEN = [
     # first session acks 10 packets on both halves, the second 3
     ("two-directives", 0,
      "948d63bd47870cc955b992f707e2f0041652415936b90e6e8f82265255889258",
-     "6d386f19a833273e5bba0222cb5622d54c4ecd4b16544934badfdc8187a2c2d5"),
+     "4844c20f2207c645d225d0ab00869c2fbc7719345d883dda1f992e720009f038"),
 ]
 
 

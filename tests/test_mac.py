@@ -377,7 +377,6 @@ def test_duty_cycle_switch_throttles_peer_traffic():
     for dev in (init_dev, scan_dev):
         dev.duty = regulator.DutyLedger(bands=regulator.DEFAULT_BANDS,
                                         enforced=True)
-        dev.duty_applies_to_d2d = True
     engine.run(until_us=40_000_000)
     init = init_dev.session_history[0]
     # 240 B at DR6 in a 1 % band: ~7.6 s of silence per data frame, so the

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -26,6 +27,14 @@ def test_bundled_scenarios_exist_and_validate():
     for name in names:
         scn = load_bundled(name)          # from_json runs validate()
         assert scn.name == name
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_bundled_files_are_canonical(name):
+    # a setting added to the scenario but missing from a bundled file fails
+    # here, where the file would otherwise quietly take the new default
+    text = (resources.files("lorad2d") / "scenarios" / f"{name}.json").read_text()
+    assert text == load_bundled(name).to_json()
 
 
 def test_unknown_bundled_name_is_reported():
@@ -296,6 +305,12 @@ def test_full_doc_is_valid():
     (("transfers", 0, "port"), 0, "transfers[0].port"),
     (("transfers", 0, "port"), 221, "transfers[0].port"),
     (("transfers", 0, "port"), 224, "transfers[0].port"),
+    # one duty switch covers D2D frames too; an exchange has no command latency
+    (("duty_cycle_applies_to_d2d",), True, "duty_cycle_applies_to_d2d"),
+    (("d2d_directives", 0, "exchange", "command_latency_s"), 0.0,
+     "d2d_directives[0].exchange.command_latency_s"),
+    # a profile key that is not a PowerProfile field
+    (("profile", "p_rx_W"), 0.04, "profile"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
