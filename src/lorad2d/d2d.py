@@ -161,17 +161,23 @@ class ExchangeParams:
                 raise D2DProtocolError("payload does not fit a PHY frame")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SessionPlan:
-    """One planned session, handed to both devices beside (not inside) their
-    setup commands: the id that pairs its halves, and the exchange they run."""
+    """One D2D directive and its record: the two devices (by eid), when it
+    fired, the exchange they run, the planner's error if planning failed,
+    and each half, filed under its role when its setup arrives.  The plan
+    travels beside (not inside) both setup commands."""
 
-    plan_id: int
+    initiator: str
+    scanner: str
+    trigger_us: int
     exchange: ExchangeParams
+    error: str | None = None
+    halves: dict[Role, "D2DSession"] = field(default_factory=dict)
 
 
 class D2DSession:
-    """One device's half of a session.
+    """One device's half of a session, filed in its plan's ``halves``.
 
     The session drives the device that runs it.  It schedules its own timers
     on the device's engine and keeps at most two: the T2 deadline and one
@@ -182,12 +188,11 @@ class D2DSession:
     ``session_finished``.
     """
 
-    def __init__(self, cmd: D2DSetupCommand, device, params: ExchangeParams,
-                 plan_id: int | None = None):
+    def __init__(self, cmd: D2DSetupCommand, device, plan: SessionPlan):
         self.cmd = cmd
         self.device = device
-        self.params = params
-        self.plan_id = plan_id
+        self.params = params = plan.exchange
+        plan.halves[cmd.role] = self
         self.activation_us = device.engine.now_us
         self.state = D2DState.ARMED
         self.fail_reason: str | None = None

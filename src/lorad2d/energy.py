@@ -54,6 +54,9 @@ class PowerProfile:
         for key in data:
             if key not in names:
                 raise TypeError(f"unknown key {key!r}")
+        for key in names:
+            if key not in data:
+                raise TypeError(f"missing key {key!r}")
         return cls(**{k: data[k] for k in names})
 
 

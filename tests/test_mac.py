@@ -7,6 +7,7 @@ import pytest
 import helpers
 from lorad2d import mac, phy, regulator
 from lorad2d.d2d import ExchangeParams
+from lorad2d.engine import Draws
 from lorad2d.mac import MacState, ReceiveWindows
 
 
@@ -43,12 +44,16 @@ def pcg64(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def draws_of(seed):
+    return Draws(np.random.PCG64(seed))
+
+
 @pytest.mark.parametrize("j", [0.05, 0.1, 0.3333, 0.5])
 def test_jitter_draw_matches_generator_uniform(j):
     # the MAC draws its jitter as -j + 2 * j * random(), which is what
     # Generator.uniform(-j, j) computes; both must read the same stream bit
     # for bit, here interleaved with channel draws as in the uplink cycle
-    ref, new = pcg64(12345), mac.DeviceDraws(pcg64(12345))
+    ref, new = pcg64(12345), draws_of(12345)
     expected, got = [], []
     for _ in range(10_000):
         expected.append(ref.uniform(-j, j))
@@ -62,7 +67,7 @@ def test_jitter_draw_matches_generator_uniform(j):
 def test_device_draws_match_numpy_bit_for_bit(seed):
     # 2**31 + 5 rejects about half of its 32-bit words in numpy's Lemire rule
     bounds = (1, 2, 3, 5, 8, 2**31 + 5)
-    ref, draws = pcg64(seed), mac.DeviceDraws(pcg64(seed))
+    ref, draws = pcg64(seed), draws_of(seed)
     pick = random.Random(seed)
     expected, got = [], []
     for _ in range(10_000):
@@ -82,7 +87,7 @@ def test_device_draws_match_numpy_bit_for_bit(seed):
 
 
 def test_a_bound_of_one_consumes_no_draw():
-    fresh, draws = pcg64(99), mac.DeviceDraws(pcg64(99))
+    fresh, draws = pcg64(99), draws_of(99)
     assert [draws.below(1) for _ in range(100)] == [0] * 100
     assert draws.below(3) == fresh.integers(0, 3)
     # nor does it drop the buffered upper half-word of the last 32-bit draw
@@ -107,7 +112,7 @@ def test_uplink_record_keeps_frozen_dataclass_semantics():
 @pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
 def test_device_draws_reject_bounds_outside_32_bits(n):
     with pytest.raises(ValueError):
-        mac.DeviceDraws(pcg64(1)).below(n)
+        draws_of(1).below(n)
 
 
 def test_devices_draw_from_private_streams():

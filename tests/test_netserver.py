@@ -3,7 +3,7 @@ import pytest
 import helpers
 from lorad2d import d2d, phy
 from lorad2d.mac import LoRaWANUplink
-from lorad2d.netserver import (DeviceRecord, DownlinkError,
+from lorad2d.netserver import (DeviceRecord, DownlinkError, Gateway,
                                InfeasiblePlanError, PlanError)
 
 
@@ -120,7 +120,15 @@ def test_transfer_relays_uplink_payloads_as_downlinks():
     assert [b for _, b in dst.app_deliveries] == [12, 12, 6]
 
 
-def test_gateway_duty_defers_downlinks_until_legal():
+def test_gateway_duty_defers_downlinks_until_legal(monkeypatch):
+    fcnts = []
+    transmit = Gateway.transmit
+
+    def recording(gw, frame, **kw):
+        fcnts.append(frame.fcnt)
+        return transmit(gw, frame, **kw)
+
+    monkeypatch.setattr(Gateway, "transmit", recording)
     engine, medium = helpers.make_rig()
     server, (gw,) = make_server(engine, medium, gw_duty_enforced=True)
     dev = helpers.make_device(engine, medium, period_s=10.0, phase_s=1.0,
@@ -136,6 +144,9 @@ def test_gateway_duty_defers_downlinks_until_legal():
     assert dev.counters["downlinks_rw2"] == 2
     assert server.counters["downlinks_deferred"] >= 2
     assert len(dev.app_deliveries) == 3
+    # FCntDown is fixed when a downlink is queued, in queue order
+    assert fcnts == [0, 1, 2]
+    assert server.devices[dev.dev_addr].fcnt_down == 3
 
 
 # -- session planning --------------------------------------------------------
@@ -197,12 +208,14 @@ def test_plan_rejects_scanner_window_that_may_lapse():
 
 def test_execute_queues_both_setups():
     server = planning_server()
-    server.execute_d2d(**PLAN)
+    plan = d2d.SessionPlan("init", "scan", 0, d2d.ExchangeParams())
+    server.execute_d2d(plan, **PLAN)
     assert server.counters["setups_sent"] == 2
     for addr in (0x01, 0x02):
         queue = server.devices[addr].queue
         assert len(queue) == 1
         assert queue[0].port == d2d.SETUP_PORT
+        assert queue[0].plan is plan
         decoded = d2d.decode_setup(queue[0].payload)
         assert decoded.peer_addr != addr
 

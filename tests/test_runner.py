@@ -20,7 +20,7 @@ def test_run_result_is_fully_wired():
     assert set(res.devices) == {"initiator", "scanner"}
     assert set(res.gateways) == {"gw0"}
     assert res.ns.counters["uplinks"] > 0
-    assert len(res.d2d_log) == 1
+    assert len(res.ns.plans) == 1
     assert metrics.validate(res.document) is res.document
 
 
@@ -128,12 +128,12 @@ def test_infeasible_directive_is_logged_not_fatal():
     scn.d2d_directives[0].t2_s = 20.0
 
     res = runner.run(scn, seed=0)
-    assert res.d2d_log[0]["error"] is not None
+    assert res.ns.plans[0].error is not None
     doc = res.document
     assert doc["network"]["d2d_plan_failures"] == 1
     rec = doc["d2d_sessions"][0]
     assert rec["completed"] is False
-    assert rec["error"] == res.d2d_log[0]["error"]
+    assert rec["error"] == res.ns.plans[0].error
     assert "sessions" not in rec
     for dev_rec in doc["devices"].values():
         assert dev_rec["sessions"] == []
@@ -177,6 +177,41 @@ def test_sessions_pair_with_their_directive_when_a_setup_is_lost(monkeypatch):
     assert second["sessions"]["initiator"]["device"] == "scanner"
     assert second["sessions"]["initiator"]["role"] == "initiator"
     assert [s["role"] for s in doc["devices"]["scanner"]["sessions"]] == ["initiator"]
+
+
+class FirstJoinAcceptLost(Medium):
+    """Loses the first JoinAccept sent to the device named "dst"."""
+
+    lost = False
+
+    def capture(self, tx, rivals, dst_eid, window0_us):
+        out = super().capture(tx, rivals, dst_eid, window0_us)
+        if not self.lost and dst_eid == "dst" and tx.kind == "join_accept":
+            self.lost = True
+            return "below_sensitivity"
+        return out
+
+
+def test_transfer_opens_to_a_device_whose_join_accept_was_lost(monkeypatch):
+    # The server has accepted dst's join and given it an address, so it opens
+    # the transfer and holds the chunks until dst rejoins and uplinks.
+    monkeypatch.setattr(runner, "Medium", FirstJoinAcceptLost)
+    src = DeviceSpec("src", (300.0, 0.0), dev_addr=0x0300_0001, period_s=20.0,
+                     phase_s=1.0, dr=3, app_payload_bytes=20)
+    dst = DeviceSpec("dst", (-300.0, 0.0), period_s=20.0, phase_s=2.0, dr=3,
+                     prejoined=False)
+    scn = Scenario("lost-join-accept", 120.0, devices=[src, dst],
+                   gateways=[GatewaySpec("gw0", (0.0, 0.0))],
+                   transfers=[TransferSpec("src", "dst", 60, at_s=10.0)])
+
+    res = runner.run(scn, seed=0, trace=True)
+    assert helpers.records(res.engine, "transfer_failed") == []
+    assert res.ns.counters["joins_accepted"] == 2
+    (tr,) = res.document["transfers"]
+    assert (tr["source"], tr["dest"]) == ("src", "dst")
+    assert tr["complete"]
+    assert tr["bytes_delivered"] == 60
+    assert tr["chunks_relayed"] == 3
 
 
 def test_summarize_produces_one_flat_row():

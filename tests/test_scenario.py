@@ -327,6 +327,14 @@ def test_bad_value_error_paths(where, value, path):
     assert str(err.value).startswith(f"{path}: ")   # names an unknown key too
 
 
+def test_profile_without_a_key_names_the_missing_key():
+    doc = full_doc()
+    del doc["profile"]["p_rx_w"]
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == "profile: bad PowerProfile: missing key 'p_rx_w'"
+
+
 def test_partial_sensitivity_table_names_the_missing_rates():
     doc = load_bundled("table2_d2d").to_dict()
     doc["sensitivity_dbm"] = {"0": -137.0}
