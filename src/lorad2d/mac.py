@@ -188,20 +188,21 @@ class EndDevice:
 
     def _begin_uplink(self, _=None) -> None:
         channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
-        now = self.engine.now_us
-        phy_bytes = self._uplink_phy_bytes
-        toa = self._uplink_toa_us
-        start = self.duty.next_allowed_us(channel, now)
-        if start > now:
-            self.counters["duty_deferrals"] += 1
-            if self.engine.trace_enabled:
-                self.engine.trace("duty_defer", self.eid, until_us=start, freq_hz=channel)
         frame = LoRaWANUplink(self.dev_addr, self.fcnt_up, UPLINK_PORT, self.app_payload_bytes)
-        self._transmit_lorawan(start, channel, self.uplink_dr, phy_bytes, "uplink", frame, toa)
+        self._transmit_lorawan(channel, self.uplink_dr, self._uplink_phy_bytes, "uplink",
+                               frame, self._uplink_toa_us)
         self.fcnt_up += 1
 
-    def _transmit_lorawan(self, start_us: int, freq_hz: int, dr: int, phy_bytes: int,
-                          kind: str, frame, toa_us: int) -> None:
+    def _transmit_lorawan(self, freq_hz: int, dr: int, phy_bytes: int, kind: str,
+                          frame, toa_us: int) -> None:
+        """Send an uplink or join request now, or once the duty ledger
+        allows; a later start is counted and traced as a deferral."""
+        now = self.engine.now_us
+        start_us = self.duty.next_allowed_us(freq_hz, now)
+        if start_us > now:
+            self.counters["duty_deferrals"] += 1
+            if self.engine.trace_enabled:
+                self.engine.trace("duty_defer", self.eid, until_us=start_us, freq_hz=freq_hz)
         self.duty.record_transmission(freq_hz, start_us, toa_us)
         tx = phy.Transmission(
             start_us=start_us, duration_us=toa_us, freq_hz=freq_hz, dr=dr,
@@ -344,13 +345,11 @@ class EndDevice:
 
     def _begin_join(self, _=None) -> None:
         channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
-        now = self.engine.now_us
         toa = phy.time_on_air_us(self.uplink_dr, JOIN_REQUEST_PHY_BYTES)
-        start = self.duty.next_allowed_us(channel, now)
         self.counters["join_attempts"] += 1
         self.engine.trace("join_request", self.eid, freq_hz=channel)
         request = JoinRequest(self.eid, dev_nonce=self.counters["join_attempts"])
-        self._transmit_lorawan(start, channel, self.uplink_dr, JOIN_REQUEST_PHY_BYTES,
+        self._transmit_lorawan(channel, self.uplink_dr, JOIN_REQUEST_PHY_BYTES,
                                "join_request", request, toa)
 
     def _complete_join(self, frame: JoinAccept) -> None:

@@ -130,7 +130,7 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
     device_block = {}
     for eid, dev in devices.items():
         rec = device_record(dev, profile)
-        rec["uplinks_delivered"] = ns.uplinks_by_addr.get(dev.dev_addr, 0)
+        rec["uplinks_delivered"] = ns.by_eid[eid].uplinks
         device_block[eid] = rec
 
     return {

@@ -45,9 +45,11 @@ class DeviceRecord:
     app_payload_bytes: int
     period_s: float
     jitter_frac: float
-    joined: bool = True
     queue: list[LoRaWANDownlink] = field(default_factory=list)   # pending, FIFO
     fcnt_down: int = 0   # FCntDown of the next downlink queued
+    fcnt_up: int = 0     # FCnt a new uplink must reach; lower ones are copies
+    dev_nonce: int = 0   # DevNonce of the last join request handled
+    uplinks: int = 0     # data uplinks handled
 
 
 @dataclass(eq=False)
@@ -66,7 +68,7 @@ class TransferState:
 
 
 class Gateway:
-    def __init__(self, engine, medium, *, eid: str, position: tuple[float, float],
+    def __init__(self, engine, medium, server, *, eid: str, position: tuple[float, float],
                  channels_hz: list[int], tx_power_dbm: int, backhaul_delay_s: float,
                  bands, duty_enforced: bool):
         self.engine = engine
@@ -77,7 +79,7 @@ class Gateway:
         self.backhaul_us = round(backhaul_delay_s * 1e6)
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
         self.busy_until_us = 0
-        self.server = None
+        self.server = server
         self.counters = {"uplinks_decoded": 0, "downlinks_transmitted": 0}
         medium.register_position(eid, position)
         medium.listen_gateway(self)
@@ -121,12 +123,8 @@ class NetworkServer:
         self.bands = bands
         self.devices: dict[int, DeviceRecord] = {}
         self.by_eid: dict[str, DeviceRecord] = {}
-        # (dev_addr, fcnt) of data uplinks and (eid, dev_nonce) of join
-        # requests already handled; copies forwarded by other gateways drop
-        self.seen: set[tuple] = set()
         self.transfers: list[TransferState] = []
         self.plans: list[d2d.SessionPlan] = []   # every directive, in firing order
-        self.uplinks_by_addr: dict[int, int] = {}
         self.next_dev_addr = 0x0100_0001
         self.rng = engine.rng.stream("netserver")
         self.counters = {
@@ -137,84 +135,92 @@ class NetworkServer:
 
     # -- registration --------------------------------------------------------
 
-    def register_device(self, record: DeviceRecord) -> None:
+    def register_device(self, record: DeviceRecord, joined: bool = True) -> None:
+        """Know the device; a joined one is also reachable by its address."""
         self.by_eid[record.eid] = record
-        if record.joined and record.dev_addr is not None:
+        if joined and record.dev_addr is not None:
             self.devices[record.dev_addr] = record
 
-    def add_transfer(self, source_addr: int, dest_addr: int, total_bytes: int,
-                     port: int = 1) -> TransferState:
-        for addr in (source_addr, dest_addr):
-            if addr not in self.devices:
-                raise PlanError(f"transfer endpoint 0x{addr:08x} is not a joined device")
-        chunk = min(self.devices[source_addr].app_payload_bytes, total_bytes)
-        self._check_fits(self.devices[dest_addr], chunk, PlanError)
-        state = TransferState(source_addr, dest_addr, total_bytes, port)
-        self.transfers.append(state)
-        return state
-
-    def _joined_addrs(self, eids: tuple[str, ...], error: str) -> list[int]:
-        """The named devices' addresses; PlanError(error) unless the server
+    def _joined(self, eids: tuple[str, ...], error: str) -> list[DeviceRecord]:
+        """The named devices' records; PlanError(error) unless the server
         has accepted each one's join."""
-        addrs = [self.by_eid[eid].dev_addr for eid in eids]
-        if any(addr not in self.devices for addr in addrs):
+        records = [self.by_eid[eid] for eid in eids]
+        if any(r.dev_addr not in self.devices for r in records):
             raise PlanError(error)
-        return addrs
+        return records
 
     # -- scenario actions ------------------------------------------------------
 
     def start_transfer(self, spec) -> None:
         """Open a scenario's relayed transfer, or count and trace its failure."""
         try:
-            src, dst = self._joined_addrs((spec.source, spec.dest),
-                                          "transfer endpoints must both be joined")
-            self.add_transfer(src, dst, spec.total_bytes, spec.port)
+            src, dst = self._joined((spec.source, spec.dest),
+                                    "transfer endpoints must both be joined")
+            self._check_fits(dst, min(src.app_payload_bytes, spec.total_bytes), PlanError)
         except PlanError as exc:
             self.engine.count("transfer_failed")
             self.engine.trace("transfer_failed", "ns", source=spec.source,
                               dest=spec.dest, error=str(exc))
+            return
+        self.transfers.append(TransferState(src.dev_addr, dst.dev_addr,
+                                            spec.total_bytes, spec.port))
 
     def start_directive(self, spec) -> None:
-        """Plan and arm a scenario directive's session.  Its plan joins
-        ``plans`` first, so a failed directive keeps its place there, with
-        the planner's message as its error, and is counted and traced."""
+        """Plan a scenario directive's session and queue both setups, each
+        carrying its plan.  The plan joins ``plans`` first, so a failed
+        directive keeps its place there, with the planner's message as its
+        error, and is counted and traced."""
         plan = d2d.SessionPlan(spec.initiator, spec.scanner, self.engine.now_us,
                                spec.exchange)
         self.plans.append(plan)
         try:
-            init, scan = self._joined_addrs((spec.initiator, spec.scanner),
-                                            "session participants must both be joined")
-            self.execute_d2d(plan, initiator_addr=init, scanner_addr=scan,
-                             freq_hz=spec.freq_hz, dr=spec.dr, power_dbm=spec.power_dbm,
-                             t1_initiator_s=spec.t1_initiator_s,
-                             t1_scanner_s=spec.t1_scanner_s, t2_s=spec.t2_s)
+            init, scan = self._joined((spec.initiator, spec.scanner),
+                                      "session participants must both be joined")
+            link = dict(initiator_addr=init.dev_addr, scanner_addr=scan.dev_addr,
+                        freq_hz=spec.freq_hz, dr=spec.dr, power_dbm=spec.power_dbm,
+                        t1_initiator_s=spec.t1_initiator_s,
+                        t1_scanner_s=spec.t1_scanner_s, t2_s=spec.t2_s)
+            commands = self.plan_d2d(exchange=plan.exchange, **link)
         except PlanError as exc:
             plan.error = str(exc)
             self.engine.count("d2d_plan_failed")
             self.engine.trace("d2d_plan_failed", "ns", initiator=spec.initiator,
                               scanner=spec.scanner, error=plan.error)
+            return
+        for addr, cmd in commands:
+            self.enqueue_downlink(addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
+                                  payload=d2d.encode_setup(cmd), plan=plan)
+            self.counters["setups_sent"] += 1
+        self.engine.trace("d2d_planned", "ns", **link)
 
     # -- uplink path -----------------------------------------------------------
 
     def on_uplink(self, tx: phy.Transmission, gw: Gateway) -> None:
+        """Handle each frame once: a device's frames arrive in the order it
+        sent them, so a copy from another gateway, or a replay, carries an
+        FCnt or DevNonce that does not pass the one on its record."""
         frame = tx.frame
         if isinstance(frame, JoinRequest):
-            key = (frame.eid, frame.dev_nonce)
-        elif isinstance(frame, LoRaWANUplink) and frame.dev_addr in self.devices:
-            key = (frame.dev_addr, frame.fcnt)
-        else:
+            record = self.by_eid.get(frame.eid)
+            if record is None:
+                return
+            if frame.dev_nonce <= record.dev_nonce:
+                self.counters["dedup_drops"] += 1
+                return
+            record.dev_nonce = frame.dev_nonce
+            self._on_join_request(tx, record, gw)
             return
-        if key in self.seen:
+        if not isinstance(frame, LoRaWANUplink) or frame.dev_addr not in self.devices:
+            return
+        record = self.devices[frame.dev_addr]
+        if frame.fcnt < record.fcnt_up:
             self.counters["dedup_drops"] += 1
             return
-        self.seen.add(key)
-        if isinstance(frame, JoinRequest):
-            self._on_join_request(tx, gw)
-            return
+        record.fcnt_up = frame.fcnt + 1
+        record.uplinks += 1
         self.counters["uplinks"] += 1
-        self.uplinks_by_addr[frame.dev_addr] = self.uplinks_by_addr.get(frame.dev_addr, 0) + 1
         self._relay(tx)
-        self._try_place_downlink(frame.dev_addr, tx, gw)
+        self._try_place_downlink(record, tx, gw)
 
     def _relay(self, tx: phy.Transmission) -> None:
         """Credit an uplink's payload to the earliest open transfer from its
@@ -272,9 +278,8 @@ class NetworkServer:
                 return window
         return None
 
-    def _try_place_downlink(self, dev_addr: int, uplink: phy.Transmission,
+    def _try_place_downlink(self, record: DeviceRecord, uplink: phy.Transmission,
                             gw: Gateway) -> None:
-        record = self.devices[dev_addr]
         if not record.queue:
             return
         frame = record.queue[0]
@@ -290,20 +295,19 @@ class NetworkServer:
         self.counters["downlinks_scheduled"] += 1
         self.counters[f"downlinks_rw{window}"] += 1
         if self.engine.trace_enabled:
-            self.engine.trace("downlink_scheduled", "ns", dev_addr=dev_addr,
+            self.engine.trace("downlink_scheduled", "ns", dev_addr=record.dev_addr,
                               window=window, port=frame.port, bytes=frame.app_bytes)
 
     # -- join ---------------------------------------------------------------
 
-    def _on_join_request(self, tx: phy.Transmission, gw: Gateway) -> None:
-        eid = tx.frame.eid
+    def _on_join_request(self, tx: phy.Transmission, record: DeviceRecord,
+                         gw: Gateway) -> None:
         if self.rng.random() >= self.join_success_prob:
             self.counters["joins_dropped"] += 1
             return
-        record = self.by_eid.get(eid)
-        if record is None:
-            return
         if record.dev_addr is None:
+            while self.next_dev_addr in self.devices:   # held by a pre-joined device
+                self.next_dev_addr += 1
             record.dev_addr = self.next_dev_addr
             self.next_dev_addr += 1
         slot = self._free_window(tx, gw, JOIN_ACCEPT_PHY_BYTES)
@@ -311,10 +315,9 @@ class NetworkServer:
             self.counters["joins_dropped"] += 1
             return
         _, start, freq, dr = slot
-        gw.transmit(JoinAccept(eid, record.dev_addr), freq_hz=freq, dr=dr,
+        gw.transmit(JoinAccept(record.eid, record.dev_addr), freq_hz=freq, dr=dr,
                     phy_payload_bytes=JOIN_ACCEPT_PHY_BYTES, start_us=start,
                     kind="join_accept")
-        record.joined = True
         self.devices[record.dev_addr] = record
         self.counters["joins_accepted"] += 1
 
@@ -391,13 +394,3 @@ class NetworkServer:
                 role=role, freq_hz=freq_hz, dr=dr, power_dbm=power_dbm,
                 t1_s=t1, t2_s=t2_s, peer_addr=peer)))
         return commands
-
-    def execute_d2d(self, plan: d2d.SessionPlan, **link) -> None:
-        """Plan ``plan``'s session over ``link`` (:meth:`plan_d2d`'s other
-        arguments) and queue both setups, scanner's first, each carrying
-        the plan.  A setup fits every downlink data rate."""
-        for addr, cmd in self.plan_d2d(exchange=plan.exchange, **link):
-            self.enqueue_downlink(addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
-                                  payload=d2d.encode_setup(cmd), plan=plan)
-            self.counters["setups_sent"] += 1
-        self.engine.trace("d2d_planned", "ns", **link)

@@ -83,12 +83,11 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
 
     gateways: dict[str, Gateway] = {}
     for gspec in scn.gateways:
-        gw = Gateway(engine, medium, eid=gspec.eid, position=gspec.position,
-                     channels_hz=gspec.channels_hz, tx_power_dbm=gspec.tx_power_dbm,
-                     backhaul_delay_s=scn.backhaul_delay_s, bands=bands,
-                     duty_enforced=scn.duty_cycle_enforced)
-        gw.server = ns
-        gateways[gspec.eid] = gw
+        gateways[gspec.eid] = Gateway(
+            engine, medium, ns, eid=gspec.eid, position=gspec.position,
+            channels_hz=gspec.channels_hz, tx_power_dbm=gspec.tx_power_dbm,
+            backhaul_delay_s=scn.backhaul_delay_s, bands=bands,
+            duty_enforced=scn.duty_cycle_enforced)
 
     devices: dict[str, EndDevice] = {}
     for dspec in scn.devices:
@@ -106,8 +105,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
         ns.register_device(DeviceRecord(
             eid=dspec.eid, dev_addr=dspec.dev_addr, dr=dspec.dr,
             app_payload_bytes=dspec.app_payload_bytes, period_s=dspec.period_s,
-            jitter_frac=dspec.jitter_frac,
-            joined=dspec.prejoined and dspec.dev_addr is not None))
+            jitter_frac=dspec.jitter_frac), joined=dspec.prejoined)
 
     for tspec in scn.transfers:
         engine.schedule(round(tspec.at_s * 1e6), ns.start_transfer, tspec,

@@ -48,13 +48,11 @@ def make_server(engine, medium, *, gateways=(("gw0", (2000.0, 0.0)),),
                                      join_success_prob=join_success_prob)
     gws = {}
     for eid, position in gateways:
-        gw = netserver.Gateway(engine, medium, eid=eid, position=position,
-                               channels_hz=list(channels_hz), tx_power_dbm=14,
-                               backhaul_delay_s=backhaul_delay_s,
-                               bands=regulator.DEFAULT_BANDS,
-                               duty_enforced=gw_duty_enforced)
-        gw.server = server
-        gws[eid] = gw
+        gws[eid] = netserver.Gateway(engine, medium, server, eid=eid, position=position,
+                                     channels_hz=list(channels_hz), tx_power_dbm=14,
+                                     backhaul_delay_s=backhaul_delay_s,
+                                     bands=regulator.DEFAULT_BANDS,
+                                     duty_enforced=gw_duty_enforced)
     return server, gws
 
 

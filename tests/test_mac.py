@@ -189,6 +189,18 @@ def test_duty_enforcement_defers_the_grid():
     assert any(r["kind"] == "duty_defer" for r in engine.trace_records)
 
 
+def test_duty_deferred_join_requests_are_counted():
+    engine, medium = helpers.make_rig()
+    dev = helpers.make_device(engine, medium, dev_addr=None, prejoined=False,
+                              period_s=60.0, phase_s=0.0, dr=0, duty_enforced=True)
+    dev.start()
+    engine.run(until_us=600_000_000)
+    # no gateway answers: each DR0 request buys more off-time than a period
+    assert dev.counters["join_attempts"] == 6
+    assert dev.counters["duty_deferrals"] == 5
+    assert len(helpers.records(engine, "duty_defer", entity="dev")) == 5
+
+
 def test_rx_windows_follow_the_uplink():
     engine, medium = helpers.make_rig()
     dev = helpers.make_device(engine, medium, period_s=10.0, phase_s=1.0,

@@ -73,7 +73,7 @@ def test_device_records_mirror_server_counters(conventional_result):
     res = conventional_result
     for eid, dev in res.devices.items():
         rec = res.document["devices"][eid]
-        assert rec["uplinks_delivered"] == res.ns.uplinks_by_addr.get(dev.dev_addr, 0)
+        assert rec["uplinks_delivered"] == res.ns.by_eid[eid].uplinks
         assert rec["dev_addr"] == dev.dev_addr
         assert rec["fcnt_up"] == dev.fcnt_up
         energy = rec["energy"]

@@ -2,9 +2,10 @@ import pytest
 
 import helpers
 from lorad2d import d2d, phy
-from lorad2d.mac import LoRaWANUplink
+from lorad2d.mac import JOIN_REQUEST_PHY_BYTES, JoinRequest, LoRaWANUplink
 from lorad2d.netserver import (DeviceRecord, DownlinkError, Gateway,
                                InfeasiblePlanError, PlanError)
+from lorad2d.scenario import D2DDirectiveSpec, TransferSpec
 
 
 def fake_uplink(addr, fcnt, *, start_us=1_000_000, dr=0, app=12):
@@ -39,7 +40,15 @@ def test_two_gateways_hear_one_uplink_once():
     assert all(gw.counters["uplinks_decoded"] == 1 for gw in gws)
     assert server.counters["uplinks"] == 1
     assert server.counters["dedup_drops"] == 1
-    assert server.uplinks_by_addr[dev.dev_addr] == 1
+    assert server.by_eid[dev.eid].uplinks == 1
+
+
+def fake_join_request(eid, dev_nonce, *, start_us, dr=0):
+    return phy.Transmission(
+        start_us=start_us, duration_us=phy.time_on_air_us(dr, JOIN_REQUEST_PHY_BYTES),
+        freq_hz=helpers.CH0, dr=dr, tx_power_dbm=14,
+        phy_payload_bytes=JOIN_REQUEST_PHY_BYTES, source=eid, kind="join_request",
+        frame=JoinRequest(eid, dev_nonce))
 
 
 def test_replayed_frame_counter_is_dropped():
@@ -51,7 +60,17 @@ def test_replayed_frame_counter_is_dropped():
     server.on_uplink(fake_uplink(0x10, fcnt=1, start_us=20_000_000), gw)
     assert server.counters["uplinks"] == 2
     assert server.counters["dedup_drops"] == 1
-    assert server.uplinks_by_addr[0x10] == 2
+    assert server.by_eid["d10"].uplinks == 2
+    # a counter that goes backwards is dropped too, not only an exact repeat
+    server.on_uplink(fake_uplink(0x10, fcnt=3, start_us=30_000_000), gw)
+    server.on_uplink(fake_uplink(0x10, fcnt=2, start_us=40_000_000), gw)
+    assert server.counters["uplinks"] == 3
+    assert server.counters["dedup_drops"] == 2
+    server.register_device(record(0x20, eid="joiner"), joined=False)
+    server.on_uplink(fake_join_request("joiner", 2, start_us=50_000_000), gw)
+    server.on_uplink(fake_join_request("joiner", 1, start_us=60_000_000), gw)
+    assert server.counters["joins_accepted"] == 1
+    assert server.counters["dedup_drops"] == 3
 
 
 def test_unregistered_addresses_are_ignored():
@@ -78,24 +97,31 @@ def test_transfer_endpoints_must_be_joined():
     engine, medium = helpers.make_rig()
     server, _ = make_server(engine, medium)
     server.register_device(record(0x10))
-    with pytest.raises(PlanError):
-        server.add_transfer(0x10, 0x11, 1000)
+    server.register_device(record(0x11), joined=False)
+    server.start_transfer(TransferSpec("d10", "d11", 1000))
+    assert engine.counters["transfer_failed"] == 1
+    assert server.transfers == []
+    (failure,) = helpers.records(engine, "transfer_failed")
+    assert failure["error"] == "transfer endpoints must both be joined"
     server.register_device(record(0x11))
-    transfer = server.add_transfer(0x10, 0x11, 1000)
-    assert transfer.total_bytes == 1000
+    server.start_transfer(TransferSpec("d10", "d11", 1000))
+    assert [tr.total_bytes for tr in server.transfers] == [1000]
+    assert engine.counters["transfer_failed"] == 1
 
 
 def test_transfer_chunks_must_fit_a_receive_window_of_the_destination():
     engine, medium = helpers.make_rig()
     server, _ = make_server(engine, medium)           # RX2 at DR0: 59 B MAC
-    server.register_device(record(0x10, dr=5, app=200))
-    server.register_device(record(0x11, dr=0))
-    with pytest.raises(PlanError, match="200 application bytes"):
-        server.add_transfer(0x10, 0x11, 1000)
+    server.register_device(record(0x10, eid="src", dr=5, app=200))
+    server.register_device(record(0x11, eid="dst", dr=0))
     # a transfer no larger than one DR0 downlink is sent as a single chunk
-    assert server.add_transfer(0x10, 0x11, 46).total_bytes == 46
-    with pytest.raises(PlanError, match="47 application bytes"):
-        server.add_transfer(0x10, 0x11, 47)
+    for total in (1000, 46, 47):
+        server.start_transfer(TransferSpec("src", "dst", total))
+    assert [tr.total_bytes for tr in server.transfers] == [46]
+    assert engine.counters["transfer_failed"] == 2
+    errors = [r["error"] for r in helpers.records(engine, "transfer_failed")]
+    assert "200 application bytes" in errors[0]
+    assert "47 application bytes" in errors[1]
 
 
 def test_transfer_relays_uplink_payloads_as_downlinks():
@@ -110,7 +136,7 @@ def test_transfer_relays_uplink_payloads_as_downlinks():
                               channels_hz=(helpers.CH1,))
     for dev in (src, dst):
         helpers.register(server, dev)
-    server.add_transfer(0x10, 0x11, total_bytes=30)
+    server.start_transfer(TransferSpec("src", "dst", total_bytes=30))
     src.start()
     dst.start()
     engine.run(until_us=60_000_000)
@@ -208,8 +234,10 @@ def test_plan_rejects_scanner_window_that_may_lapse():
 
 def test_execute_queues_both_setups():
     server = planning_server()
-    plan = d2d.SessionPlan("init", "scan", 0, d2d.ExchangeParams())
-    server.execute_d2d(plan, **PLAN)
+    server.start_directive(D2DDirectiveSpec(0.0, "init", "scan", freq_hz=865_000_000,
+                                            dr=6, t1_initiator_s=15.0, t2_s=30.0))
+    (plan,) = server.plans
+    assert plan.error is None
     assert server.counters["setups_sent"] == 2
     for addr in (0x01, 0x02):
         queue = server.devices[addr].queue

@@ -214,6 +214,26 @@ def test_transfer_opens_to_a_device_whose_join_accept_was_lost(monkeypatch):
     assert tr["chunks_relayed"] == 3
 
 
+def test_a_joining_device_gets_an_address_no_prejoined_device_holds():
+    # The server used to hand the joiner the pre-joined device's address:
+    # both then shared one record, and the joiner's uplinks, whose FCnt
+    # trailed pre's, were dropped as copies.
+    pre = DeviceSpec("pre", (300.0, 0.0), dev_addr=0x0100_0001, period_s=30.0,
+                     phase_s=5.0, dr=3, app_payload_bytes=20)
+    joiner = DeviceSpec("joiner", (-300.0, 0.0), period_s=30.0, phase_s=1.0, dr=3,
+                        prejoined=False)
+    scn = Scenario("address-collision", 400.0, devices=[pre, joiner],
+                   gateways=[GatewaySpec("gw0", (0.0, 0.0))])
+
+    res = runner.run(scn, seed=0)
+    assert res.devices["joiner"].dev_addr == 0x0100_0002
+    assert sorted(rec.eid for rec in res.ns.devices.values()) == ["joiner", "pre"]
+    assert res.ns.counters["dedup_drops"] == 0
+    devices = res.document["devices"]
+    assert (devices["pre"]["uplinks_delivered"],
+            devices["joiner"]["uplinks_delivered"]) == (14, 13)
+
+
 def test_summarize_produces_one_flat_row():
     res = runner.run(load_bundled(runner.D2D_SCENARIO), seed=0)
     row = runner.summarize(res)
