@@ -15,9 +15,9 @@ output power in linear units.  The scale is monotone in dBm.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
-
-import numpy as np
 
 _TX_OVERHEAD_FRACTION = 0.4
 
@@ -163,6 +163,33 @@ class EnergyLedger:
         return usage_between(({}, 0), (self.totals_us, self.commands))
 
 
+def _least_squares(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """x minimising |a x - b| for an m x n ``a`` with m >= n, by Householder
+    QR; None when a pivot of R is at or below numpy ``lstsq``'s default
+    rank tolerance, ``eps * max(m, n)`` times the largest pivot."""
+    m, n = len(a), len(a[0])
+    cols = [[row[j] for row in a] for j in range(n)] + [list(b)]
+    for k in range(n):
+        column = cols[k]
+        norm = math.hypot(*column[k:])
+        if norm == 0.0:
+            continue
+        alpha = -norm if column[k] > 0 else norm   # the sign that avoids cancellation
+        v = [column[k] - alpha, *column[k + 1:]]
+        vv = sum(x * x for x in v)
+        for col in cols[k:]:
+            f = 2.0 * sum(x * y for x, y in zip(v, col[k:])) / vv
+            for i, x in enumerate(v, start=k):
+                col[i] -= f * x
+    diag = [abs(cols[k][k]) for k in range(n)]
+    if min(diag) <= sys.float_info.epsilon * max(m, n) * max(diag):
+        return None
+    y, x = cols[n], [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (y[k] - sum(cols[j][k] * x[j] for j in range(k + 1, n))) / cols[k][k]
+    return x
+
+
 def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
                 *, name: str = "fitted") -> tuple[PowerProfile, dict[str, dict]]:
     """Fit (p_tx14, p_rx, command overhead) to measured per-role energies.
@@ -191,14 +218,13 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
         rows.append([tx_col, u.rx_s, float(u.commands)])
         rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
         weights.append(1.0 / targets_j[role])
-    a = np.asarray(rows) * np.asarray(weights)[:, None]
-    b = np.asarray(rhs) * np.asarray(weights)
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 3:
+    solution = _least_squares([[w * x for x in row] for row, w in zip(rows, weights)],
+                              [w * y for y, w in zip(rhs, weights)])
+    if solution is None:
         raise CalibrationError(
             "calibration system is rank deficient; the scenarios do not "
             "separate tx, rx and command costs")
-    p_tx14, p_rx, c_cmd = (float(x) for x in solution)
+    p_tx14, p_rx, c_cmd = solution
     if min(p_tx14, p_rx, c_cmd) < -1e-9:
         raise CalibrationError(
             f"fit produced negative parameters (p_tx14={p_tx14:.4g} W, "

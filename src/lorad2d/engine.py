@@ -16,8 +16,6 @@ import json
 from collections import defaultdict
 from heapq import heappop, heappush
 
-import numpy as np
-
 from . import phy
 
 
@@ -25,34 +23,75 @@ class SimulationError(RuntimeError):
     pass
 
 
-class Draws:
-    """One PCG64 stream, drawn bit for bit as numpy's ``Generator.random()``
-    and ``Generator.integers(0, n)`` would, computed in Python from blocks of
-    raw output.
+_M32 = 0xFFFFFFFF
+_M53 = (1 << 53) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-    numpy spends most of a scalar draw on argument handling; these draws
-    cost a few integer operations.  ``random`` is ``(x >> 11) * 2**-53`` of
-    the next 64-bit output.  ``below(n)`` is numpy's 32-bit Lemire rule,
-    rejection loop included, fed 32 bits at a time: a 64-bit output gives
-    its low half and keeps the high half for the next 32-bit draw, which
-    ``random`` does not disturb.
+
+def _hash_constants(value: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) pairs of a SeedSequence hash's first n calls; its
+    constant advances the same way whatever the data."""
+    pairs = []
+    for _ in range(n):
+        pairs.append((value, value * mult & _M32))
+        value = pairs[-1][1]
+    return pairs
+
+
+def _hashmix(value: int, pair: tuple[int, int]) -> int:
+    value = (value ^ pair[0]) * pair[1] & _M32
+    return value ^ value >> 16
+
+
+_MIX_HASH = _hash_constants(0x43b0d7e5, 0x931e8875, 16)
+_STATE_HASH = _hash_constants(0x8b51f9dd, 0x58f38ded, 8)
+_POOL_TAIL = [_hashmix(0, _MIX_HASH[2]), _hashmix(0, _MIX_HASH[3])]
+_MIX_ORDER = [(src, dst, _MIX_HASH[k]) for k, (src, dst) in enumerate(
+    ((s, d) for s in range(4) for d in range(4) if s != d), start=4)]
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)``, for a seed
+    below 2**64: its entropy is always ``[lo32, hi32, 0, 0]``, so the two zero
+    words hash to constants and the pool needs no third mixing loop."""
+    pool = [_hashmix(seed & _M32, _MIX_HASH[0]), _hashmix(seed >> 32, _MIX_HASH[1]),
+            *_POOL_TAIL]
+    for src, dst, pair in _MIX_ORDER:
+        x = (0xca01f9dd * pool[dst] - 0x4973f715 * _hashmix(pool[src], pair)) & _M32
+        pool[dst] = x ^ x >> 16
+    halves = [_hashmix(pool[i & 3], pair) for i, pair in enumerate(_STATE_HASH)]
+    return [halves[i] | halves[i + 1] << 32 for i in (0, 2, 4, 6)]
+
+
+class Draws:
+    """One PCG64 stream, computed in Python bit for bit as numpy's
+    ``PCG64(seed)`` and drawn as its ``Generator.random()`` and
+    ``Generator.integers(0, n)`` would.
+
+    The state is a 128-bit LCG, stepped before each output; an output is the
+    XSL-RR of the new state.  ``random`` is ``(x >> 11) * 2**-53`` of the next
+    64-bit output.  ``below(n)`` is numpy's 32-bit Lemire rule, rejection loop
+    included, fed 32 bits at a time: a 64-bit output gives its low half and
+    keeps the high half for the next 32-bit draw, which ``random`` does not
+    disturb.
     """
 
-    __slots__ = ("_bitgen", "_block", "_high")
+    __slots__ = ("_state", "_inc", "_high")
 
-    _BLOCK = 8   # raw outputs fetched at once; each costs memory per stream
-
-    def __init__(self, bitgen: np.random.PCG64):
-        self._bitgen = bitgen
-        self._block: list[int] = []   # pending raw outputs, next one last
+    def __init__(self, seed: int):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} outside 0..2**64-1")
+        w0, w1, w2, w3 = _seed_words(seed)
+        self._inc = inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
         self._high: int | None = None  # upper half of a raw output, not yet drawn
 
     def _next64(self) -> int:
-        block = self._block
-        if not block:
-            block = self._block = self._bitgen.random_raw(self._BLOCK).tolist()
-            block.reverse()
-        return block.pop()
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        return (x << 64 | x) >> (s >> 122) & _M64   # x rotated right
 
     def _next32(self) -> int:
         high = self._high
@@ -61,10 +100,13 @@ class Draws:
             return high
         x = self._next64()
         self._high = x >> 32
-        return x & 0xFFFFFFFF
+        return x & _M32
 
     def random(self) -> float:
-        return (self._next64() >> 11) * 2.0 ** -53
+        # _next64, inlined: this is the hottest draw
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        return ((x << 64 | x) >> (s >> 122) + 11 & _M53) * 2.0 ** -53
 
     def below(self, n: int) -> int:
         """``integers(0, n)`` for 1 <= n <= 2**32; n == 1 draws nothing."""
@@ -92,7 +134,7 @@ class RngManager:
         if draws is None:
             digest = hashlib.sha256(f"{self.master_seed}:{label}".encode()).digest()
             seed = int.from_bytes(digest[:8], "big")
-            draws = self._streams[label] = Draws(np.random.PCG64(seed))
+            draws = self._streams[label] = Draws(seed)
         return draws
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 
-# energy before d2d: numpy then loads ahead of the D2D layer, which made a
-# cold `import lorad2d` about 15 ms shorter on a 2-core host
-from .energy import PowerProfile
 from .d2d import Role
+from .energy import PowerProfile
 
 METRICS_SCHEMA = "metrics/1"
 

@@ -173,8 +173,9 @@ class Scenario:
             self._check_channels(f"{path}.channels_hz", dev.channels_hz)
             if dev.max_uplinks is not None and dev.max_uplinks < 0:
                 raise ScenarioError(f"{path}.max_uplinks", "must be non-negative")
-            if dev.prejoined and dev.dev_addr is None:
-                raise ScenarioError(f"{path}.dev_addr", "a pre-joined device needs an address")
+            if dev.prejoined != (dev.dev_addr is not None):
+                raise ScenarioError(f"{path}.dev_addr", "a pre-joined device needs an address; "
+                                    "a joining one is given its address when it joins")
         addrs = [d.dev_addr for d in self.devices if d.dev_addr is not None]
         if len(addrs) != len(set(addrs)):
             raise ScenarioError("devices", "device addresses must be unique")

@@ -1,10 +1,14 @@
 """Command line behaviour, exercised in process via cli.main()."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lorad2d
 from lorad2d import cli, metrics, runner
 from lorad2d.energy import PowerProfile
 from lorad2d.scenario import load_bundled
@@ -130,6 +134,18 @@ def test_console_script_is_installed():
     assert proc.returncode == 0
     for sub in ("run", "toa", "duty", "table2", "sweep"):
         assert sub in proc.stdout
+
+
+def test_a_run_loads_no_numpy():
+    # numpy is a test dependency only; the draws and the fit are pure Python
+    code = ("import sys, lorad2d; lorad2d.runner.table2(0); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    src = str(Path(lorad2d.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_table2_prints_calibration_residuals(capsys):

@@ -1,8 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lorad2d import runner
 from lorad2d.energy import (DEFAULT_PROFILE, CalibrationError, EnergyLedger,
                             PowerProfile, StateUsage, fit_profile,
                             tx_power_scale, usage_between)
@@ -245,6 +247,24 @@ def test_fit_rejects_degenerate_systems():
     }
     with pytest.raises(CalibrationError):
         fit_profile(usages, {"a": 0.12, "b": 0.24, "c": 0.36})
+
+
+def test_fit_matches_numpy_least_squares_on_table2():
+    runs = {name: runner.run(runner.load_bundled(name), seed=0)
+            for name in (runner.CONVENTIONAL_SCENARIO, runner.D2D_SCENARIO)}
+    usages = runner.benchmark_usages(runs)
+    targets = runner.REFERENCE_ENERGY_J
+    fitted, _ = fit_profile(usages, targets)
+    # the same weighted system, solved by numpy
+    roles = sorted(usages)
+    a = np.array([[sum(tx_power_scale(p) * s for p, s in usages[r].tx_s_by_power.items()),
+                   usages[r].rx_s, usages[r].commands] for r in roles])
+    b = np.array([targets[r] - PowerProfile.p_sleep_w * usages[r].sleep_s for r in roles])
+    w = np.array([1.0 / targets[r] for r in roles])
+    expected, _, rank, _ = np.linalg.lstsq(a * w[:, None], b * w, rcond=None)
+    assert rank == 3
+    got = [fitted.p_tx14_w, fitted.p_rx_w, fitted.command_overhead_j]
+    assert got == pytest.approx(expected.tolist(), rel=1e-12, abs=0.0)
 
 
 def test_fit_rejects_targets_needing_negative_power():

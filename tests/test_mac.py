@@ -45,7 +45,21 @@ def pcg64(seed):
 
 
 def draws_of(seed):
-    return Draws(np.random.PCG64(seed))
+    return Draws(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
+def test_draws_are_numpy_pcg64_bit_for_bit(seed):
+    # seeding included: the first output already depends on every state bit
+    draws = Draws(seed)
+    assert [draws._next64() for _ in range(1000)] == \
+        np.random.PCG64(seed).random_raw(1000).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_draws_reject_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError):
+        Draws(seed)
 
 
 @pytest.mark.parametrize("j", [0.05, 0.1, 0.3333, 0.5])

@@ -9,8 +9,8 @@ import pytest
 import helpers
 from lorad2d import d2d, metrics, runner
 from lorad2d.engine import Medium
-from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, TransferSpec,
-                              load_bundled)
+from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
+                              TransferSpec, load_bundled)
 
 
 def test_run_result_is_fully_wired():
@@ -232,6 +232,26 @@ def test_a_joining_device_gets_an_address_no_prejoined_device_holds():
     devices = res.document["devices"]
     assert (devices["pre"]["uplinks_delivered"],
             devices["joiner"]["uplinks_delivered"]) == (14, 13)
+
+
+def test_a_joining_device_cannot_be_given_an_address():
+    # The server kept a's scenario address for a's join, but did not reserve
+    # it before then: b joined first and got it too, and b's uplinks were
+    # then dropped as copies of a's.
+    a = DeviceSpec("a", (300.0, 0.0), dev_addr=0x0100_0001, period_s=30.0,
+                   phase_s=20.0, dr=3, prejoined=False)
+    b = DeviceSpec("b", (-300.0, 0.0), period_s=30.0, phase_s=1.0, dr=3,
+                   prejoined=False)
+    scn = Scenario("joiner-with-address", 400.0, devices=[a, b],
+                   gateways=[GatewaySpec("gw0", (0.0, 0.0))])
+    with pytest.raises(ScenarioError, match=r"devices\[0\]\.dev_addr"):
+        runner.run(scn, seed=0)
+
+    a.dev_addr = None
+    res = runner.run(scn, seed=0)
+    assert sorted(rec.eid for rec in res.ns.devices.values()) == ["a", "b"]
+    assert res.devices["a"].dev_addr != res.devices["b"].dev_addr
+    assert res.ns.counters["dedup_drops"] == 0
 
 
 def test_summarize_produces_one_flat_row():
