@@ -60,37 +60,37 @@ class D2DSetupCommand:
     peer_addr: int
 
     def __post_init__(self) -> None:
+        """The one check of every field's range, for loader, encoder and decoder."""
         if self.t1_s < 0 or self.t2_s <= 0:
             raise D2DCodecError("T1 must be >= 0 and T2 > 0")
         if self.t1_s >= self.t2_s:
             raise D2DCodecError("T1 must fall inside the T2 session window")
+        if self.freq_hz % 100:
+            raise D2DCodecError("frequency must be a multiple of 100 Hz")
+        if not 0 <= self.freq_hz < 100 << 24:
+            raise D2DCodecError("frequency field overflow")
+        if not 0 <= self.dr <= 7:
+            raise D2DCodecError(f"data rate {self.dr} outside 0..7")
+        try:
+            phy.check_tx_power(self.power_dbm)
+        except phy.PhyError as exc:
+            raise D2DCodecError(str(exc)) from None
+        if round(self.t2_s * 10) >= 1 << 16:   # and so T1, which lies below it
+            raise D2DCodecError("t2 field overflow")
+        if not 0 <= self.peer_addr < 1 << 32:
+            raise D2DCodecError("peer address outside 32 bits")
 
 
 def encode_setup(cmd: D2DSetupCommand) -> bytes:
-    if cmd.freq_hz % 100:
-        raise D2DCodecError("frequency must be a multiple of 100 Hz")
-    freq_units = cmd.freq_hz // 100
-    if freq_units >= 1 << 24:
-        raise D2DCodecError("frequency field overflow")
-    if not 0 <= cmd.dr <= 7:
-        raise D2DCodecError(f"data rate {cmd.dr} outside 0..7")
-    phy.check_tx_power(cmd.power_dbm)
-    t1_ds = round(cmd.t1_s * 10)
-    t2_ds = round(cmd.t2_s * 10)
-    for name, val in (("t1", t1_ds), ("t2", t2_ds)):
-        if not 0 <= val < 1 << 16:
-            raise D2DCodecError(f"{name} field overflow")
-    if not 0 <= cmd.peer_addr < 1 << 32:
-        raise D2DCodecError("peer address outside 32 bits")
     head = (WIRE_VERSION << 4) | (int(cmd.role) << 3)
     return struct.pack(
         ">B3sBBHHI",
         head,
-        freq_units.to_bytes(3, "big"),
+        (cmd.freq_hz // 100).to_bytes(3, "big"),
         cmd.dr,
         cmd.power_dbm,
-        t1_ds,
-        t2_ds,
+        round(cmd.t1_s * 10),
+        round(cmd.t2_s * 10),
         cmd.peer_addr,
     )
 
@@ -104,11 +104,8 @@ def decode_setup(payload: bytes) -> D2DSetupCommand:
         raise D2DCodecError(f"unsupported setup version {version}")
     if head & 0x07:
         raise D2DCodecError("reserved bits must be zero")
-    role = Role((head >> 3) & 0x01)
-    if dr > 7:
-        raise D2DCodecError(f"data rate {dr} outside 0..7")
     return D2DSetupCommand(
-        role=role,
+        role=Role((head >> 3) & 0x01),
         freq_hz=int.from_bytes(freq_raw, "big") * 100,
         dr=dr,
         power_dbm=power,

@@ -322,7 +322,8 @@ class EndDevice:
     def _handle_setup(self, frame: LoRaWANDownlink) -> None:
         try:
             cmd = d2d.decode_setup(frame.payload or b"")
-        except d2d.D2DCodecError as exc:
+            regulator.classify(cmd.freq_hz, self.duty.bands)   # a channel in none of its sub-bands
+        except (d2d.D2DCodecError, regulator.RegulatorError) as exc:
             self.counters["malformed_setups"] += 1
             self.engine.trace("setup_rejected", self.eid, error=str(exc))
             self._cycle_complete()

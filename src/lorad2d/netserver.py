@@ -26,7 +26,7 @@ from .mac import (JOIN_ACCEPT_PHY_BYTES, JoinAccept, JoinRequest,
 
 
 class PlanError(ValueError):
-    """A D2D plan request that can never work (bad link or participants)."""
+    """A scenario action the server cannot carry out as asked."""
 
 
 class InfeasiblePlanError(PlanError):
@@ -116,11 +116,10 @@ class Gateway:
 
 class NetworkServer:
     def __init__(self, engine, *, windows: ReceiveWindows,
-                 join_success_prob: float = 1.0, bands=regulator.DEFAULT_BANDS):
+                 join_success_prob: float = 1.0):
         self.engine = engine
         self.windows = windows
         self.join_success_prob = join_success_prob
-        self.bands = bands
         self.devices: dict[int, DeviceRecord] = {}
         self.by_eid: dict[str, DeviceRecord] = {}
         self.transfers: list[TransferState] = []
@@ -166,32 +165,36 @@ class NetworkServer:
                                             spec.total_bytes, spec.port))
 
     def start_directive(self, spec) -> None:
-        """Plan a scenario directive's session and queue both setups, each
-        carrying its plan.  The plan joins ``plans`` first, so a failed
-        directive keeps its place there, with the planner's message as its
-        error, and is counted and traced."""
+        """Plan a scenario directive's session and queue both setups, the
+        scanner's first, each carrying its plan.  The plan joins ``plans``
+        first, so a failed directive keeps its place there, with the
+        planner's message as its error, and is counted and traced.  The
+        directive passed ``Scenario.validate``, so its link is sound."""
         plan = d2d.SessionPlan(spec.initiator, spec.scanner, self.engine.now_us,
                                spec.exchange)
         self.plans.append(plan)
         try:
             init, scan = self._joined((spec.initiator, spec.scanner),
                                       "session participants must both be joined")
-            link = dict(initiator_addr=init.dev_addr, scanner_addr=scan.dev_addr,
-                        freq_hz=spec.freq_hz, dr=spec.dr, power_dbm=spec.power_dbm,
-                        t1_initiator_s=spec.t1_initiator_s,
-                        t1_scanner_s=spec.t1_scanner_s, t2_s=spec.t2_s)
-            commands = self.plan_d2d(exchange=plan.exchange, **link)
+            self._check_timing(spec, init, scan)
         except PlanError as exc:
             plan.error = str(exc)
             self.engine.count("d2d_plan_failed")
             self.engine.trace("d2d_plan_failed", "ns", initiator=spec.initiator,
                               scanner=spec.scanner, error=plan.error)
             return
-        for addr, cmd in commands:
-            self.enqueue_downlink(addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
+        for record, role, t1_s, peer in ((scan, d2d.Role.SCANNER, spec.t1_scanner_s, init),
+                                         (init, d2d.Role.INITIATOR, spec.t1_initiator_s, scan)):
+            cmd = d2d.D2DSetupCommand(role=role, freq_hz=spec.freq_hz, dr=spec.dr,
+                                      power_dbm=spec.power_dbm, t1_s=t1_s,
+                                      t2_s=spec.t2_s, peer_addr=peer.dev_addr)
+            self.enqueue_downlink(record.dev_addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
                                   payload=d2d.encode_setup(cmd), plan=plan)
             self.counters["setups_sent"] += 1
-        self.engine.trace("d2d_planned", "ns", **link)
+        self.engine.trace("d2d_planned", "ns", initiator_addr=init.dev_addr,
+                          scanner_addr=scan.dev_addr, freq_hz=spec.freq_hz, dr=spec.dr,
+                          power_dbm=spec.power_dbm, t1_initiator_s=spec.t1_initiator_s,
+                          t1_scanner_s=spec.t1_scanner_s, t2_s=spec.t2_s)
 
     # -- uplink path -----------------------------------------------------------
 
@@ -341,33 +344,12 @@ class NetworkServer:
         toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
         return toa_up + min(rw1, rw2)
 
-    def plan_d2d(self, *, initiator_addr: int, scanner_addr: int, freq_hz: int,
-                 dr: int, power_dbm: int, t1_initiator_s: float, t1_scanner_s: float,
-                 t2_s: float, exchange: d2d.ExchangeParams = d2d.ExchangeParams(),
-                 ) -> list[tuple[int, d2d.D2DSetupCommand]]:
-        """Build the pair of setup commands for a session, scanner first.
-
-        Raises PlanError for invalid participants or link parameters, and
-        InfeasiblePlanError when the T1 split cannot guarantee that the
-        scanner is listening before the initiator's first transmission, or
-        when the scanner's window may close before that transmission.
-        """
-        if initiator_addr == scanner_addr:
-            raise PlanError("initiator and scanner must be distinct devices")
-        for addr in (initiator_addr, scanner_addr):
-            if addr not in self.devices:
-                raise PlanError(f"0x{addr:08x} is not a joined device")
-        if not 0 <= dr <= 7:
-            raise PlanError(f"DR{dr} is not a valid data rate")
-        try:
-            regulator.classify(freq_hz, self.bands)
-            phy.check_tx_power(power_dbm)
-        except (regulator.RegulatorError, phy.PhyError) as exc:
-            raise PlanError(str(exc)) from exc
-        initiator = self.devices[initiator_addr]
-        scanner = self.devices[scanner_addr]
-
-        gap = t1_initiator_s - t1_scanner_s
+    def _check_timing(self, spec, initiator: DeviceRecord, scanner: DeviceRecord) -> None:
+        """Raise InfeasiblePlanError when the directive's T1 split cannot
+        guarantee that the scanner is listening before the initiator's first
+        transmission, or when the scanner's window may close before that
+        transmission lands."""
+        gap = spec.t1_initiator_s - spec.t1_scanner_s
         needed = (self._worst_setup_delivery_s(scanner)
                   - self._best_setup_delivery_s(initiator))
         if gap < needed:
@@ -376,21 +358,12 @@ class NetworkServer:
                 f"{needed:.3f} s; the scanner may still be asleep when the "
                 "initiator first transmits")
         data_toa_s = phy.time_on_air(
-            dr, exchange.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-        latest_first_tx = (self._worst_setup_delivery_s(initiator) + t1_initiator_s
+            spec.dr, spec.exchange.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
+        latest_first_tx = (self._worst_setup_delivery_s(initiator) + spec.t1_initiator_s
                            + data_toa_s)
-        earliest_deadline = self._best_setup_delivery_s(scanner) + t2_s
+        earliest_deadline = self._best_setup_delivery_s(scanner) + spec.t2_s
         if latest_first_tx > earliest_deadline:
             raise InfeasiblePlanError(
-                f"scanner window (T2 {t2_s:.1f} s) may close "
+                f"scanner window (T2 {spec.t2_s:.1f} s) may close "
                 f"{latest_first_tx - earliest_deadline:.3f} s before the "
                 "initiator's first frame lands")
-
-        commands = []
-        for addr, role, t1 in ((scanner_addr, d2d.Role.SCANNER, t1_scanner_s),
-                               (initiator_addr, d2d.Role.INITIATOR, t1_initiator_s)):
-            peer = initiator_addr if role is d2d.Role.SCANNER else scanner_addr
-            commands.append((addr, d2d.D2DSetupCommand(
-                role=role, freq_hz=freq_hz, dr=dr, power_dbm=power_dbm,
-                t1_s=t1, t2_s=t2_s, peer_addr=peer)))
-        return commands

@@ -78,8 +78,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
     windows = ReceiveWindows(scn.rx2_freq_hz, scn.rx2_dr, scn.receive_delay1_s,
                              scn.receive_delay2_s, scn.preamble_detect_symbols)
     bands = scn.effective_bands
-    ns = NetworkServer(engine, windows=windows,
-                       join_success_prob=scn.join_success_prob, bands=bands)
+    ns = NetworkServer(engine, windows=windows, join_success_prob=scn.join_success_prob)
 
     gateways: dict[str, Gateway] = {}
     for gspec in scn.gateways:

@@ -161,10 +161,7 @@ class Scenario:
             if not 0.0 <= dev.jitter_frac < 0.5:
                 raise ScenarioError(f"{path}.jitter_frac", "must lie in [0, 0.5)")
             self._check_window_dr(f"{path}.dr", dev.dr)
-            try:
-                phy.check_tx_power(dev.tx_power_dbm)
-            except phy.PhyError as exc:
-                raise ScenarioError(f"{path}.tx_power_dbm", str(exc)) from exc
+            self._check_power(f"{path}.tx_power_dbm", dev.tx_power_dbm)
             limit = phy.data_rate(dev.dr).max_app_payload_bytes
             if not 0 <= dev.app_payload_bytes <= limit:
                 raise ScenarioError(
@@ -183,6 +180,7 @@ class Scenario:
         for i, gw in enumerate(self.gateways):
             self._check_node(f"gateways[{i}]", gw, eids)
             self._check_channels(f"gateways[{i}].channels_hz", gw.channels_hz)
+            self._check_power(f"gateways[{i}].tx_power_dbm", gw.tx_power_dbm)
 
         device_ids = {d.eid for d in self.devices}
         for i, tr in enumerate(self.transfers):
@@ -215,17 +213,15 @@ class Scenario:
             if dd.at_s < 0:
                 raise ScenarioError(f"{path}.at_s", "must be non-negative")
             self._check_freq(f"{path}.freq_hz", dd.freq_hz)
-            if not 0 <= dd.dr <= 7:
-                raise ScenarioError(f"{path}.dr", f"DR{dd.dr} is not defined")
-            # a throwaway encode of each setup runs the wire-level range
-            # checks, the scanner's first
+            # a throwaway command per role runs the setup's range rules, the
+            # scanner's first
             for role, t1_s in ((d2d.Role.SCANNER, dd.t1_scanner_s),
                                (d2d.Role.INITIATOR, dd.t1_initiator_s)):
                 try:
-                    d2d.encode_setup(d2d.D2DSetupCommand(
-                        role=role, freq_hz=dd.freq_hz, dr=dd.dr, power_dbm=dd.power_dbm,
-                        t1_s=t1_s, t2_s=dd.t2_s, peer_addr=0))
-                except (d2d.D2DCodecError, d2d.D2DProtocolError) as exc:
+                    d2d.D2DSetupCommand(role=role, freq_hz=dd.freq_hz, dr=dd.dr,
+                                        power_dbm=dd.power_dbm, t1_s=t1_s,
+                                        t2_s=dd.t2_s, peer_addr=0)
+                except d2d.D2DCodecError as exc:
                     raise ScenarioError(path, str(exc)) from exc
         return self
 
@@ -252,6 +248,13 @@ class Scenario:
         try:
             regulator.classify(freq_hz, self.effective_bands)
         except regulator.RegulatorError as exc:
+            raise ScenarioError(path, str(exc)) from exc
+
+    @staticmethod
+    def _check_power(path: str, power_dbm: int) -> None:
+        try:
+            phy.check_tx_power(power_dbm)
+        except phy.PhyError as exc:
             raise ScenarioError(path, str(exc)) from exc
 
     @staticmethod

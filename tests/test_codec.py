@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,7 +81,7 @@ def test_encode_rejects_unrepresentable_fields():
         encode_setup(_cmd(freq_hz=100 * (1 << 24)))   # 24-bit field overflow
     with pytest.raises(D2DCodecError):
         encode_setup(_cmd(dr=8))
-    with pytest.raises(phy.PhyError):
+    with pytest.raises(D2DCodecError):
         encode_setup(_cmd(power_dbm=25))
     with pytest.raises(D2DCodecError):
         encode_setup(_cmd(t2_s=7000.0))               # 70000 ds > 16 bits
@@ -105,10 +107,41 @@ def test_decode_rejects_malformed_payloads():
     bad_dr[4] = 9
     with pytest.raises(D2DCodecError):
         decode_setup(bytes(bad_dr))
+    bad_power = good.copy()
+    bad_power[5] = 0                                  # encode rejects it too
+    with pytest.raises(D2DCodecError):
+        decode_setup(bytes(bad_power))
     inverted = good.copy()
     inverted[6:8] = (400).to_bytes(2, "big")          # T1 beyond T2
     with pytest.raises(D2DCodecError):
         decode_setup(bytes(inverted))
+
+
+# Any 14 bytes, with the two valid header bytes (version 1, either role,
+# reserved bits clear) drawn often enough to reach the field checks.
+any_wire_image = st.builds(
+    lambda head, freq, dr, power, t1_ds, t2_ds, peer: struct.pack(
+        ">B3sBBHHI", head, freq.to_bytes(3, "big"), dr, power, t1_ds, t2_ds, peer),
+    head=st.sampled_from([0x10, 0x18]) | st.integers(0, 255),
+    freq=st.integers(0, (1 << 24) - 1),
+    dr=st.integers(0, 255),
+    power=st.integers(0, 255),
+    t1_ds=st.integers(0, (1 << 16) - 1),
+    t2_ds=st.integers(0, (1 << 16) - 1),
+    peer=st.integers(0, (1 << 32) - 1),
+)
+
+
+@given(wire=any_wire_image)
+def test_decode_accepts_only_what_encode_reproduces(wire):
+    # a command a device accepts is one the server could have sent: decode
+    # runs the same range rules as encode, so nothing it lets through fails
+    # later, when the device acts on it
+    try:
+        cmd = decode_setup(wire)
+    except D2DCodecError:
+        return
+    assert encode_setup(cmd) == wire
 
 
 def test_setup_fits_every_downlink_data_rate():

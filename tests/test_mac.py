@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from lorad2d import mac, phy, regulator
+from lorad2d import d2d, mac, phy, regulator
 from lorad2d.d2d import ExchangeParams
 from lorad2d.engine import Draws
 from lorad2d.mac import MacState, ReceiveWindows
@@ -418,3 +418,28 @@ def test_duty_cycle_switch_throttles_peer_traffic():
     starts = [r["t_us"] for r in helpers.records(engine, "tx_start", entity="init")]
     for earlier, later in zip(starts, starts[1:]):
         assert later >= earlier + toa + regulator.off_time_us(toa, 0.01)
+
+
+def _setup_wire(**fields):
+    cmd = dict(role=d2d.Role.INITIATOR, freq_hz=865_000_000, dr=6, power_dbm=14,
+               t1_s=0.0, t2_s=30.0, peer_addr=0x22)
+    return d2d.encode_setup(d2d.D2DSetupCommand(**{**cmd, **fields}))
+
+
+@pytest.mark.parametrize("payload", [
+    _setup_wire()[:5] + bytes([0]) + _setup_wire()[6:],   # 0 dBm, below the radio's range
+    _setup_wire(freq_hz=900_000_000),                     # in no sub-band of the device
+], ids=["power-0-dbm", "900-mhz"])
+def test_setup_a_device_cannot_obey_is_counted_not_run(payload):
+    # either would arm a session whose first frame the radio or the regulator refuses
+    engine, medium = helpers.make_rig()
+    dev = helpers.make_device(engine, medium, period_s=10.0, phase_s=1.0)
+    plan = d2d.SessionPlan("dev", "peer", engine.now_us, ExchangeParams())
+    dev._handle_setup(mac.LoRaWANDownlink(dev.dev_addr, 0, d2d.SETUP_PORT,
+                                          d2d.SETUP_WIRE_BYTES, payload=payload,
+                                          plan=plan))
+    engine.run(until_us=30_000_000)
+    assert dev.counters["malformed_setups"] == 1
+    assert len(helpers.records(engine, "setup_rejected", entity="dev")) == 1
+    assert dev.session is None and not plan.halves
+    assert dev.fcnt_up >= 2   # LoRaWAN carries on

@@ -1,10 +1,11 @@
+import dataclasses
+
 import pytest
 
 import helpers
 from lorad2d import d2d, phy
 from lorad2d.mac import JOIN_REQUEST_PHY_BYTES, JoinRequest, LoRaWANUplink
-from lorad2d.netserver import (DeviceRecord, DownlinkError, Gateway,
-                               InfeasiblePlanError, PlanError)
+from lorad2d.netserver import DeviceRecord, DownlinkError, Gateway, NetworkServer
 from lorad2d.scenario import D2DDirectiveSpec, TransferSpec
 
 
@@ -186,15 +187,31 @@ def planning_server():
     return server
 
 
-PLAN = dict(initiator_addr=0x01, scanner_addr=0x02, freq_hz=865_000_000,
-            dr=6, power_dbm=14, t1_initiator_s=15.0, t1_scanner_s=0.0,
-            t2_s=30.0)
+DIRECTIVE = D2DDirectiveSpec(0.0, "init", "scan", freq_hz=865_000_000, dr=6,
+                             power_dbm=14, t1_initiator_s=15.0, t1_scanner_s=0.0,
+                             t2_s=30.0)
 
 
-def test_plan_produces_mirrored_commands_scanner_first():
-    plans = planning_server().plan_d2d(**PLAN)
-    assert [addr for addr, _ in plans] == [0x02, 0x01]
-    scan_cmd, init_cmd = plans[0][1], plans[1][1]
+def start(server, **overrides):
+    """Fire DIRECTIVE, with ``overrides``, and return its plan."""
+    server.start_directive(dataclasses.replace(DIRECTIVE, **overrides))
+    return server.plans[-1]
+
+
+def test_plan_produces_mirrored_commands_scanner_first(monkeypatch):
+    queued = []
+    enqueue = NetworkServer.enqueue_downlink
+
+    def recording(server, addr, *args, **kwargs):
+        queued.append(addr)
+        return enqueue(server, addr, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkServer, "enqueue_downlink", recording)
+    server = planning_server()
+    assert start(server).error is None
+    assert queued == [0x02, 0x01]
+    scan_cmd, init_cmd = (d2d.decode_setup(server.devices[addr].queue[0].payload)
+                          for addr in (0x02, 0x01))
     assert scan_cmd.role is d2d.Role.SCANNER
     assert init_cmd.role is d2d.Role.INITIATOR
     assert scan_cmd.peer_addr == 0x01 and init_cmd.peer_addr == 0x02
@@ -203,33 +220,28 @@ def test_plan_produces_mirrored_commands_scanner_first():
         assert getattr(scan_cmd, attr) == getattr(init_cmd, attr)
 
 
-def test_plan_rejects_invalid_link_parameters():
-    server = planning_server()
-    with pytest.raises(PlanError, match="DR9"):
-        server.plan_d2d(**{**PLAN, "dr": 9})
-    with pytest.raises(PlanError):
-        server.plan_d2d(**{**PLAN, "freq_hz": 864_000_000})
-    with pytest.raises(PlanError):
-        server.plan_d2d(**{**PLAN, "power_dbm": 25})
-    with pytest.raises(PlanError):
-        server.plan_d2d(**{**PLAN, "scanner_addr": 0x01})
-    with pytest.raises(PlanError):
-        server.plan_d2d(**{**PLAN, "scanner_addr": 0x99})
-
-
 def test_plan_rejects_insufficient_t1_gap():
     server = planning_server()
     # the scanner's setup can land a full reporting period after the
     # initiator's; a 5 s head start cannot bridge that skew
-    with pytest.raises(InfeasiblePlanError, match="skew"):
-        server.plan_d2d(**{**PLAN, "t1_initiator_s": 5.0})
-    server.plan_d2d(**{**PLAN, "t1_initiator_s": 10.6})   # exactly enough
+    assert "skew" in start(server, t1_initiator_s=5.0).error
+    assert start(server, t1_initiator_s=10.6).error is None   # exactly enough
+    assert server.engine.counters["d2d_plan_failed"] == 1
 
 
 def test_plan_rejects_scanner_window_that_may_lapse():
     server = planning_server()
-    with pytest.raises(InfeasiblePlanError, match="close"):
-        server.plan_d2d(**{**PLAN, "t2_s": 20.0})
+    plan = start(server, t2_s=20.0)
+    assert "close" in plan.error
+    assert server.counters["setups_sent"] == 0
+
+
+def test_directive_participants_must_both_be_joined():
+    server = planning_server()
+    server.register_device(record(0x03, eid="joining"), joined=False)
+    plan = start(server, scanner="joining")
+    assert plan.error == "session participants must both be joined"
+    assert server.counters["setups_sent"] == 0
 
 
 def test_execute_queues_both_setups():

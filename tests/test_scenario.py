@@ -311,6 +311,11 @@ def test_full_doc_is_valid():
      "d2d_directives[0].exchange.command_latency_s"),
     # a profile key that is not a PowerProfile field
     (("profile", "p_rx_W"), 0.04, "profile"),
+    # the setup command's own range rules, and the gateway's radio range
+    (("d2d_directives", 0, "dr"), 9, "d2d_directives[0]"),
+    (("d2d_directives", 0, "power_dbm"), 25, "d2d_directives[0]"),
+    (("d2d_directives", 0, "scanner"), "ghost", "d2d_directives[0].scanner"),
+    (("gateways", 0, "tx_power_dbm"), 30, "gateways[0].tx_power_dbm"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
