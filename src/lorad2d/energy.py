@@ -73,10 +73,10 @@ class StateUsage:
 
     @property
     def tx_s(self) -> float:
-        return sum(self.tx_s_by_power.values())
+        return math.fsum(self.tx_s_by_power.values())
 
     def energy_j(self, profile: PowerProfile) -> dict[str, float]:
-        tx = sum(profile.p_tx_w(p) * s for p, s in self.tx_s_by_power.items())
+        tx = math.fsum(profile.p_tx_w(p) * s for p, s in self.tx_s_by_power.items())
         rx = profile.p_rx_w * self.rx_s
         sleep = profile.p_sleep_w * self.sleep_s
         cmd = profile.command_overhead_j * self.commands
@@ -176,9 +176,9 @@ def _least_squares(a: list[list[float]], b: list[float]) -> list[float] | None:
             continue
         alpha = -norm if column[k] > 0 else norm   # the sign that avoids cancellation
         v = [column[k] - alpha, *column[k + 1:]]
-        vv = sum(x * x for x in v)
+        vv = math.fsum(x * x for x in v)
         for col in cols[k:]:
-            f = 2.0 * sum(x * y for x, y in zip(v, col[k:])) / vv
+            f = 2.0 * math.fsum(x * y for x, y in zip(v, col[k:])) / vv
             for i, x in enumerate(v, start=k):
                 col[i] -= f * x
     diag = [abs(cols[k][k]) for k in range(n)]
@@ -186,7 +186,7 @@ def _least_squares(a: list[list[float]], b: list[float]) -> list[float] | None:
         return None
     y, x = cols[n], [0.0] * n
     for k in reversed(range(n)):
-        x[k] = (y[k] - sum(cols[j][k] * x[j] for j in range(k + 1, n))) / cols[k][k]
+        x[k] = (y[k] - math.fsum(cols[j][k] * x[j] for j in range(k + 1, n))) / cols[k][k]
     return x
 
 
@@ -214,7 +214,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
     rows, rhs, weights = [], [], []
     for role in roles:
         u = usages[role]
-        tx_col = sum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
+        tx_col = math.fsum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
         rows.append([tx_col, u.rx_s, float(u.commands)])
         rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
         weights.append(1.0 / targets_j[role])

@@ -244,16 +244,14 @@ class Medium:
     listener is read from the frames on the air, by :meth:`lock_until_us`.
     """
 
-    def __init__(self, engine: Engine, loss_model: phy.PathLossModel,
-                 sensitivity_table: dict[int, float] | None = None,
-                 capture_threshold_db: float = 6.0,
-                 d2d_frame_loss_prob: float = 0.0):
+    def __init__(self, engine: Engine, radio: phy.RadioModel,
+                 sensitivity_table: dict[int, float] | None = None):
         self.engine = engine
-        self.loss_model = loss_model
+        self.radio = radio
         # sensitivity floor by data rate index
         self._floor_dbm = [phy.sensitivity(d.index, sensitivity_table) for d in phy.DATA_RATES]
-        self.capture_threshold_db = capture_threshold_db
-        self.d2d_frame_loss_prob = d2d_frame_loss_prob
+        self.capture_threshold_db = radio.capture_threshold_db
+        self.d2d_frame_loss_prob = radio.d2d_frame_loss_prob
         # frames on the air, as (tx, rivals), keyed by the id of the rival
         # list: begin_tx makes a fresh one per frame
         self._on_air: defaultdict[tuple, dict[int, tuple]] = defaultdict(dict)
@@ -276,7 +274,7 @@ class Medium:
             a = self._positions[tx.source]
             b = self._positions[dst]
             d = ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
-            pl = row[tx.source] = self.loss_model.path_loss_db(max(d, 1e-3))
+            pl = row[tx.source] = self.radio.path_loss_db(max(d, 1e-3))
         return tx.tx_power_dbm - pl
 
     # -- listener management --------------------------------------------

@@ -20,6 +20,7 @@ from .energy import EnergyLedger
 
 if TYPE_CHECKING:
     from .netserver import TransferState
+    from .scenario import DeviceSpec
 
 UPLINK_PORT = 1
 JOIN_REQUEST_PHY_BYTES = 23
@@ -86,9 +87,9 @@ class ReceiveWindows:
 
     rx2_freq_hz: int
     rx2_dr: int
-    receive_delay1_s: float = 1.0
-    receive_delay2_s: float = 2.0
-    preamble_detect_symbols: int = 8
+    receive_delay1_s: float
+    receive_delay2_s: float
+    preamble_detect_symbols: int
 
     @cached_property
     def _delays_us(self) -> tuple[int, int]:
@@ -114,35 +115,34 @@ _RX_CLOSE_KIND = {1: "rx1_close", 2: "rx2_close"}
 
 
 class EndDevice:
-    def __init__(self, engine, medium, *, eid: str, dev_addr: int | None,
-                 position: tuple[float, float], period_s: float, phase_s: float,
-                 jitter_frac: float, dr: int, tx_power_dbm: int,
-                 app_payload_bytes: int, channels_hz: list[int],
-                 windows: ReceiveWindows, bands, duty_enforced: bool,
-                 max_uplinks: int | None = None, prejoined: bool = True):
+    """One device as its spec provisions it.  The settings read on the
+    per-event path are copied to attributes, with times in microseconds."""
+
+    def __init__(self, engine, medium, spec: DeviceSpec, *, windows: ReceiveWindows,
+                 bands, duty_enforced: bool):
         self.engine = engine
         self.medium = medium
-        self.eid = eid
-        self.dev_addr = dev_addr if prejoined else None
-        self.period_us = round(period_s * 1e6)
-        self.phase_us = round(phase_s * 1e6)
-        self.jitter_frac = jitter_frac
-        self.uplink_dr = dr
-        self.tx_power_dbm = phy.check_tx_power(tx_power_dbm)
-        self.app_payload_bytes = app_payload_bytes
-        self.channels_hz = list(channels_hz)
+        self.spec = spec
+        self.eid = spec.eid
+        self.dev_addr = spec.dev_addr   # a joining device has none until it joins
+        self.period_us = round(spec.period_s * 1e6)
+        self.phase_us = round(spec.phase_s * 1e6)
+        self.jitter_frac = spec.jitter_frac
+        self.uplink_dr = spec.dr
+        self.tx_power_dbm = phy.check_tx_power(spec.tx_power_dbm)
+        self.app_payload_bytes = spec.app_payload_bytes
+        self.channels_hz = list(spec.channels_hz)
         self.windows = windows
-        self.max_uplinks = max_uplinks
-        self.prejoined = prejoined
+        self.max_uplinks = spec.max_uplinks
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
 
-        self.mac_state = MacState.SLEEP if prejoined else MacState.NOT_JOINED
+        self.mac_state = MacState.SLEEP if spec.prejoined else MacState.NOT_JOINED
         self.fcnt_up = 0
         self.session: d2d.D2DSession | None = None
         self.session_history: list[d2d.D2DSession] = []
 
         self.ledger = EnergyLedger()
-        self.rng = engine.rng.stream(f"dev:{eid}")
+        self.rng = engine.rng.stream(f"dev:{spec.eid}")
         self.counters: dict[str, int] = {
             "downlinks_rw1": 0, "downlinks_rw2": 0, "ignored_frames": 0,
             "malformed_setups": 0, "join_attempts": 0, "duty_deferrals": 0,
@@ -153,16 +153,16 @@ class EndDevice:
         self._rx_events: list = []   # engine entries of this cycle's RX opens and closes
         self._rx2_open_us = 0
         self._d2d_listening = False
-        self._uplink_phy_bytes = app_payload_bytes + phy.FRAME_OVERHEAD_BYTES
-        self._uplink_toa_us = phy.time_on_air_us(dr, self._uplink_phy_bytes)
+        self._uplink_phy_bytes = spec.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES
+        self._uplink_toa_us = phy.time_on_air_us(spec.dr, self._uplink_phy_bytes)
 
-        medium.register_position(eid, position)
+        medium.register_position(spec.eid, spec.position)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         self.ledger.set_state(0, "sleep")
-        if self.prejoined:
+        if self.spec.prejoined:
             self._schedule_next_uplink()
         else:
             self._schedule_join_attempt()

@@ -80,8 +80,8 @@ def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict
         if first_tx_s is not None and last_delivery_s is not None:
             total = last_delivery_s - first_tx_s
         transfers.append({
-            "source": ns.devices[tr.source_addr].eid,
-            "dest": ns.devices[tr.dest_addr].eid,
+            "source": ns.devices[tr.source_addr].spec.eid,
+            "dest": ns.devices[tr.dest_addr].spec.eid,
             "total_bytes": tr.total_bytes,
             "bytes_relayed": tr.bytes_relayed,
             "chunks_relayed": tr.chunks_relayed,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from . import d2d, phy, regulator
 from .mac import (JOIN_ACCEPT_PHY_BYTES, JoinAccept, JoinRequest,
                   LoRaWANDownlink, LoRaWANUplink, ReceiveWindows)
+from .scenario import DeviceSpec, GatewaySpec
 
 
 class PlanError(ValueError):
@@ -39,12 +40,11 @@ class DownlinkError(ValueError):
 
 @dataclass
 class DeviceRecord:
-    eid: str
-    dev_addr: int | None
-    dr: int
-    app_payload_bytes: int
-    period_s: float
-    jitter_frac: float
+    """What the server knows of a device: its provisioning, as its spec, and
+    the state the server keeps for it."""
+
+    spec: DeviceSpec
+    dev_addr: int | None   # the spec's, or the one assigned at join
     queue: list[LoRaWANDownlink] = field(default_factory=list)   # pending, FIFO
     fcnt_down: int = 0   # FCntDown of the next downlink queued
     fcnt_up: int = 0     # FCnt a new uplink must reach; lower ones are copies
@@ -68,20 +68,19 @@ class TransferState:
 
 
 class Gateway:
-    def __init__(self, engine, medium, server, *, eid: str, position: tuple[float, float],
-                 channels_hz: list[int], tx_power_dbm: int, backhaul_delay_s: float,
-                 bands, duty_enforced: bool):
+    def __init__(self, engine, medium, server, spec: GatewaySpec, *,
+                 backhaul_delay_s: float, bands, duty_enforced: bool):
         self.engine = engine
         self.medium = medium
-        self.eid = eid
-        self.channels_hz = frozenset(channels_hz)
-        self.tx_power_dbm = tx_power_dbm
+        self.eid = spec.eid
+        self.channels_hz = frozenset(spec.channels_hz)
+        self.tx_power_dbm = spec.tx_power_dbm
         self.backhaul_us = round(backhaul_delay_s * 1e6)
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
         self.busy_until_us = 0
         self.server = server
         self.counters = {"uplinks_decoded": 0, "downlinks_transmitted": 0}
-        medium.register_position(eid, position)
+        medium.register_position(spec.eid, spec.position)
         medium.listen_gateway(self)
 
     def on_frame_decoded(self, tx: phy.Transmission) -> None:
@@ -115,8 +114,7 @@ class Gateway:
 
 
 class NetworkServer:
-    def __init__(self, engine, *, windows: ReceiveWindows,
-                 join_success_prob: float = 1.0):
+    def __init__(self, engine, *, windows: ReceiveWindows, join_success_prob: float):
         self.engine = engine
         self.windows = windows
         self.join_success_prob = join_success_prob
@@ -134,11 +132,11 @@ class NetworkServer:
 
     # -- registration --------------------------------------------------------
 
-    def register_device(self, record: DeviceRecord, joined: bool = True) -> None:
-        """Know the device; a joined one is also reachable by its address."""
-        self.by_eid[record.eid] = record
-        if joined and record.dev_addr is not None:
-            self.devices[record.dev_addr] = record
+    def register_device(self, spec: DeviceSpec) -> None:
+        """Know the device; a pre-joined one is also reachable by its address."""
+        record = self.by_eid[spec.eid] = DeviceRecord(spec, spec.dev_addr)
+        if spec.prejoined:
+            self.devices[spec.dev_addr] = record
 
     def _joined(self, eids: tuple[str, ...], error: str) -> list[DeviceRecord]:
         """The named devices' records; PlanError(error) unless the server
@@ -155,7 +153,7 @@ class NetworkServer:
         try:
             src, dst = self._joined((spec.source, spec.dest),
                                     "transfer endpoints must both be joined")
-            self._check_fits(dst, min(src.app_payload_bytes, spec.total_bytes), PlanError)
+            self._check_fits(dst, min(src.spec.app_payload_bytes, spec.total_bytes), PlanError)
         except PlanError as exc:
             self.engine.count("transfer_failed")
             self.engine.trace("transfer_failed", "ns", source=spec.source,
@@ -265,11 +263,11 @@ class NetworkServer:
         """Raise `error` unless a downlink of `app_bytes` to `record` fits
         its first or its second receive window."""
         phy_bytes = app_bytes + phy.FRAME_OVERHEAD_BYTES
-        rx2_dr = self.windows.rx2_dr
-        if not self._fits(rx2_dr, phy_bytes) and not self._fits(record.dr, phy_bytes):
+        rx2_dr, dr = self.windows.rx2_dr, record.spec.dr
+        if not self._fits(rx2_dr, phy_bytes) and not self._fits(dr, phy_bytes):
             raise error(
                 f"{app_bytes} application bytes fit neither receive window "
-                f"(uplink DR{record.dr}, RX2 DR{rx2_dr})")
+                f"(uplink DR{dr}, RX2 DR{rx2_dr})")
 
     def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
         """The first receive window after ``uplink`` whose data rate carries
@@ -318,7 +316,7 @@ class NetworkServer:
             self.counters["joins_dropped"] += 1
             return
         _, start, freq, dr = slot
-        gw.transmit(JoinAccept(record.eid, record.dev_addr), freq_hz=freq, dr=dr,
+        gw.transmit(JoinAccept(record.spec.eid, record.dev_addr), freq_hz=freq, dr=dr,
                     phy_payload_bytes=JOIN_ACCEPT_PHY_BYTES, start_us=start,
                     kind="join_accept")
         self.devices[record.dev_addr] = record
@@ -328,15 +326,16 @@ class NetworkServer:
 
     def _setup_delivery_terms_s(self, record: DeviceRecord) -> tuple[float, float, float]:
         """Uplink airtime, and setup delivery at the end of RX1 and of RX2."""
-        toa_up = phy.time_on_air(record.dr, record.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
+        dev = record.spec
+        toa_up = phy.time_on_air(dev.dr, dev.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
-        rw1 = self.windows.receive_delay1_s + phy.time_on_air(record.dr, setup_phy)
+        rw1 = self.windows.receive_delay1_s + phy.time_on_air(dev.dr, setup_phy)
         rw2 = self.windows.receive_delay2_s + phy.time_on_air(self.windows.rx2_dr, setup_phy)
         return toa_up, rw1, rw2
 
     def _worst_setup_delivery_s(self, record: DeviceRecord) -> float:
         """Upper bound on trigger-to-setup-delivery, assuming no losses."""
-        wait = record.period_s * (1.0 + record.jitter_frac)
+        wait = record.spec.period_s * (1.0 + record.spec.jitter_frac)
         toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
         return wait + toa_up + max(rw1, rw2)
 

@@ -21,7 +21,12 @@ MAX_PHY_PAYLOAD_BYTES = 255
 
 
 class PhyError(ValueError):
-    """Raised for out-of-domain PHY arguments."""
+    """Raised for out-of-domain PHY arguments; ``field`` names the setting
+    at fault when a settings class raises it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -118,12 +123,23 @@ def sensitivity(dr: int, table: dict[int, float] | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class PathLossModel:
-    """Log-distance path loss, calibrated at d0 (defaults: 127.5 dB at 1 km)."""
+class RadioModel:
+    """A scenario's radio: log-distance path loss calibrated at d0 (defaults:
+    127.5 dB at 1 km), the power margin by which a frame captures a
+    receiver over a rival, and the chance that a decoded D2D frame is lost
+    anyway."""
 
     pl0_db: float = 127.5
     d0_m: float = 1000.0
     exponent: float = 2.9
+    capture_threshold_db: float = 6.0
+    d2d_frame_loss_prob: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.d0_m > 0:
+            raise PhyError("must be positive", "d0_m")
+        if not 0.0 <= self.d2d_frame_loss_prob <= 1.0:
+            raise PhyError("must lie in [0, 1]", "d2d_frame_loss_prob")
 
     def path_loss_db(self, distance_m: float) -> float:
         if distance_m <= 0:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from . import metrics, phy
+from . import metrics
 from .energy import DEFAULT_PROFILE, StateUsage, fit_profile
 from .engine import Engine, Medium
 from .mac import EndDevice, ReceiveWindows
-from .netserver import DeviceRecord, Gateway, NetworkServer
+from .netserver import Gateway, NetworkServer
 from .scenario import Scenario, load_bundled
 
 CONVENTIONAL_SCENARIO = "table2_conventional"
@@ -68,43 +68,20 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
     profile = scn.profile if scn.profile is not None else DEFAULT_PROFILE
 
     engine = Engine(seed=seed, trace=trace)
-    medium = Medium(
-        engine,
-        phy.PathLossModel(scn.radio.pl0_db, scn.radio.d0_m, scn.radio.exponent),
-        sensitivity_table=scn.sensitivity_dbm,
-        capture_threshold_db=scn.radio.capture_threshold_db,
-        d2d_frame_loss_prob=scn.radio.d2d_frame_loss_prob,
-    )
+    medium = Medium(engine, scn.radio, sensitivity_table=scn.sensitivity_dbm)
     windows = ReceiveWindows(scn.rx2_freq_hz, scn.rx2_dr, scn.receive_delay1_s,
                              scn.receive_delay2_s, scn.preamble_detect_symbols)
     bands = scn.effective_bands
     ns = NetworkServer(engine, windows=windows, join_success_prob=scn.join_success_prob)
-
-    gateways: dict[str, Gateway] = {}
-    for gspec in scn.gateways:
-        gateways[gspec.eid] = Gateway(
-            engine, medium, ns, eid=gspec.eid, position=gspec.position,
-            channels_hz=gspec.channels_hz, tx_power_dbm=gspec.tx_power_dbm,
-            backhaul_delay_s=scn.backhaul_delay_s, bands=bands,
-            duty_enforced=scn.duty_cycle_enforced)
-
-    devices: dict[str, EndDevice] = {}
-    for dspec in scn.devices:
-        dev = EndDevice(
-            engine, medium, eid=dspec.eid, dev_addr=dspec.dev_addr,
-            position=dspec.position, period_s=dspec.period_s, phase_s=dspec.phase_s,
-            jitter_frac=dspec.jitter_frac, dr=dspec.dr,
-            tx_power_dbm=dspec.tx_power_dbm,
-            app_payload_bytes=dspec.app_payload_bytes,
-            channels_hz=dspec.channels_hz, windows=windows, bands=bands,
-            duty_enforced=scn.duty_cycle_enforced,
-            max_uplinks=dspec.max_uplinks, prejoined=dspec.prejoined,
-        )
-        devices[dspec.eid] = dev
-        ns.register_device(DeviceRecord(
-            eid=dspec.eid, dev_addr=dspec.dev_addr, dr=dspec.dr,
-            app_payload_bytes=dspec.app_payload_bytes, period_s=dspec.period_s,
-            jitter_frac=dspec.jitter_frac), joined=dspec.prejoined)
+    gateways = {spec.eid: Gateway(engine, medium, ns, spec,
+                                  backhaul_delay_s=scn.backhaul_delay_s, bands=bands,
+                                  duty_enforced=scn.duty_cycle_enforced)
+                for spec in scn.gateways}
+    devices = {spec.eid: EndDevice(engine, medium, spec, windows=windows, bands=bands,
+                                   duty_enforced=scn.duty_cycle_enforced)
+               for spec in scn.devices}
+    for spec in scn.devices:
+        ns.register_device(spec)
 
     for tspec in scn.transfers:
         engine.schedule(round(tspec.at_s * 1e6), ns.start_transfer, tspec,

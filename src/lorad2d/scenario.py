@@ -34,15 +34,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class RadioSpec:
-    pl0_db: float = 127.5
-    d0_m: float = 1000.0
-    exponent: float = 2.9
-    capture_threshold_db: float = 6.0
-    d2d_frame_loss_prob: float = 0.0
-
-
-@dataclass
 class DeviceSpec:
     eid: str
     position: tuple[float, float] = (0.0, 0.0)
@@ -103,7 +94,7 @@ class Scenario:
     backhaul_delay_s: float = 0.05
     duty_cycle_enforced: bool = True
     join_success_prob: float = 1.0
-    radio: RadioSpec = field(default_factory=RadioSpec)
+    radio: phy.RadioModel = field(default_factory=phy.RadioModel)
     bands: tuple[regulator.SubBand, ...] | None = None
     sensitivity_dbm: dict[int, float] | None = None
     profile: PowerProfile | None = None
@@ -149,8 +140,6 @@ class Scenario:
             raise ScenarioError("backhaul_delay_s", "must be non-negative")
         if not 0.0 <= self.join_success_prob <= 1.0:
             raise ScenarioError("join_success_prob", "must lie in [0, 1]")
-        if not 0.0 <= self.radio.d2d_frame_loss_prob < 1.0:
-            raise ScenarioError("radio.d2d_frame_loss_prob", "must lie in [0, 1)")
 
         eids: set[str] = set()
         for i, dev in enumerate(self.devices):
@@ -173,6 +162,8 @@ class Scenario:
             if dev.prejoined != (dev.dev_addr is not None):
                 raise ScenarioError(f"{path}.dev_addr", "a pre-joined device needs an address; "
                                     "a joining one is given its address when it joins")
+            if dev.dev_addr is not None and not 0 <= dev.dev_addr <= 0xFFFF_FFFF:
+                raise ScenarioError(f"{path}.dev_addr", "must lie in 0..2**32-1")
         addrs = [d.dev_addr for d in self.devices if d.dev_addr is not None]
         if len(addrs) != len(set(addrs)):
             raise ScenarioError("devices", "device addresses must be unique")
@@ -331,8 +322,9 @@ def _parse(cls, doc, path: str):
             raise ScenarioError(prefix + name, "missing required key")
     try:
         obj = cls(**kwargs)
-    except (regulator.RegulatorError, d2d.D2DProtocolError) as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    except (regulator.RegulatorError, d2d.D2DProtocolError, phy.PhyError) as exc:
+        key = getattr(exc, "field", None)   # the setting a PhyError names
+        raise ScenarioError(prefix + key if key else path, str(exc)) from exc
     if len(kwargs) != len(doc):
         raise ScenarioError(prefix + sorted(k for k in doc if k not in kwargs)[0],
                             "unknown key")
@@ -353,9 +345,10 @@ def _fields(cls) -> tuple:
 
 
 def _exact(hint) -> frozenset:
-    """Value types that need no conversion: the hint's scalars and None."""
+    """Value types that need no conversion or check: the hint's scalars and
+    None.  A float is not one of them, since it must be finite."""
     args = typing.get_args(hint) if typing.get_origin(hint) in _UNIONS else (hint,)
-    return frozenset(arg for arg in args if arg in (str, int, float, bool, type(None)))
+    return frozenset(arg for arg in args if arg in (str, int, bool, type(None)))
 
 
 def _converter(hint):
@@ -380,9 +373,14 @@ def _scalar(typ):
         if typ is int and isinstance(value, bool):
             raise ScenarioError(path, "expected an integer, got a boolean")
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
         if not isinstance(value, typ):
             raise ScenarioError(path, f"expected {typ.__name__}, got {type(value).__name__}")
+        if typ is float and not math.isfinite(value):
+            raise ScenarioError(path, f"must be a finite number, got {value}")
         return value
     return convert
 

@@ -1,4 +1,7 @@
-"""Hand-wired simulation rigs shared by the unit tests."""
+"""Hand-wired simulation rigs shared by the unit tests.
+
+Each rig builds its entities from a scenario spec, with the constructors and
+the ``register_device`` call that ``runner.run`` uses."""
 
 from __future__ import annotations
 
@@ -6,39 +9,32 @@ import dataclasses
 
 from lorad2d import d2d, mac, netserver, phy, regulator
 from lorad2d.engine import POLARITY, Engine, Medium
-from lorad2d.scenario import load_bundled
+from lorad2d.scenario import DeviceSpec, GatewaySpec, load_bundled
 
 CH0 = 868_100_000
 CH1 = 868_300_000
 CH2 = 868_500_000
 RX2_FREQ = 869_525_000
 RX2_DR = 0
-WINDOWS = mac.ReceiveWindows(RX2_FREQ, RX2_DR)
+WINDOWS = mac.ReceiveWindows(RX2_FREQ, RX2_DR, receive_delay1_s=1.0,
+                             receive_delay2_s=2.0, preamble_detect_symbols=8)
 
 
-def make_rig(seed: int = 0, *, trace: bool = True,
-             capture_threshold_db: float = 6.0,
-             d2d_frame_loss_prob: float = 0.0):
+def make_rig(seed: int = 0, *, trace: bool = True, **radio):
+    """An engine and a medium over ``phy.RadioModel(**radio)``."""
     engine = Engine(seed=seed, trace=trace)
-    medium = Medium(engine, phy.PathLossModel(),
-                    capture_threshold_db=capture_threshold_db,
-                    d2d_frame_loss_prob=d2d_frame_loss_prob)
-    return engine, medium
+    return engine, Medium(engine, phy.RadioModel(**radio))
 
 
-def make_device(engine, medium, *, eid="dev", dev_addr=0x0100_0001,
-                position=(0.0, 0.0), period_s=10.0, phase_s=1.0,
-                jitter_frac=0.0, dr=0, tx_power_dbm=14, app_payload_bytes=12,
-                channels_hz=(CH0,), windows=WINDOWS, bands=regulator.DEFAULT_BANDS,
-                duty_enforced=False,
-                max_uplinks=None, prejoined=True):
-    return mac.EndDevice(
-        engine, medium, eid=eid, dev_addr=dev_addr, position=position,
-        period_s=period_s, phase_s=phase_s, jitter_frac=jitter_frac, dr=dr,
-        tx_power_dbm=tx_power_dbm, app_payload_bytes=app_payload_bytes,
-        channels_hz=list(channels_hz), windows=windows, bands=bands,
-        duty_enforced=duty_enforced,
-        max_uplinks=max_uplinks, prejoined=prejoined)
+def make_device(engine, medium, *, windows=WINDOWS, bands=regulator.DEFAULT_BANDS,
+                duty_enforced=False, **fields):
+    """An end device built from a DeviceSpec of ``fields``; the rig's own
+    defaults stand in for the fields left out."""
+    fields = {"eid": "dev", "dev_addr": 0x0100_0001, "period_s": 10.0, "phase_s": 1.0,
+              "jitter_frac": 0.0, "channels_hz": (CH0,), **fields}
+    fields["channels_hz"] = list(fields["channels_hz"])
+    return mac.EndDevice(engine, medium, DeviceSpec(**fields), windows=windows,
+                         bands=bands, duty_enforced=duty_enforced)
 
 
 def make_server(engine, medium, *, gateways=(("gw0", (2000.0, 0.0)),),
@@ -48,20 +44,12 @@ def make_server(engine, medium, *, gateways=(("gw0", (2000.0, 0.0)),),
                                      join_success_prob=join_success_prob)
     gws = {}
     for eid, position in gateways:
-        gws[eid] = netserver.Gateway(engine, medium, server, eid=eid, position=position,
-                                     channels_hz=list(channels_hz), tx_power_dbm=14,
+        gws[eid] = netserver.Gateway(engine, medium, server,
+                                     GatewaySpec(eid, position, list(channels_hz)),
                                      backhaul_delay_s=backhaul_delay_s,
                                      bands=regulator.DEFAULT_BANDS,
                                      duty_enforced=gw_duty_enforced)
     return server, gws
-
-
-def register(server, dev, *, period_s=None):
-    server.register_device(netserver.DeviceRecord(
-        eid=dev.eid, dev_addr=dev.dev_addr, dr=dev.uplink_dr,
-        app_payload_bytes=dev.app_payload_bytes,
-        period_s=(period_s if period_s is not None else dev.period_us / 1e6),
-        jitter_frac=dev.jitter_frac))
 
 
 def arm_pair(engine, medium, *, freq_hz=865_000_000, dr=6, power_dbm=14,

@@ -6,6 +6,7 @@ criterion with the measured numbers.
 """
 
 import copy
+import dataclasses
 import itertools
 import random
 import time
@@ -204,7 +205,7 @@ def _completion_probe(loss_prob: float, seeds: int) -> tuple[int, int]:
     scn = copy.deepcopy(load_bundled("table2_d2d"))
     scn.end_time_s = 60.0
     scn.d2d_directives[0].t2_s = 120.0
-    scn.radio.d2d_frame_loss_prob = loss_prob
+    scn.radio = dataclasses.replace(scn.radio, d2d_frame_loss_prob=loss_prob)
     established = completed = 0
     for seed in range(seeds):
         res = runner.run(scn, seed=seed)

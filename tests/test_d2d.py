@@ -109,7 +109,7 @@ def test_sessions_are_time_bounded_under_any_loss():
 
 def test_lost_data_frame_is_retransmitted():
     engine = helpers.make_rig()[0]
-    medium = LossyMedium(engine, phy.PathLossModel(), drop={0})
+    medium = LossyMedium(engine, phy.RadioModel(), drop={0})
     init_dev, scan_dev = helpers.arm_pair(engine, medium, t1_initiator_s=1.0,
                                           params=ExchangeParams(**SMALL))
     run_pair(engine)
@@ -123,7 +123,7 @@ def test_lost_data_frame_is_retransmitted():
 def test_lost_ack_triggers_duplicate_and_re_ack():
     engine = helpers.make_rig()[0]
     # delivery order: data1 (0), ack1 (1), ...; drop the first ack
-    medium = LossyMedium(engine, phy.PathLossModel(), drop={1})
+    medium = LossyMedium(engine, phy.RadioModel(), drop={1})
     init_dev, scan_dev = helpers.arm_pair(engine, medium, t1_initiator_s=1.0,
                                           params=ExchangeParams(**SMALL))
     run_pair(engine)
@@ -137,7 +137,7 @@ def test_lost_ack_triggers_duplicate_and_re_ack():
 def test_lost_final_ack_recovered_during_linger():
     engine = helpers.make_rig()[0]
     # data1 (0), ack1 (1), data2 (2), ack2 (3): drop the final ack
-    medium = LossyMedium(engine, phy.PathLossModel(), drop={3})
+    medium = LossyMedium(engine, phy.RadioModel(), drop={3})
     init_dev, scan_dev = helpers.arm_pair(engine, medium, t1_initiator_s=1.0,
                                           params=ExchangeParams(**SMALL))
     run_pair(engine)

@@ -129,7 +129,7 @@ def test_trace_switch_and_record_shape():
 # Each case runs its frames through a Medium, whose capture kernel decides
 # every reception; see helpers.hear.
 
-LOSS = phy.PathLossModel()
+RADIO = phy.RadioModel()
 F = 868_100_000
 
 
@@ -231,7 +231,7 @@ class _Recorder:
 
 def test_medium_pairs_every_start_with_one_end():
     engine = Engine()
-    medium = Medium(engine, LOSS)
+    medium = Medium(engine, RADIO)
     sender = _Recorder("s")
     medium.register_position("s", (0.0, 0.0))
     for k in range(5):
@@ -246,7 +246,7 @@ def test_medium_pairs_every_start_with_one_end():
 
 def test_listener_opening_mid_frame_is_locked_until_frame_end():
     engine = Engine()
-    medium = Medium(engine, LOSS)
+    medium = Medium(engine, RADIO)
     sender, rx = _Recorder("s"), _Recorder("r")
     medium.register_position("s", (1000.0, 0.0))
     medium.register_position("r", (0.0, 0.0))
@@ -266,7 +266,7 @@ F2 = 868_300_000
 
 def _rig(*senders):
     engine = Engine()
-    medium = Medium(engine, LOSS)
+    medium = Medium(engine, RADIO)
     rx = _Recorder("r")
     medium.register_position("r", (0.0, 0.0))
     for eid in senders:
@@ -410,7 +410,7 @@ def _frame_set(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_rivals_are_exactly_the_overlapping_co_bucket_frames(seed):
     engine = Engine()
-    medium = _RivalLog(engine, LOSS)
+    medium = _RivalLog(engine, RADIO)
     frames = _frame_set(seed)
     gw = _Recorder("gw")
     gw.channels_hz = [F, F2]
@@ -452,7 +452,7 @@ def test_lock_is_the_latest_end_of_the_held_frames_on_the_air(seed):
     # agree with a brute force over the whole frame list.
     rng = random.Random(seed)
     engine = Engine()
-    medium = Medium(engine, LOSS)
+    medium = Medium(engine, RADIO)
     receivers = {f"r{n}": (0.0, 300.0 * n) for n in range(3)}
     senders = {f"s{n}": (rng.choice((500.0, 2000.0, 5500.0, 7000.0, 20_000.0)), 0.0)
                for n in range(6)}
@@ -505,7 +505,7 @@ def test_lock_is_the_latest_end_of_the_held_frames_on_the_air(seed):
         floor = phy.sensitivity(key[1])
         held = [tx for tx in frames if _bucket(tx) == key and tx.source != eid
                 and tx.start_us < t_us < tx.end_us
-                and tx.tx_power_dbm - LOSS.path_loss_db(
+                and tx.tx_power_dbm - RADIO.path_loss_db(
                     max(math.dist(positions[eid], positions[tx.source]), 1e-3)) >= floor]
         return max((tx.end_us for tx in held), default=0), held
 
@@ -590,7 +590,7 @@ def test_gateway_hears_every_data_rate_on_its_channels_only():
     # one uplink per (channel, DR), one after another; the gateway lacks F3
     F3 = 868_500_000
     engine = Engine()
-    medium = Medium(engine, LOSS)
+    medium = Medium(engine, RADIO)
     gw = _Recorder("gw")
     gw.channels_hz = [F, F2]
     medium.register_position("gw", (0.0, 0.0))

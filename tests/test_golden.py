@@ -115,6 +115,13 @@ def test_trace_and_metrics_digests(name, seed, trace_digest, doc_digest):
     assert _sha256(json.dumps(result.document, sort_keys=True)) == doc_digest
 
 
+def test_table2_document_digest():
+    # the calibration sums with math.fsum, which rounds once, so the fitted
+    # profile's last digits do not depend on how a Python version's
+    # built-in sum() adds floats
+    assert (_sha256(json.dumps(runner.table2(0), sort_keys=True))
+            == "d05a1472bf63813518b8e811a99e3ffee15d4a8940edea27b5c4c2d2b20f5394")
+
 
 @pytest.mark.parametrize("name", ["table2_conventional", "table2_d2d", "duty-audit",
                                   "join-cell"])

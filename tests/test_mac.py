@@ -8,7 +8,7 @@ import helpers
 from lorad2d import d2d, mac, phy, regulator
 from lorad2d.d2d import ExchangeParams
 from lorad2d.engine import Draws
-from lorad2d.mac import MacState, ReceiveWindows
+from lorad2d.mac import MacState
 
 
 def uplink_starts(engine, eid):
@@ -295,7 +295,7 @@ def wire_device_and_server(engine, medium, *, dev_kw=None, windows=helpers.WINDO
     server, gws = helpers.make_server(engine, medium, windows=windows,
                                       gateways=(("gw0", (1000.0, 0.0)),))
     gw = gws["gw0"]
-    helpers.register(server, dev)
+    server.register_device(dev.spec)
     return dev, server, gw
 
 
@@ -318,7 +318,7 @@ def test_oversized_downlink_falls_back_to_second_window():
     # 110 application bytes never fit the DR0 first window but do fit RX2 at DR3
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, windows=ReceiveWindows(helpers.RX2_FREQ, 3),
+        engine, medium, windows=dataclasses.replace(helpers.WINDOWS, rx2_dr=3),
         dev_kw=dict(period_s=30.0, phase_s=1.0, dr=0, max_uplinks=1))
     server.enqueue_downlink(dev.dev_addr, port=1, app_bytes=110)
     dev.start()

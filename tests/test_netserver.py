@@ -5,8 +5,8 @@ import pytest
 import helpers
 from lorad2d import d2d, phy
 from lorad2d.mac import JOIN_REQUEST_PHY_BYTES, JoinRequest, LoRaWANUplink
-from lorad2d.netserver import DeviceRecord, DownlinkError, Gateway, NetworkServer
-from lorad2d.scenario import D2DDirectiveSpec, TransferSpec
+from lorad2d.netserver import DownlinkError, Gateway, NetworkServer
+from lorad2d.scenario import D2DDirectiveSpec, DeviceSpec, TransferSpec
 
 
 def fake_uplink(addr, fcnt, *, start_us=1_000_000, dr=0, app=12):
@@ -17,10 +17,12 @@ def fake_uplink(addr, fcnt, *, start_us=1_000_000, dr=0, app=12):
         frame=LoRaWANUplink(addr, fcnt, 1, app))
 
 
-def record(addr, *, eid=None, dr=0, app=12, period_s=9.6, jitter=0.0):
-    return DeviceRecord(eid=eid or f"d{addr:x}", dev_addr=addr, dr=dr,
-                        app_payload_bytes=app, period_s=period_s,
-                        jitter_frac=jitter)
+def record(addr, *, eid=None, dr=0, app=12, period_s=9.6, jitter=0.0, prejoined=True):
+    """The spec the server builds a device's record from; a device that is
+    not pre-joined has no address."""
+    return DeviceSpec(eid=eid or f"d{addr:x}", dev_addr=addr if prejoined else None,
+                      dr=dr, app_payload_bytes=app, period_s=period_s,
+                      jitter_frac=jitter, prejoined=prejoined)
 
 
 def make_server(engine, medium, **kw):
@@ -35,7 +37,7 @@ def test_two_gateways_hear_one_uplink_once():
                                         ("gw1", (-1000.0, 0.0))))
     dev = helpers.make_device(engine, medium, period_s=30.0, phase_s=1.0,
                               max_uplinks=1)
-    helpers.register(server, dev)
+    server.register_device(dev.spec)
     dev.start()
     engine.run(until_us=10_000_000)
     assert all(gw.counters["uplinks_decoded"] == 1 for gw in gws)
@@ -67,7 +69,7 @@ def test_replayed_frame_counter_is_dropped():
     server.on_uplink(fake_uplink(0x10, fcnt=2, start_us=40_000_000), gw)
     assert server.counters["uplinks"] == 3
     assert server.counters["dedup_drops"] == 2
-    server.register_device(record(0x20, eid="joiner"), joined=False)
+    server.register_device(record(0x20, eid="joiner", prejoined=False))
     server.on_uplink(fake_join_request("joiner", 2, start_us=50_000_000), gw)
     server.on_uplink(fake_join_request("joiner", 1, start_us=60_000_000), gw)
     assert server.counters["joins_accepted"] == 1
@@ -98,7 +100,7 @@ def test_transfer_endpoints_must_be_joined():
     engine, medium = helpers.make_rig()
     server, _ = make_server(engine, medium)
     server.register_device(record(0x10))
-    server.register_device(record(0x11), joined=False)
+    server.register_device(record(0x11, prejoined=False))
     server.start_transfer(TransferSpec("d10", "d11", 1000))
     assert engine.counters["transfer_failed"] == 1
     assert server.transfers == []
@@ -136,7 +138,7 @@ def test_transfer_relays_uplink_payloads_as_downlinks():
                               dr=0, app_payload_bytes=12,
                               channels_hz=(helpers.CH1,))
     for dev in (src, dst):
-        helpers.register(server, dev)
+        server.register_device(dev.spec)
     server.start_transfer(TransferSpec("src", "dst", total_bytes=30))
     src.start()
     dst.start()
@@ -160,7 +162,7 @@ def test_gateway_duty_defers_downlinks_until_legal(monkeypatch):
     server, (gw,) = make_server(engine, medium, gw_duty_enforced=True)
     dev = helpers.make_device(engine, medium, period_s=10.0, phase_s=1.0,
                               dr=0, app_payload_bytes=12)
-    helpers.register(server, dev)
+    server.register_device(dev.spec)
     for _ in range(3):
         server.enqueue_downlink(dev.dev_addr, port=1, app_bytes=46)
     dev.start()
@@ -238,7 +240,7 @@ def test_plan_rejects_scanner_window_that_may_lapse():
 
 def test_directive_participants_must_both_be_joined():
     server = planning_server()
-    server.register_device(record(0x03, eid="joining"), joined=False)
+    server.register_device(record(0x03, eid="joining", prejoined=False))
     plan = start(server, scanner="joining")
     assert plan.error == "session participants must both be joined"
     assert server.counters["setups_sent"] == 0
@@ -269,7 +271,7 @@ def test_join_heard_by_two_gateways_is_answered_once():
     dev = helpers.make_device(engine, medium, dev_addr=None, prejoined=False,
                               position=(500.0, 0.0), period_s=60.0, phase_s=0.0,
                               dr=3)
-    helpers.register(server, dev)
+    server.register_device(dev.spec)
     dev.start()
     engine.run(until_us=120_000_000)
     assert all(gw.counters["uplinks_decoded"] >= 1 for gw in gws)

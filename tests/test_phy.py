@@ -108,7 +108,7 @@ def test_sensitivity_defaults():
 
 
 def test_path_loss_model():
-    model = phy.PathLossModel()
+    model = phy.RadioModel()
     assert model.path_loss_db(1000.0) == pytest.approx(127.5)
     assert model.path_loss_db(2000.0) == pytest.approx(127.5 + 29.0 * math.log10(2))
     assert model.path_loss_db(10.0) < model.path_loss_db(100.0)
@@ -116,6 +116,14 @@ def test_path_loss_model():
         model.path_loss_db(0.0)
     with pytest.raises(phy.PhyError):
         model.path_loss_db(-5.0)
+
+
+def test_radio_model_names_the_setting_out_of_range():
+    for field, bad in (("d0_m", 0.0), ("d0_m", -1.0), ("d2d_frame_loss_prob", -0.1),
+                       ("d2d_frame_loss_prob", 1.01)):
+        with pytest.raises(phy.PhyError) as err:
+            phy.RadioModel(**{field: bad})
+        assert err.value.field == field
 
 
 def test_tx_power_limits():

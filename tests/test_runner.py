@@ -227,7 +227,7 @@ def test_a_joining_device_gets_an_address_no_prejoined_device_holds():
 
     res = runner.run(scn, seed=0)
     assert res.devices["joiner"].dev_addr == 0x0100_0002
-    assert sorted(rec.eid for rec in res.ns.devices.values()) == ["joiner", "pre"]
+    assert sorted(rec.spec.eid for rec in res.ns.devices.values()) == ["joiner", "pre"]
     assert res.ns.counters["dedup_drops"] == 0
     devices = res.document["devices"]
     assert (devices["pre"]["uplinks_delivered"],
@@ -249,7 +249,7 @@ def test_a_joining_device_cannot_be_given_an_address():
 
     a.dev_addr = None
     res = runner.run(scn, seed=0)
-    assert sorted(rec.eid for rec in res.ns.devices.values()) == ["a", "b"]
+    assert sorted(rec.spec.eid for rec in res.ns.devices.values()) == ["a", "b"]
     assert res.devices["a"].dev_addr != res.devices["b"].dev_addr
     assert res.ns.counters["dedup_drops"] == 0
 

@@ -1,9 +1,10 @@
 import json
+import math
 from importlib import resources
 
 import pytest
 
-from lorad2d import phy, regulator
+from lorad2d import phy, regulator, runner
 from lorad2d.energy import PowerProfile
 from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
                               bundled_names, load_bundled, make_duty_audit)
@@ -316,6 +317,12 @@ def test_full_doc_is_valid():
     (("d2d_directives", 0, "power_dbm"), 25, "d2d_directives[0]"),
     (("d2d_directives", 0, "scanner"), "ghost", "d2d_directives[0].scanner"),
     (("gateways", 0, "tx_power_dbm"), 30, "gateways[0].tx_power_dbm"),
+    # the radio's own range rules, and 32-bit device addresses
+    (("radio", "d0_m"), -1.0, "radio.d0_m"),
+    (("radio", "d0_m"), 0, "radio.d0_m"),
+    (("radio", "d2d_frame_loss_prob"), 1.5, "radio.d2d_frame_loss_prob"),
+    (("devices", 0, "dev_addr"), -1, "devices[0].dev_addr"),
+    (("devices", 0, "dev_addr"), 2 ** 32, "devices[0].dev_addr"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
@@ -330,6 +337,40 @@ def test_bad_value_error_paths(where, value, path):
         Scenario.from_dict(json.loads(json.dumps(doc)))
     assert err.value.path == path
     assert str(err.value).startswith(f"{path}: ")   # names an unknown key too
+
+
+@pytest.mark.parametrize("where,value,path", [
+    (("d2d_directives", 0, "at_s"), math.nan, "d2d_directives[0].at_s"),
+    (("backhaul_delay_s",), math.nan, "backhaul_delay_s"),
+    (("d2d_directives", 0, "t2_s"), math.inf, "d2d_directives[0].t2_s"),
+    (("devices", 0, "period_s"), math.inf, "devices[0].period_s"),
+    (("radio", "pl0_db"), math.nan, "radio.pl0_db"),
+    (("radio", "exponent"), 10 ** 400, "radio.exponent"),   # no float holds it
+], ids=["at_s-nan", "backhaul-nan", "t2-inf", "period-inf", "pl0-nan", "exponent-1e400"])
+def test_non_finite_numbers_are_load_errors(where, value, path):
+    # json reads NaN and Infinity as floats; each used to load, or to fail
+    # with a bare ValueError or OverflowError at load or at run
+    doc = load_bundled("table2_d2d").to_dict()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_json(json.dumps(doc))
+    assert err.value.path == path
+    assert "finite" in str(err.value)
+
+
+def test_range_edges_load_and_run():
+    doc = full_doc()
+    doc["devices"][0]["dev_addr"] = 0xFFFF_FFFF
+    assert Scenario.from_dict(doc).devices[0].dev_addr == 0xFFFF_FFFF
+    # certain D2D loss is a counted outcome: the session runs and fails
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["radio"]["d2d_frame_loss_prob"] = 1.0
+    result = runner.run(Scenario.from_dict(doc), seed=0)
+    assert result.document["network"]["d2d_frames_lost"] > 0
+    assert not any(s["completed"] for s in result.document["d2d_sessions"])
 
 
 def test_profile_without_a_key_names_the_missing_key():
