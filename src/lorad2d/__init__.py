@@ -16,7 +16,7 @@ from .engine import Engine, Medium, RngManager, SimulationError
 from .mac import EndDevice, MacState, ReceiveWindows
 from .netserver import (DeviceRecord, DownlinkError, Gateway,
                         InfeasiblePlanError, NetworkServer, PlanError)
-from .phy import PhyError, RadioModel, Transmission, data_rate, sensitivity, time_on_air
+from .phy import PhyError, RadioModel, Transmission, data_rate, time_on_air
 from .regulator import DutyCycleViolation, DutyLedger, SubBand, classify, off_time_us
 from .runner import RunResult, run, summarize, sweep, table2
 from .scenario import Scenario, ScenarioError, bundled_names, load_bundled
@@ -34,8 +34,7 @@ __all__ = [
     "EndDevice", "MacState", "ReceiveWindows",
     "DeviceRecord", "DownlinkError", "Gateway", "InfeasiblePlanError",
     "NetworkServer", "PlanError",
-    "PhyError", "RadioModel", "Transmission", "data_rate", "sensitivity",
-    "time_on_air",
+    "PhyError", "RadioModel", "Transmission", "data_rate", "time_on_air",
     "DutyCycleViolation", "DutyLedger", "SubBand", "classify", "off_time_us",
     "RunResult", "run", "summarize", "sweep", "table2",
     "Scenario", "ScenarioError", "bundled_names", "load_bundled",

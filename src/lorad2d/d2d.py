@@ -20,6 +20,7 @@ Wire format of the setup command (big endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -61,9 +62,9 @@ class D2DSetupCommand:
 
     def __post_init__(self) -> None:
         """The one check of every field's range, for loader, encoder and decoder."""
-        if self.t1_s < 0 or self.t2_s <= 0:
+        if not (self.t1_s >= 0 and self.t2_s > 0):   # NaN fails here
             raise D2DCodecError("T1 must be >= 0 and T2 > 0")
-        if self.t1_s >= self.t2_s:
+        if not self.t1_s < self.t2_s:
             raise D2DCodecError("T1 must fall inside the T2 session window")
         if self.freq_hz % 100:
             raise D2DCodecError("frequency must be a multiple of 100 Hz")
@@ -75,7 +76,8 @@ class D2DSetupCommand:
             phy.check_tx_power(self.power_dbm)
         except phy.PhyError as exc:
             raise D2DCodecError(str(exc)) from None
-        if round(self.t2_s * 10) >= 1 << 16:   # and so T1, which lies below it
+        # T2 bounds T1 too, which lies below it; an infinite T2 has no round()
+        if self.t2_s == math.inf or round(self.t2_s * 10) >= 1 << 16:
             raise D2DCodecError("t2 field overflow")
         if not 0 <= self.peer_addr < 1 << 32:
             raise D2DCodecError("peer address outside 32 bits")
@@ -156,6 +158,9 @@ class ExchangeParams:
         for n in (self.data_payload_bytes, self.ack_payload_bytes):
             if not 0 <= n + phy.FRAME_OVERHEAD_BYTES <= phy.MAX_PHY_PAYLOAD_BYTES:
                 raise D2DProtocolError("payload does not fit a PHY frame")
+        for name in ("turnaround_s", "guard_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise D2DProtocolError(f"{name} must be non-negative and finite")
 
 
 @dataclass(eq=False)

@@ -244,12 +244,10 @@ class Medium:
     listener is read from the frames on the air, by :meth:`lock_until_us`.
     """
 
-    def __init__(self, engine: Engine, radio: phy.RadioModel,
-                 sensitivity_table: dict[int, float] | None = None):
+    def __init__(self, engine: Engine, radio: phy.RadioModel):
         self.engine = engine
         self.radio = radio
-        # sensitivity floor by data rate index
-        self._floor_dbm = [phy.sensitivity(d.index, sensitivity_table) for d in phy.DATA_RATES]
+        self._floor_dbm = radio.sensitivity_dbm   # sensitivity floor by data rate index
         self.capture_threshold_db = radio.capture_threshold_db
         self.d2d_frame_loss_prob = radio.d2d_frame_loss_prob
         # frames on the air, as (tx, rivals), keyed by the id of the rival

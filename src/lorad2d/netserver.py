@@ -270,12 +270,14 @@ class NetworkServer:
                 f"(uplink DR{dr}, RX2 DR{rx2_dr})")
 
     def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
-        """The first receive window after ``uplink`` whose data rate carries
-        ``phy_bytes`` and in which ``gw`` may transmit, as (window, start_us,
-        freq_hz, dr); None if neither qualifies."""
+        """The first receive window after ``uplink`` that has not opened yet
+        (a long backhaul can bring the uplink in late), whose data rate
+        carries ``phy_bytes`` and in which ``gw`` may transmit, as (window,
+        start_us, freq_hz, dr); None if neither qualifies."""
+        now = self.engine.now_us
         for window in self.windows.after(uplink):
             _, start, freq, dr = window
-            if self._fits(dr, phy_bytes) and gw.can_transmit(freq, start):
+            if start >= now and self._fits(dr, phy_bytes) and gw.can_transmit(freq, start):
                 return window
         return None
 

@@ -21,12 +21,13 @@ MAX_PHY_PAYLOAD_BYTES = 255
 
 
 class PhyError(ValueError):
-    """Raised for out-of-domain PHY arguments; ``field`` names the setting
-    at fault when a settings class raises it."""
+    """Raised for out-of-domain PHY arguments.  When a settings class raises
+    it, ``field`` names the setting at fault and leads the message."""
 
     def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field
+        self.reason = message
 
 
 @dataclass(frozen=True)
@@ -63,18 +64,11 @@ DATA_RATES: tuple[DataRateDescriptor, ...] = (
 GFSK_BIT_RATE_BPS = 50_000
 GFSK_PREAMBLE_SYNC_BITS = 40
 
-# Default receiver sensitivity per DR index, dBm.  Monotone: slower rates decode
-# deeper into the noise.  Override per scenario when modelling other hardware.
-DEFAULT_SENSITIVITY_DBM: dict[int, float] = {
-    0: -137.0,
-    1: -134.5,
-    2: -132.0,
-    3: -129.0,
-    4: -126.0,
-    5: -124.0,
-    6: -121.0,
-    7: -110.0,
-}
+# Default receiver sensitivity by DR index, DR0..DR7, dBm.  Monotone: slower
+# rates decode deeper into the noise.  A scenario's radio block may set others
+# when modelling other hardware.
+DEFAULT_SENSITIVITY_DBM: tuple[float, ...] = (
+    -137.0, -134.5, -132.0, -129.0, -126.0, -124.0, -121.0, -110.0)
 
 TX_POWER_MIN_DBM = 2
 TX_POWER_MAX_DBM = 20
@@ -115,31 +109,34 @@ def symbol_time(dr: int) -> float:
     return (1 << desc.sf) / desc.bandwidth_hz
 
 
-def sensitivity(dr: int, table: dict[int, float] | None = None) -> float:
-    """Receiver sensitivity in dBm for a DR index."""
-    data_rate(dr)  # range check
-    src = DEFAULT_SENSITIVITY_DBM if table is None else table
-    return src[dr]
-
-
 @dataclass(frozen=True)
 class RadioModel:
-    """A scenario's radio: log-distance path loss calibrated at d0 (defaults:
-    127.5 dB at 1 km), the power margin by which a frame captures a
-    receiver over a rival, and the chance that a decoded D2D frame is lost
-    anyway."""
+    """A scenario's radio, its whole link budget: log-distance path loss
+    calibrated at d0 (defaults: 127.5 dB at 1 km), the receiver's
+    sensitivity floor at each data rate, the power margin by which a frame
+    captures a receiver over a rival, and the chance that a decoded D2D
+    frame is lost anyway."""
 
     pl0_db: float = 127.5
     d0_m: float = 1000.0
     exponent: float = 2.9
     capture_threshold_db: float = 6.0
     d2d_frame_loss_prob: float = 0.0
+    sensitivity_dbm: tuple[float, ...] = DEFAULT_SENSITIVITY_DBM
 
     def __post_init__(self) -> None:
-        if not self.d0_m > 0:
-            raise PhyError("must be positive", "d0_m")
+        for name in ("pl0_db", "exponent", "capture_threshold_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise PhyError("must be finite", name)
+        if not 0 < self.d0_m < math.inf:
+            raise PhyError("must be positive and finite", "d0_m")
         if not 0.0 <= self.d2d_frame_loss_prob <= 1.0:
             raise PhyError("must lie in [0, 1]", "d2d_frame_loss_prob")
+        if len(self.sensitivity_dbm) != len(DATA_RATES):
+            raise PhyError(f"needs one floor per data rate, DR0..DR7; got "
+                           f"{len(self.sensitivity_dbm)}", "sensitivity_dbm")
+        if not all(map(math.isfinite, self.sensitivity_dbm)):
+            raise PhyError("every floor must be finite", "sensitivity_dbm")
 
     def path_loss_db(self, distance_m: float) -> float:
         if distance_m <= 0:

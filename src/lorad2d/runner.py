@@ -15,7 +15,7 @@ import csv
 from dataclasses import dataclass, field
 
 from . import metrics
-from .energy import DEFAULT_PROFILE, StateUsage, fit_profile
+from .energy import StateUsage, fit_profile
 from .engine import Engine, Medium
 from .mac import EndDevice, ReceiveWindows
 from .netserver import Gateway, NetworkServer
@@ -57,27 +57,26 @@ class RunResult:
 def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunResult:
     """Execute a scenario to its end time and summarize it.
 
-    The seed defaults to the scenario's own.  The scenario-embedded profile,
-    else the generic default, prices the energy ledgers in the output
-    document: each device over the whole run, and each finished D2D session
-    over its own window.
+    The seed defaults to the scenario's own.  The scenario's radio, its
+    path loss and sensitivity floors included, builds the medium, and its
+    band plan governs every duty ledger.  The scenario's power profile
+    prices the energy ledgers in the output document: each device over the
+    whole run, and each finished D2D session over its own window.
     """
     scn.validate()
     if seed is None:
         seed = scn.seed
-    profile = scn.profile if scn.profile is not None else DEFAULT_PROFILE
 
     engine = Engine(seed=seed, trace=trace)
-    medium = Medium(engine, scn.radio, sensitivity_table=scn.sensitivity_dbm)
+    medium = Medium(engine, scn.radio)
     windows = ReceiveWindows(scn.rx2_freq_hz, scn.rx2_dr, scn.receive_delay1_s,
                              scn.receive_delay2_s, scn.preamble_detect_symbols)
-    bands = scn.effective_bands
     ns = NetworkServer(engine, windows=windows, join_success_prob=scn.join_success_prob)
     gateways = {spec.eid: Gateway(engine, medium, ns, spec,
-                                  backhaul_delay_s=scn.backhaul_delay_s, bands=bands,
+                                  backhaul_delay_s=scn.backhaul_delay_s, bands=scn.bands,
                                   duty_enforced=scn.duty_cycle_enforced)
                 for spec in scn.gateways}
-    devices = {spec.eid: EndDevice(engine, medium, spec, windows=windows, bands=bands,
+    devices = {spec.eid: EndDevice(engine, medium, spec, windows=windows, bands=scn.bands,
                                    duty_enforced=scn.duty_cycle_enforced)
                for spec in scn.devices}
     for spec in scn.devices:
@@ -98,7 +97,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
 
     result = RunResult(scenario=scn, engine=engine, devices=devices,
                        gateways=gateways, ns=ns)
-    result.document = metrics.build(engine, scn, profile, devices, gateways, ns)
+    result.document = metrics.build(engine, scn, scn.profile, devices, gateways, ns)
     return result
 
 
@@ -210,9 +209,8 @@ def summarize(result: RunResult) -> dict:
     }
 
 
-def _sweep_worker(args: tuple[str, int]) -> dict:
-    text, seed = args
-    scn = Scenario.from_json(text)
+def _sweep_worker(args: tuple[Scenario, int]) -> dict:
+    scn, seed = args
     return summarize(run(scn, seed=seed))
 
 
@@ -220,10 +218,10 @@ def sweep(scn: Scenario, seeds, jobs: int | None = None) -> list[dict]:
     """Run one scenario under many seeds, each an independent simulation.
 
     Runs are isolated processes when jobs allows, so a sweep parallelizes
-    cleanly; results come back ordered by seed list position.
+    cleanly; each worker is handed the scenario object, which the process
+    pool pickles.  Results come back ordered by seed list position.
     """
-    text = scn.to_json()
-    work = [(text, int(s)) for s in seeds]
+    work = [(scn, int(s)) for s in seeds]
     if jobs is not None and jobs <= 1:
         return [_sweep_worker(item) for item in work]
     # imported here: it pulls in multiprocessing, which a serial run never needs

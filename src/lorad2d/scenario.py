@@ -18,13 +18,16 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import d2d, phy, regulator
-from .energy import PowerProfile
+from .energy import DEFAULT_PROFILE, PowerProfile
 
 SCENARIO_SCHEMA = "scenario/1"
 
 DEFAULT_CHANNELS_HZ = [868_100_000, 868_300_000, 868_500_000]
 DEFAULT_RX2_FREQ_HZ = 869_525_000
 DEFAULT_RX2_DR = 3
+# Positions lie within this distance of the origin on each axis: 10,000 km,
+# past any radio link and far inside what a float can square.
+MAX_COORDINATE_M = 1e7
 
 
 class ScenarioError(ValueError):
@@ -95,49 +98,36 @@ class Scenario:
     duty_cycle_enforced: bool = True
     join_success_prob: float = 1.0
     radio: phy.RadioModel = field(default_factory=phy.RadioModel)
-    bands: tuple[regulator.SubBand, ...] | None = None
-    sensitivity_dbm: dict[int, float] | None = None
-    profile: PowerProfile | None = None
+    bands: tuple[regulator.SubBand, ...] = regulator.DEFAULT_BANDS
+    profile: PowerProfile = DEFAULT_PROFILE
     devices: list[DeviceSpec] = field(default_factory=list)
     gateways: list[GatewaySpec] = field(default_factory=list)
     transfers: list[TransferSpec] = field(default_factory=list)
     d2d_directives: list[D2DDirectiveSpec] = field(default_factory=list)
-
-    @property
-    def effective_bands(self) -> tuple[regulator.SubBand, ...]:
-        return self.bands if self.bands is not None else regulator.DEFAULT_BANDS
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> "Scenario":
         if not self.name:
             raise ScenarioError("name", "must be a non-empty string")
-        if not self.end_time_s > 0:
-            raise ScenarioError("end_time_s", "must be positive")
-        if self.bands is not None:
-            if not self.bands:
-                raise ScenarioError("bands", "needs at least one sub-band")
-            try:
-                regulator.validate_bands(self.bands)
-            except regulator.RegulatorError as exc:
-                raise ScenarioError("bands", str(exc)) from exc
-        if self.sensitivity_dbm is not None:
-            for dr in self.sensitivity_dbm:
-                if not 0 <= dr <= 7:
-                    raise ScenarioError("sensitivity_dbm", f"DR{dr} is not defined")
-            missing = [f"DR{dr}" for dr in range(8) if dr not in self.sensitivity_dbm]
-            if missing:
-                raise ScenarioError("sensitivity_dbm", f"lacks {', '.join(missing)}")
+        if not 0 < self.end_time_s < math.inf:
+            raise ScenarioError("end_time_s", "must be positive and finite")
+        if not self.bands:
+            raise ScenarioError("bands", "needs at least one sub-band")
+        try:
+            regulator.validate_bands(self.bands)
+        except regulator.RegulatorError as exc:
+            raise ScenarioError("bands", str(exc)) from exc
         self._check_window_dr("rx2_dr", self.rx2_dr)
         self._check_freq("rx2_freq_hz", self.rx2_freq_hz)
-        if self.receive_delay1_s <= 0:
-            raise ScenarioError("receive_delay1_s", "must be positive")
-        if self.receive_delay2_s <= self.receive_delay1_s:
+        if not 0 < self.receive_delay1_s < math.inf:
+            raise ScenarioError("receive_delay1_s", "must be positive and finite")
+        if not self.receive_delay1_s < self.receive_delay2_s < math.inf:
             raise ScenarioError("receive_delay2_s", "second window must open after the first")
         if self.preamble_detect_symbols < 1:
             raise ScenarioError("preamble_detect_symbols", "must be at least 1")
-        if self.backhaul_delay_s < 0:
-            raise ScenarioError("backhaul_delay_s", "must be non-negative")
+        if not 0 <= self.backhaul_delay_s < math.inf:
+            raise ScenarioError("backhaul_delay_s", "must be non-negative and finite")
         if not 0.0 <= self.join_success_prob <= 1.0:
             raise ScenarioError("join_success_prob", "must lie in [0, 1]")
 
@@ -145,8 +135,12 @@ class Scenario:
         for i, dev in enumerate(self.devices):
             path = f"devices[{i}]"
             self._check_node(path, dev, eids)
-            if not dev.period_s > 0:
-                raise ScenarioError(f"{path}.period_s", "must be positive")
+            # the engine's clock counts whole microseconds
+            if not 1e-6 <= dev.period_s < math.inf:
+                raise ScenarioError(f"{path}.period_s",
+                                    "must be finite and at least 1 microsecond")
+            if not math.isfinite(dev.phase_s):
+                raise ScenarioError(f"{path}.phase_s", "must be finite")
             if not 0.0 <= dev.jitter_frac < 0.5:
                 raise ScenarioError(f"{path}.jitter_frac", "must lie in [0, 0.5)")
             self._check_window_dr(f"{path}.dr", dev.dr)
@@ -184,8 +178,8 @@ class Scenario:
                 raise ScenarioError(f"{path}.dest", "source and dest must differ")
             if not tr.total_bytes > 0:
                 raise ScenarioError(f"{path}.total_bytes", "must be positive")
-            if tr.at_s < 0:
-                raise ScenarioError(f"{path}.at_s", "must be non-negative")
+            if not 0 <= tr.at_s < math.inf:
+                raise ScenarioError(f"{path}.at_s", "must be non-negative and finite")
             # LoRaWAN FPort 1..223 carries application data
             if not 1 <= tr.port <= 223:
                 raise ScenarioError(f"{path}.port", f"{tr.port} outside 1..223")
@@ -201,8 +195,8 @@ class Scenario:
                                         f"unknown device {getattr(dd, endpoint)!r}")
             if dd.initiator == dd.scanner:
                 raise ScenarioError(f"{path}.scanner", "initiator and scanner must differ")
-            if dd.at_s < 0:
-                raise ScenarioError(f"{path}.at_s", "must be non-negative")
+            if not 0 <= dd.at_s < math.inf:
+                raise ScenarioError(f"{path}.at_s", "must be non-negative and finite")
             self._check_freq(f"{path}.freq_hz", dd.freq_hz)
             # a throwaway command per role runs the setup's range rules, the
             # scanner's first
@@ -220,14 +214,16 @@ class Scenario:
     # the two, which sets which of two faults is reported first.
 
     def _check_node(self, path: str, node, eids: set[str]) -> None:
-        """Non-empty unique eid (added to eids) and a finite position."""
+        """Non-empty unique eid (added to eids) and a position within
+        MAX_COORDINATE_M of the origin on each axis."""
         if not node.eid:
             raise ScenarioError(f"{path}.eid", "must be a non-empty string")
         if node.eid in eids:
             raise ScenarioError(f"{path}.eid", f"duplicate id {node.eid!r}")
         eids.add(node.eid)
-        if not all(math.isfinite(v) for v in node.position):
-            raise ScenarioError(f"{path}.position", "must be finite")
+        if not all(abs(v) <= MAX_COORDINATE_M for v in node.position):
+            raise ScenarioError(f"{path}.position",
+                                f"each coordinate must lie within {MAX_COORDINATE_M:g} m of 0")
 
     def _check_channels(self, path: str, channels_hz: list[int]) -> None:
         if not channels_hz:
@@ -237,7 +233,7 @@ class Scenario:
 
     def _check_freq(self, path: str, freq_hz: int) -> None:
         try:
-            regulator.classify(freq_hz, self.effective_bands)
+            regulator.classify(freq_hz, self.bands)
         except regulator.RegulatorError as exc:
             raise ScenarioError(path, str(exc)) from exc
 
@@ -258,16 +254,8 @@ class Scenario:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        # the optional blocks (bands, sensitivity_dbm, profile) are left out when unset
-        doc = {key: value for key, value in asdict(self).items() if value is not None}
-        doc["schema"] = SCENARIO_SCHEMA
-        for spec in doc["devices"] + doc["gateways"]:
-            spec["position"] = list(spec["position"])
-        if "bands" in doc:
-            doc["bands"] = list(doc["bands"])
-        if "sensitivity_dbm" in doc:
-            doc["sensitivity_dbm"] = {str(k): v for k, v in doc["sensitivity_dbm"].items()}
-        return doc
+        """Every setting, blocks as dicts; tuples stay tuples, which JSON writes as lists."""
+        return {**asdict(self), "schema": SCENARIO_SCHEMA}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -304,8 +292,8 @@ class Scenario:
 #
 # One table-driven reader serves every block of the document.  Each dataclass
 # field is a key, required exactly when the field has no default, and its type
-# hint picks the conversion.  A bad primitive inside a list, tuple or mapping
-# is reported at the container's path (``devices[0].position``); a nested
+# hint picks the conversion.  A bad primitive inside a list or tuple is
+# reported at the container's path (``devices[0].position``); a nested
 # object gets its own index (``devices[0]``).
 
 
@@ -324,7 +312,9 @@ def _parse(cls, doc, path: str):
         obj = cls(**kwargs)
     except (regulator.RegulatorError, d2d.D2DProtocolError, phy.PhyError) as exc:
         key = getattr(exc, "field", None)   # the setting a PhyError names
-        raise ScenarioError(prefix + key if key else path, str(exc)) from exc
+        if key:
+            raise ScenarioError(prefix + key, exc.reason) from exc
+        raise ScenarioError(path, str(exc)) from exc
     if len(kwargs) != len(doc):
         raise ScenarioError(prefix + sorted(k for k in doc if k not in kwargs)[0],
                             "unknown key")
@@ -355,12 +345,9 @@ def _converter(hint):
     origin = typing.get_origin(hint)
     if origin in _UNIONS:
         (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        convert = _converter(inner)
-        return lambda value, path: None if value is None else convert(value, path)
+        return _converter(inner)   # None itself is taken as it is, see _exact
     if origin in (list, tuple):
         return _sequence(origin, typing.get_args(hint))
-    if origin is dict:
-        return _mapping(*typing.get_args(hint))
     if hasattr(hint, "from_dict"):
         return _self_reading(hint)
     if dataclasses.is_dataclass(hint):
@@ -402,23 +389,6 @@ def _sequence(origin, args):
             items.append(item if type(item) in exact
                          else read(item, f"{path}[{i}]" if indexed else path))
         return items if origin is list else tuple(items)
-    return convert
-
-
-def _mapping(key_type, value_hint):
-    convert_value = _converter(value_hint)
-
-    def convert(value, path):
-        if not isinstance(value, dict):
-            raise ScenarioError(path, "expected an object")
-        out = {}
-        for key, item in value.items():
-            try:
-                key = key_type(key)
-            except (TypeError, ValueError):
-                raise ScenarioError(path, f"bad key {key!r}") from None
-            out[key] = convert_value(item, path)
-        return out
     return convert
 
 

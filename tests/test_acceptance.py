@@ -122,7 +122,7 @@ def _against_reference(listening_dr, window, txs, positions):
                positions[tx.source]) for tx in txs]
     want = oracles.arbitrate_reference(
         (0.0, 0.0), 868_100_000, oracles.LORA_RATES[listening_dr],
-        window, frames, sens_dbm=phy.sensitivity(listening_dr))
+        window, frames, sens_dbm=phy.DEFAULT_SENSITIVITY_DBM[listening_dr])
     return got, want
 
 

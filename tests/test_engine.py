@@ -261,6 +261,24 @@ def test_listener_opening_mid_frame_is_locked_until_frame_end():
     assert rx.heard == ["s"]       # opened mid-preamble is still a reception
 
 
+def test_medium_reads_its_floors_from_the_radio():
+    # a DR0 floor raised above the frame's received power turns its decode
+    # into a count in below_sensitivity
+    received_dbm = 14 - RADIO.path_loss_db(1000.0)
+    raised = (received_dbm + 1.0, *RADIO.sensitivity_dbm[1:])
+    for floors, heard in ((RADIO.sensitivity_dbm, ["s"]), (raised, [])):
+        engine = Engine()
+        medium = Medium(engine, phy.RadioModel(sensitivity_dbm=floors))
+        sender, rx = _Recorder("s"), _Recorder("r")
+        medium.register_position("s", (1000.0, 0.0))
+        medium.register_position("r", (0.0, 0.0))
+        medium.listen(rx, F, 0, "up")
+        medium.begin_tx(frame("s", 1000, 5000), owner=sender)
+        engine.run()
+        assert rx.heard == heard
+        assert engine.counters.get("below_sensitivity", 0) == (0 if heard else 1)
+
+
 F2 = 868_300_000
 
 
@@ -502,7 +520,7 @@ def test_lock_is_the_latest_end_of_the_held_frames_on_the_air(seed):
         if not keys or keys[-1] is None:
             return 0, []
         key = keys[-1]
-        floor = phy.sensitivity(key[1])
+        floor = RADIO.sensitivity_dbm[key[1]]
         held = [tx for tx in frames if _bucket(tx) == key and tx.source != eid
                 and tx.start_us < t_us < tx.end_us
                 and tx.tx_power_dbm - RADIO.path_loss_db(

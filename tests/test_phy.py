@@ -98,13 +98,11 @@ def test_time_on_air_validation():
 
 
 def test_sensitivity_defaults():
-    assert phy.sensitivity(0) == -137.0
-    assert phy.sensitivity(7) == -110.0
-    floors = [phy.sensitivity(dr) for dr in range(8)]
-    assert floors == sorted(floors)   # slower rates reach deeper
-    assert phy.sensitivity(0, {0: -120.0}) == -120.0
-    with pytest.raises(phy.PhyError):
-        phy.sensitivity(8)
+    floors = phy.RadioModel().sensitivity_dbm
+    assert len(floors) == len(phy.DATA_RATES)
+    assert floors[0] == -137.0
+    assert floors[7] == -110.0
+    assert list(floors) == sorted(floors)   # slower rates reach deeper
 
 
 def test_path_loss_model():
@@ -124,6 +122,7 @@ def test_radio_model_names_the_setting_out_of_range():
         with pytest.raises(phy.PhyError) as err:
             phy.RadioModel(**{field: bad})
         assert err.value.field == field
+        assert str(err.value).startswith(f"{field}: ")
 
 
 def test_tx_power_limits():

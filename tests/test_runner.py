@@ -1,6 +1,7 @@
 """End-to-end runs: wiring, tracing, seeding, sweeps, and the benchmark table."""
 
 import copy
+import dataclasses
 import io
 import json
 
@@ -252,6 +253,22 @@ def test_a_joining_device_cannot_be_given_an_address():
     assert sorted(rec.spec.eid for rec in res.ns.devices.values()) == ["a", "b"]
     assert res.devices["a"].dev_addr != res.devices["b"].dev_addr
     assert res.ns.counters["dedup_drops"] == 0
+
+
+def test_receive_window_already_open_when_the_uplink_arrives_is_skipped():
+    # A backhaul of 2.5 s brings each uplink to the server after both of its
+    # receive windows opened; the server used to place the downlink anyway and
+    # crash the run with "transmission starts in the past".
+    scn = dataclasses.replace(load_bundled(runner.CONVENTIONAL_SCENARIO), backhaul_delay_s=2.5)
+    net = runner.run(scn, seed=0).document["network"]
+    assert net["downlinks_scheduled"] == 0
+    assert net["downlinks_deferred"] > 0
+    joining = Scenario("late-join", 120.0, backhaul_delay_s=2.5,
+                       devices=[DeviceSpec("dev", prejoined=False, period_s=60.0, dr=3)],
+                       gateways=[GatewaySpec("gw0", (500.0, 0.0))])
+    ns = runner.run(joining, seed=0).ns
+    assert ns.counters["joins_accepted"] == 0
+    assert ns.counters["joins_dropped"] > 0
 
 
 def test_summarize_produces_one_flat_row():

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
+import random
 from importlib import resources
 
 import pytest
 
-from lorad2d import phy, regulator, runner
+from lorad2d import d2d, metrics, phy, regulator, runner
 from lorad2d.energy import PowerProfile
 from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
                               bundled_names, load_bundled, make_duty_audit)
@@ -68,15 +70,15 @@ def test_optional_blocks_round_trip():
     scn = Scenario(
         name="full",
         end_time_s=5.0,
+        radio=phy.RadioModel(sensitivity_dbm=(-130.0, *phy.DEFAULT_SENSITIVITY_DBM[1:])),
         bands=(regulator.SubBand("x", 865_000_000, 870_000_000, 0.05, 20.0),),
-        sensitivity_dbm={**phy.DEFAULT_SENSITIVITY_DBM, 0: -130.0, 5: -120.0},
         profile=PowerProfile(name="p", p_tx14_w=0.2),
         devices=[DeviceSpec(eid="dev", dev_addr=1, channels_hz=[865_100_000])],
         gateways=[GatewaySpec(eid="gw", channels_hz=[865_100_000])],
     ).validate()
     again = Scenario.from_json(scn.to_json())
     assert again.bands == scn.bands
-    assert again.sensitivity_dbm == scn.sensitivity_dbm
+    assert again.radio == scn.radio
     assert again.profile == scn.profile
     assert again.to_json() == scn.to_json()
 
@@ -204,10 +206,9 @@ _DELETE = object()
 def full_doc():
     """A valid document with one entry in every block."""
     return minimal_doc(
-        radio={"pl0_db": 127.5},
+        radio={"pl0_db": 127.5, "sensitivity_dbm": list(phy.DEFAULT_SENSITIVITY_DBM)},
         bands=[{"ident": "x", "low_hz": 865_000_000, "high_hz": 870_000_000,
                 "duty_cycle_limit": 0.01}],
-        sensitivity_dbm={str(dr): v for dr, v in phy.DEFAULT_SENSITIVITY_DBM.items()},
         profile=PowerProfile(name="p").to_dict(),
         rx2_freq_hz=869_525_000,
         devices=[{"eid": "a", "dev_addr": 1, "position": [0.0, 0.0],
@@ -244,11 +245,11 @@ def test_full_doc_is_valid():
     (("bands", 0, "low_hz"), "low", "bands[0].low_hz"),
     (("bands", 0, "duty_cycle_limit"), _DELETE, "bands[0].duty_cycle_limit"),
     (("bands", 0, "erp_dbm"), 14.0, "bands[0].erp_dbm"),
-    # sensitivity_dbm
+    # the floors live in the radio block; the old top-level table is gone
     (("sensitivity_dbm",), [-137.0], "sensitivity_dbm"),
-    (("sensitivity_dbm", "0"), "low", "sensitivity_dbm"),
-    (("sensitivity_dbm", "zero"), -137.0, "sensitivity_dbm"),
-    (("sensitivity_dbm", "9"), -137.0, "sensitivity_dbm"),
+    (("radio", "sensitivity_dbm", 0), "low", "radio.sensitivity_dbm"),
+    (("radio", "sensitivity_dbm"), -137.0, "radio.sensitivity_dbm"),
+    (("radio", "sensitivity_dbm"), [-137.0] * 9, "radio.sensitivity_dbm"),
     # profile
     (("profile",), 5, "profile"),
     (("profile", "p_rx_w"), _DELETE, "profile"),
@@ -298,7 +299,7 @@ def test_full_doc_is_valid():
     (("profile", "p_tx14_w"), "lots", "profile"),
     (("profile", "p_sleep_w"), True, "profile"),
     # a partial sensitivity table: the medium needs a floor for every rate
-    (("sensitivity_dbm", "3"), _DELETE, "sensitivity_dbm"),
+    (("radio", "sensitivity_dbm", 3), _DELETE, "radio.sensitivity_dbm"),
     # a class A receive window is undefined at the GFSK rate
     (("rx2_dr",), 7, "rx2_dr"),
     (("devices", 0, "dr"), 7, "devices[0].dr"),
@@ -323,6 +324,11 @@ def test_full_doc_is_valid():
     (("radio", "d2d_frame_loss_prob"), 1.5, "radio.d2d_frame_loss_prob"),
     (("devices", 0, "dev_addr"), -1, "devices[0].dev_addr"),
     (("devices", 0, "dev_addr"), 2 ** 32, "devices[0].dev_addr"),
+    # positions and periods the engine can compute with: 1e300 m used to
+    # overflow in the medium, and 1e-9 s to round to a 0 us period
+    (("devices", 0, "position"), [1e300, 0.0], "devices[0].position"),
+    (("gateways", 0, "position"), [0.0, -2e7], "gateways[0].position"),
+    (("devices", 0, "period_s"), 1e-9, "devices[0].period_s"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
@@ -365,6 +371,8 @@ def test_range_edges_load_and_run():
     doc = full_doc()
     doc["devices"][0]["dev_addr"] = 0xFFFF_FFFF
     assert Scenario.from_dict(doc).devices[0].dev_addr == 0xFFFF_FFFF
+    doc["devices"][0].update(position=[1e7, -1e7], period_s=1e-6)
+    Scenario.from_dict(doc)
     # certain D2D loss is a counted outcome: the session runs and fails
     doc = load_bundled("table2_d2d").to_dict()
     doc["radio"]["d2d_frame_loss_prob"] = 1.0
@@ -383,10 +391,11 @@ def test_profile_without_a_key_names_the_missing_key():
 
 def test_partial_sensitivity_table_names_the_missing_rates():
     doc = load_bundled("table2_d2d").to_dict()
-    doc["sensitivity_dbm"] = {"0": -137.0}
+    doc["radio"]["sensitivity_dbm"] = [-137.0]
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
-    assert str(err.value) == "sensitivity_dbm: lacks DR1, DR2, DR3, DR4, DR5, DR6, DR7"
+    assert str(err.value) == ("radio.sensitivity_dbm: needs one floor per data rate, "
+                              "DR0..DR7; got 1")
 
 
 def test_d2d_directive_may_use_the_gfsk_rate():
@@ -402,3 +411,110 @@ def test_block_that_is_not_a_list_is_rejected(block, value):
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(minimal_doc(**{block: value}))
     assert err.value.path == block
+
+
+def test_old_top_level_sensitivity_table_is_an_unknown_key():
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["sensitivity_dbm"] = {str(dr): v for dr, v in enumerate(phy.DEFAULT_SENSITIVITY_DBM)}
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == "sensitivity_dbm: unknown key"
+
+
+@pytest.mark.parametrize("count", [7, 9])
+def test_radio_needs_one_floor_per_rate(count):
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["radio"]["sensitivity_dbm"] = [-130.0] * count
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert err.value.path == "radio.sensitivity_dbm"
+    assert str(err.value).endswith(f"got {count}")
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_bundled_files_spell_out_the_defaults(name):
+    # the same file without bands, profile and floors loads to the same
+    # scenario: the bundled files write out the defaults they use
+    doc = load_bundled(name).to_dict()
+    del doc["bands"], doc["profile"], doc["radio"]["sensitivity_dbm"]
+    assert Scenario.from_dict(doc) == load_bundled(name)
+
+
+@pytest.mark.parametrize("block", ["bands", "profile"])
+def test_null_block_is_rejected(block):
+    # a block holds its value; null no longer means "the default"
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(minimal_doc(**{block: None}))
+    assert err.value.path == block
+
+
+def _directive(scn, **changes):
+    return dataclasses.replace(
+        scn, d2d_directives=[dataclasses.replace(scn.d2d_directives[0], **changes)])
+
+
+def _device(scn, **changes):
+    return dataclasses.replace(
+        scn, devices=[dataclasses.replace(scn.devices[0], **changes), *scn.devices[1:]])
+
+
+@pytest.mark.parametrize("change,error,named", [
+    (lambda s: _directive(s, at_s=math.nan), ScenarioError, "d2d_directives[0].at_s"),
+    (lambda s: dataclasses.replace(s, end_time_s=math.inf), ScenarioError, "end_time_s"),
+    (lambda s: _device(s, period_s=math.inf), ScenarioError, "devices[0].period_s"),
+    (lambda s: _directive(s, t2_s=math.inf), ScenarioError, "d2d_directives[0]: t2"),
+    (lambda s: _directive(s, exchange=dataclasses.replace(
+        s.d2d_directives[0].exchange, turnaround_s=math.nan)),
+     d2d.D2DProtocolError, "turnaround_s"),
+    (lambda s: dataclasses.replace(s, radio=dataclasses.replace(s.radio, pl0_db=math.nan)),
+     phy.PhyError, "pl0_db"),
+], ids=["at_s-nan", "end-inf", "period-inf", "t2-inf", "turnaround-nan", "pl0-nan"])
+def test_scenarios_built_in_code_reject_non_finite_settings(change, error, named):
+    # the loader rejects these in a file; a scenario built with
+    # dataclasses.replace used to crash the run with a bare ValueError or
+    # OverflowError, or (pl0_db) run and decode nothing
+    with pytest.raises(error) as err:
+        runner.run(change(load_bundled("table2_d2d")), seed=0)
+    assert named in str(err.value)
+
+
+_MUTATION_VALUES = [0, -1, 2 ** 64, 1e300, 1e-9, math.nan, math.inf, -math.inf, True, None,
+                    "x", [], [1.0], 864_000_000, 870_500_000, 25, 30, 2.5, 9.0, -0.5]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar, and to every list of scalars, in a document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node and isinstance(node[0], (dict, list)):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def test_mutated_bundled_scenarios_load_with_an_error_or_run():
+    # Each mutation sets one or two leaves of a bundled scenario to a value
+    # from a pool of edge cases; the document must either be rejected with a
+    # ScenarioError or run to a valid metrics document, never crash.
+    rng = random.Random(14)
+    bases = [load_bundled(name).to_dict() for name in bundled_names()]
+    ran = 0
+    for _ in range(1000):
+        doc = json.loads(json.dumps(rng.choice(bases)))
+        paths = list(_leaf_paths(doc))
+        for _ in range(rng.choice((1, 2))):
+            *parents, key = rng.choice(paths)
+            node = doc
+            for step in parents:
+                node = node[step]
+            node[key] = rng.choice(_MUTATION_VALUES)
+        try:
+            scn = Scenario.from_json(json.dumps(doc))
+        except ScenarioError:
+            continue
+        scn.end_time_s = min(scn.end_time_s, 120.0)
+        metrics.validate(runner.run(scn, seed=0).document)
+        ran += 1
+    assert ran > 0
