@@ -40,6 +40,14 @@ class PowerProfile:
     p_sleep_w: float = 3e-6
     command_overhead_j: float = 0.0
 
+    def __post_init__(self):
+        for name in ("p_tx14_w", "p_rx_w", "p_sleep_w", "command_overhead_j"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 < self.supply_v < math.inf:
+            raise ValueError(f"supply_v must be finite and > 0, got {self.supply_v}")
+
     def p_tx_w(self, power_dbm: float) -> float:
         return self.p_tx14_w * tx_power_scale(power_dbm)
 
@@ -230,8 +238,11 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
             f"fit produced negative parameters (p_tx14={p_tx14:.4g} W, "
             f"p_rx={p_rx:.4g} W, command={c_cmd:.4g} J); the energy model "
             "cannot reproduce these targets")
-    profile = PowerProfile(name=name, p_tx14_w=max(p_tx14, 0.0), p_rx_w=max(p_rx, 0.0),
-                           command_overhead_j=max(c_cmd, 0.0))
+    try:
+        profile = PowerProfile(name=name, p_tx14_w=max(p_tx14, 0.0), p_rx_w=max(p_rx, 0.0),
+                               command_overhead_j=max(c_cmd, 0.0))
+    except ValueError as exc:
+        raise CalibrationError(f"fit produced an unusable profile: {exc}") from exc
     residuals = {}
     for role in roles:
         model = usages[role].energy_j(profile)["total_j"]

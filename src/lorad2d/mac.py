@@ -2,10 +2,12 @@
 
 A device cycles uplink -> RX1 -> RX2 -> sleep.  Uplinks follow a nominal grid
 (phase + k * period) with a uniform per-uplink start jitter; the grid does not
-drift.  Channel choice is uniform over the device's enabled channels and the
-sub-band duty ledger can push a start later.  A setup command received on the
-dedicated port suspends normal operation and hands the radio to a D2D session;
-when the session ends the device resumes the grid without rejoining.
+drift.  A device without an address runs the same cycle with join requests,
+and its grid restarts one period after the join-accept.  Channel choice is
+uniform over the device's enabled channels and the sub-band duty ledger can
+push a start later.  A setup command received on the dedicated port suspends
+normal operation and hands the radio to a D2D session; when the session ends
+the device resumes the grid without rejoining.
 """
 
 from __future__ import annotations
@@ -162,15 +164,19 @@ class EndDevice:
 
     def start(self) -> None:
         self.ledger.set_state(0, "sleep")
-        if self.spec.prejoined:
-            self._schedule_next_uplink()
-        else:
-            self._schedule_join_attempt()
+        self._schedule_next_uplink()
 
     # -- uplink cycle ------------------------------------------------------
 
-    def _schedule_on_grid(self, fn, kind: str) -> None:
-        """Schedule `fn` at the next nominal period slot plus jitter."""
+    def _schedule_next_uplink(self) -> None:
+        """Schedule a join request while the device has no address, else an
+        uplink unless ``max_uplinks`` are sent, at the next grid slot plus jitter."""
+        if self.dev_addr is None:
+            fn, kind = self._begin_join, "join_timer"
+        elif self.max_uplinks is not None and self.fcnt_up >= self.max_uplinks:
+            return
+        else:
+            fn, kind = self._begin_uplink, "uplink_timer"
         nominal = self._next_nominal_us
         self._next_nominal_us = nominal + self.period_us
         jitter_us = 0
@@ -181,20 +187,23 @@ class EndDevice:
         t = max(nominal + jitter_us, self.engine.now_us)
         self.engine.schedule(t, fn, kind=kind, target=self.eid)
 
-    def _schedule_next_uplink(self) -> None:
-        if self.max_uplinks is not None and self.fcnt_up >= self.max_uplinks:
-            return
-        self._schedule_on_grid(self._begin_uplink, "uplink_timer")
-
     def _begin_uplink(self, _=None) -> None:
         channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
         frame = LoRaWANUplink(self.dev_addr, self.fcnt_up, UPLINK_PORT, self.app_payload_bytes)
-        self._transmit_lorawan(channel, self.uplink_dr, self._uplink_phy_bytes, "uplink",
-                               frame, self._uplink_toa_us)
+        self._transmit_lorawan(channel, self._uplink_phy_bytes, "uplink", frame,
+                               self._uplink_toa_us)
         self.fcnt_up += 1
 
-    def _transmit_lorawan(self, freq_hz: int, dr: int, phy_bytes: int, kind: str,
-                          frame, toa_us: int) -> None:
+    def _begin_join(self, _=None) -> None:
+        channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
+        toa = phy.time_on_air_us(self.uplink_dr, JOIN_REQUEST_PHY_BYTES)
+        self.counters["join_attempts"] += 1
+        self.engine.trace("join_request", self.eid, freq_hz=channel)
+        request = JoinRequest(self.eid, dev_nonce=self.counters["join_attempts"])
+        self._transmit_lorawan(channel, JOIN_REQUEST_PHY_BYTES, "join_request", request, toa)
+
+    def _transmit_lorawan(self, freq_hz: int, phy_bytes: int, kind: str, frame,
+                          toa_us: int) -> None:
         """Send an uplink or join request now, or once the duty ledger
         allows; a later start is counted and traced as a deferral."""
         now = self.engine.now_us
@@ -203,14 +212,19 @@ class EndDevice:
             self.counters["duty_deferrals"] += 1
             if self.engine.trace_enabled:
                 self.engine.trace("duty_defer", self.eid, until_us=start_us, freq_hz=freq_hz)
-        self.duty.record_transmission(freq_hz, start_us, toa_us)
-        tx = phy.Transmission(
-            start_us=start_us, duration_us=toa_us, freq_hz=freq_hz, dr=dr,
-            tx_power_dbm=self.tx_power_dbm, phy_payload_bytes=phy_bytes,
-            source=self.eid, kind=kind, frame=frame,
-        )
         self.mac_state = MacState.TX
-        self.medium.begin_tx(tx, owner=self)
+        self._send(freq_hz, self.uplink_dr, self.tx_power_dbm, phy_bytes, kind, frame,
+                   start_us, toa_us)
+
+    def _send(self, freq_hz: int, dr: int, power_dbm: int, phy_bytes: int, kind: str,
+              frame, start_us: int, toa_us: int) -> None:
+        """Record a frame in the duty ledger and put it on the air."""
+        self.duty.record_transmission(freq_hz, start_us, toa_us)
+        self.medium.begin_tx(phy.Transmission(
+            start_us=start_us, duration_us=toa_us, freq_hz=freq_hz, dr=dr,
+            tx_power_dbm=power_dbm, phy_payload_bytes=phy_bytes,
+            source=self.eid, kind=kind, frame=frame,
+        ), owner=self)
 
     def on_own_tx_start(self, tx: phy.Transmission) -> None:
         self.ledger.set_state(self.engine.now_us, "tx", tx.tx_power_dbm)
@@ -264,47 +278,39 @@ class EndDevice:
         else:
             self._cycle_complete()
 
-    def _cancel_rx_events(self) -> None:
+    def _end_rx(self) -> None:
+        """Leave the receive window early: drop its opens and closes, and sleep."""
         for ev in self._rx_events:
             self.engine.cancel(ev)
         self._rx_events = []
+        self.medium.unlisten(self)
+        self.ledger.set_state(self.engine.now_us, "sleep")
 
     def _cycle_complete(self) -> None:
-        if self.dev_addr is None:
-            # join attempt went unanswered; retry on the reporting grid
-            self.mac_state = MacState.NOT_JOINED
-            self._schedule_join_attempt()
-            return
-        self.mac_state = MacState.SLEEP
+        """Sleep until the next grid slot, where an unanswered join is retried."""
+        self.mac_state = MacState.NOT_JOINED if self.dev_addr is None else MacState.SLEEP
         self._schedule_next_uplink()
 
     # -- reception ---------------------------------------------------------
 
     def on_frame_decoded(self, tx: phy.Transmission) -> None:
         frame = tx.frame
-        if self.mac_state is MacState.D2D_SUSPENDED:
-            if tx.kind.startswith("d2d"):
-                self.session.on_frame(frame)
-            else:
-                self.counters["ignored_frames"] += 1
-            return
-        if self.mac_state not in (MacState.RX1, MacState.RX2):
+        state = self.mac_state
+        if state is MacState.D2D_SUSPENDED and tx.kind.startswith("d2d"):
+            self.session.on_frame(frame)
+        elif state is not MacState.RX1 and state is not MacState.RX2:
             self.counters["ignored_frames"] += 1
-            return
-        if isinstance(frame, JoinAccept):
-            if frame.eid == self.eid:
-                self._complete_join(frame)
-            else:
-                self.counters["ignored_frames"] += 1
-            return
-        if not isinstance(frame, LoRaWANDownlink) or frame.dev_addr != self.dev_addr:
+        elif isinstance(frame, JoinAccept) and frame.eid == self.eid:
+            self._complete_join(frame)
+        elif isinstance(frame, LoRaWANDownlink) and frame.dev_addr == self.dev_addr:
+            self._on_downlink(frame)
+        else:
             self.counters["ignored_frames"] += 1
-            return
+
+    def _on_downlink(self, frame: LoRaWANDownlink) -> None:
         window = 1 if self.mac_state is MacState.RX1 else 2
         self.counters[f"downlinks_rw{window}"] += 1
-        self._cancel_rx_events()
-        self.medium.unlisten(self)
-        self.ledger.set_state(self.engine.now_us, "sleep")
+        self._end_rx()
         if self.engine.trace_enabled:
             self.engine.trace("downlink_rx", self.eid, window=window, port=frame.port,
                               bytes=frame.app_bytes)
@@ -339,29 +345,12 @@ class EndDevice:
                           t2_ds=round(cmd.t2_s * 10), peer=cmd.peer_addr)
         self.session.activate()
 
-    # -- join --------------------------------------------------------------
-
-    def _schedule_join_attempt(self) -> None:
-        self._schedule_on_grid(self._begin_join, "join_timer")
-
-    def _begin_join(self, _=None) -> None:
-        channel = self.channels_hz[self.rng.below(len(self.channels_hz))]
-        toa = phy.time_on_air_us(self.uplink_dr, JOIN_REQUEST_PHY_BYTES)
-        self.counters["join_attempts"] += 1
-        self.engine.trace("join_request", self.eid, freq_hz=channel)
-        request = JoinRequest(self.eid, dev_nonce=self.counters["join_attempts"])
-        self._transmit_lorawan(channel, self.uplink_dr, JOIN_REQUEST_PHY_BYTES,
-                               "join_request", request, toa)
-
     def _complete_join(self, frame: JoinAccept) -> None:
         self.dev_addr = frame.assigned_addr
-        self._cancel_rx_events()
-        self.medium.unlisten(self)
-        self.ledger.set_state(self.engine.now_us, "sleep")
+        self._end_rx()
         self.engine.trace("join_complete", self.eid, dev_addr=frame.assigned_addr)
-        self.mac_state = MacState.SLEEP
         self._next_nominal_us = self.engine.now_us + self.period_us
-        self._schedule_next_uplink()
+        self._cycle_complete()
 
     # -- radio for the running D2D session -----------------------------------
 
@@ -380,19 +369,13 @@ class EndDevice:
             self.engine.trace("d2d_withheld", self.eid, frame=kind, start_us=start,
                               t2_us=session.deadline_us)
             return None
-        phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
-        toa = phy.time_on_air_us(cmd.dr, phy_bytes)
-        self.duty.record_transmission(cmd.freq_hz, start, toa)
         if self._d2d_listening:
             self.medium.unlisten(self)
             self._d2d_listening = False
-        tx = phy.Transmission(
-            start_us=start, duration_us=toa, freq_hz=cmd.freq_hz, dr=cmd.dr,
-            tx_power_dbm=cmd.power_dbm, phy_payload_bytes=phy_bytes,
-            source=self.eid, kind=kind, frame=frame,
-        )
         self.ledger.command()
-        self.medium.begin_tx(tx, owner=self)
+        phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
+        self._send(cmd.freq_hz, cmd.dr, cmd.power_dbm, phy_bytes, kind, frame, start,
+                   phy.time_on_air_us(cmd.dr, phy_bytes))
         return start
 
     def d2d_listen_on(self) -> None:

@@ -269,15 +269,19 @@ class NetworkServer:
                 f"{app_bytes} application bytes fit neither receive window "
                 f"(uplink DR{dr}, RX2 DR{rx2_dr})")
 
-    def _free_window(self, uplink: phy.Transmission, gw: Gateway, phy_bytes: int):
-        """The first receive window after ``uplink`` that has not opened yet
-        (a long backhaul can bring the uplink in late), whose data rate
-        carries ``phy_bytes`` and in which ``gw`` may transmit, as (window,
-        start_us, freq_hz, dr); None if neither qualifies."""
+    def _send_in_window(self, uplink: phy.Transmission, gw: Gateway, frame,
+                        phy_bytes: int, kind: str) -> int | None:
+        """Send ``frame`` through ``gw`` in the first receive window after
+        ``uplink`` that has not opened yet (a long backhaul can bring the
+        uplink in late), whose data rate carries ``phy_bytes`` and in which
+        ``gw`` may transmit, the gateway being idle and within its duty
+        budget.  Returns that window's number, or None if neither qualifies
+        and nothing was sent."""
         now = self.engine.now_us
-        for window in self.windows.after(uplink):
-            _, start, freq, dr = window
+        for window, start, freq, dr in self.windows.after(uplink):
             if start >= now and self._fits(dr, phy_bytes) and gw.can_transmit(freq, start):
+                gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
+                            start_us=start, kind=kind)
                 return window
         return None
 
@@ -286,15 +290,12 @@ class NetworkServer:
         if not record.queue:
             return
         frame = record.queue[0]
-        phy_bytes = frame.app_bytes + phy.FRAME_OVERHEAD_BYTES
-        slot = self._free_window(uplink, gw, phy_bytes)
-        if slot is None:
+        window = self._send_in_window(uplink, gw, frame,
+                                      frame.app_bytes + phy.FRAME_OVERHEAD_BYTES, "downlink")
+        if window is None:
             self.counters["downlinks_deferred"] += 1
             return
-        window, start, freq, dr = slot
         record.queue.pop(0)
-        gw.transmit(frame, freq_hz=freq, dr=dr, phy_payload_bytes=phy_bytes,
-                    start_us=start, kind="downlink")
         self.counters["downlinks_scheduled"] += 1
         self.counters[f"downlinks_rw{window}"] += 1
         if self.engine.trace_enabled:
@@ -313,46 +314,35 @@ class NetworkServer:
                 self.next_dev_addr += 1
             record.dev_addr = self.next_dev_addr
             self.next_dev_addr += 1
-        slot = self._free_window(tx, gw, JOIN_ACCEPT_PHY_BYTES)
-        if slot is None:
+        accept = JoinAccept(record.spec.eid, record.dev_addr)
+        if self._send_in_window(tx, gw, accept, JOIN_ACCEPT_PHY_BYTES, "join_accept") is None:
             self.counters["joins_dropped"] += 1
             return
-        _, start, freq, dr = slot
-        gw.transmit(JoinAccept(record.spec.eid, record.dev_addr), freq_hz=freq, dr=dr,
-                    phy_payload_bytes=JOIN_ACCEPT_PHY_BYTES, start_us=start,
-                    kind="join_accept")
         self.devices[record.dev_addr] = record
         self.counters["joins_accepted"] += 1
 
     # -- D2D planning ------------------------------------------------------------
 
-    def _setup_delivery_terms_s(self, record: DeviceRecord) -> tuple[float, float, float]:
-        """Uplink airtime, and setup delivery at the end of RX1 and of RX2."""
+    def _setup_delivery_s(self, record: DeviceRecord) -> tuple[float, float]:
+        """(earliest, latest) trigger-to-setup-delivery, assuming no losses;
+        the latest waits a whole jittered period for the uplink."""
         dev = record.spec
         toa_up = phy.time_on_air(dev.dr, dev.app_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
         setup_phy = d2d.SETUP_WIRE_BYTES + phy.FRAME_OVERHEAD_BYTES
         rw1 = self.windows.receive_delay1_s + phy.time_on_air(dev.dr, setup_phy)
         rw2 = self.windows.receive_delay2_s + phy.time_on_air(self.windows.rx2_dr, setup_phy)
-        return toa_up, rw1, rw2
-
-    def _worst_setup_delivery_s(self, record: DeviceRecord) -> float:
-        """Upper bound on trigger-to-setup-delivery, assuming no losses."""
-        wait = record.spec.period_s * (1.0 + record.spec.jitter_frac)
-        toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
-        return wait + toa_up + max(rw1, rw2)
-
-    def _best_setup_delivery_s(self, record: DeviceRecord) -> float:
-        toa_up, rw1, rw2 = self._setup_delivery_terms_s(record)
-        return toa_up + min(rw1, rw2)
+        wait = dev.period_s * (1.0 + dev.jitter_frac)
+        return toa_up + min(rw1, rw2), wait + toa_up + max(rw1, rw2)
 
     def _check_timing(self, spec, initiator: DeviceRecord, scanner: DeviceRecord) -> None:
         """Raise InfeasiblePlanError when the directive's T1 split cannot
         guarantee that the scanner is listening before the initiator's first
         transmission, or when the scanner's window may close before that
         transmission lands."""
+        init_earliest, init_latest = self._setup_delivery_s(initiator)
+        scan_earliest, scan_latest = self._setup_delivery_s(scanner)
         gap = spec.t1_initiator_s - spec.t1_scanner_s
-        needed = (self._worst_setup_delivery_s(scanner)
-                  - self._best_setup_delivery_s(initiator))
+        needed = scan_latest - init_earliest
         if gap < needed:
             raise InfeasiblePlanError(
                 f"T1 gap {gap:.3f} s cannot cover worst-case setup skew "
@@ -360,9 +350,8 @@ class NetworkServer:
                 "initiator first transmits")
         data_toa_s = phy.time_on_air(
             spec.dr, spec.exchange.data_payload_bytes + phy.FRAME_OVERHEAD_BYTES)
-        latest_first_tx = (self._worst_setup_delivery_s(initiator) + spec.t1_initiator_s
-                           + data_toa_s)
-        earliest_deadline = self._best_setup_delivery_s(scanner) + spec.t2_s
+        latest_first_tx = init_latest + spec.t1_initiator_s + data_toa_s
+        earliest_deadline = scan_earliest + spec.t2_s
         if latest_first_tx > earliest_deadline:
             raise InfeasiblePlanError(
                 f"scanner window (T2 {spec.t2_s:.1f} s) may close "

@@ -120,10 +120,15 @@ class Scenario:
             raise ScenarioError("bands", str(exc)) from exc
         self._check_window_dr("rx2_dr", self.rx2_dr)
         self._check_freq("rx2_freq_hz", self.rx2_freq_hz)
-        if not 0 < self.receive_delay1_s < math.inf:
-            raise ScenarioError("receive_delay1_s", "must be positive and finite")
-        if not self.receive_delay1_s < self.receive_delay2_s < math.inf:
-            raise ScenarioError("receive_delay2_s", "second window must open after the first")
+        # a window opens a whole number of microseconds after the uplink ends
+        if not (0 < self.receive_delay1_s < math.inf
+                and round(self.receive_delay1_s * 1e6) >= 1):
+            raise ScenarioError("receive_delay1_s",
+                                "must be finite and round to at least 1 microsecond")
+        if not (self.receive_delay2_s < math.inf
+                and round(self.receive_delay2_s * 1e6) > round(self.receive_delay1_s * 1e6)):
+            raise ScenarioError("receive_delay2_s",
+                                "second window must open at least 1 microsecond after the first")
         if self.preamble_detect_symbols < 1:
             raise ScenarioError("preamble_detect_symbols", "must be at least 1")
         if not 0 <= self.backhaul_delay_s < math.inf:
@@ -403,7 +408,7 @@ def _self_reading(cls):
                 if name in value and type(value[name]) not in exact:
                     check(value[name], name)
             return cls.from_dict(value)
-        except (KeyError, TypeError, ScenarioError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:   # ScenarioError is a ValueError
             raise ScenarioError(path, f"bad {cls.__name__}: {exc}") from exc
     return convert
 

@@ -105,7 +105,7 @@ def test_criterion_05_duty_cycle_audit():
     assert wall < 30.0
 
     rows = [runner.summarize(timed)]
-    rows += runner.sweep(scn, range(1, 100), jobs=1)
+    rows += runner.sweep(scn, range(1, 100), jobs=2)
     assert len(rows) == 100
     worst = max(row["duty_max_fraction_of_limit"] for row in rows)
     assert all(row["duty_frames"] > 0 for row in rows)

@@ -247,6 +247,14 @@ def test_fit_rejects_degenerate_systems():
     }
     with pytest.raises(CalibrationError):
         fit_profile(usages, {"a": 0.12, "b": 0.24, "c": 0.36})
+    # 1e200 s on air overflows the solve, which used to return p_tx14_w NaN
+    usages = {
+        "a": StateUsage(tx_s_by_power={14: 1e200}, rx_s=10.0, commands=2, sleep_s=100.0),
+        "b": StateUsage(tx_s_by_power={14: 2.0}, rx_s=1.0, commands=5, sleep_s=100.0),
+        "c": StateUsage(tx_s_by_power={14: 0.5}, rx_s=3.0, commands=1, sleep_s=100.0),
+    }
+    with pytest.raises(CalibrationError, match="p_tx14_w"):
+        fit_profile(usages, {"a": 1.0, "b": 1.0, "c": 1.0})
 
 
 def test_fit_matches_numpy_least_squares_on_table2():

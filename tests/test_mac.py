@@ -232,10 +232,11 @@ def test_rx_windows_follow_the_uplink():
     assert opens[1]["dr"] == helpers.RX2_DR
 
 
-def _rx1_beside(kind):
+def _rx1_beside(kind, frame=None):
     """A device's first window, opened on CH0 at DR0, with a neighbour's
-    frame of ``kind`` on the same channel and rate already on the air and
-    outlasting the window.  Returns (engine, device, RX1 open time)."""
+    frame of ``kind``, carrying ``frame``, on the same channel and rate
+    already on the air and outlasting the window.  Returns (engine, device,
+    RX1 open time)."""
     engine, medium = helpers.make_rig()
     dev = helpers.make_device(engine, medium, period_s=1000.0, phase_s=1.0,
                               dr=0, max_uplinks=1)
@@ -243,7 +244,7 @@ def _rx1_beside(kind):
     rx1_at = 1_000_000 + dev._uplink_toa_us + 1_000_000
     medium.begin_tx(phy.Transmission(
         start_us=rx1_at - 100_000, duration_us=1_000_000, freq_hz=helpers.CH0,
-        dr=0, tx_power_dbm=14, phy_payload_bytes=25, source="nb", kind=kind),
+        dr=0, tx_power_dbm=14, phy_payload_bytes=25, source="nb", kind=kind, frame=frame),
         owner=None)
     dev.start()
     engine.run(until_us=rx1_at + 5_000_000)
@@ -268,6 +269,18 @@ def test_receive_window_locks_onto_a_downlink():
     assert dev.counters["ignored_frames"] == 1      # not addressed to dev
     close = helpers.records(engine, "rx_close", entity="dev")[0]
     assert (close["window"], close["t_us"]) == (1, rx1_at + 900_000)
+
+
+def test_join_accept_for_another_device_leaves_the_window_open():
+    engine, dev, rx1_at = _rx1_beside("join_accept", mac.JoinAccept("other", 0x0100_0009))
+    assert dev.counters["ignored_frames"] == 1
+    assert dev.dev_addr == 0x0100_0001
+    assert helpers.records(engine, "join_complete") == []
+    # the window runs to the end of the frame and RX2 still opens
+    close = helpers.records(engine, "rx_close", entity="dev")[0]
+    assert (close["window"], close["t_us"]) == (1, rx1_at + 900_000)
+    opens = helpers.records(engine, "rx_open", entity="dev")
+    assert [r["window"] for r in opens] == [1, 2]
 
 
 def test_d2d_listener_ignores_a_co_channel_uplink():
@@ -373,6 +386,52 @@ def test_join_handshake_assigns_an_address():
     first_uplink = uplink_starts(engine, "dev")[0]
     assert first_uplink == accept_t + 10_000_000
     assert server.counters["joins_accepted"] == 1
+
+
+def test_uplink_cap_counts_uplinks_not_join_requests():
+    engine, medium = helpers.make_rig()
+    dev, server, _ = wire_device_and_server(
+        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
+                                    period_s=10.0, phase_s=1.0, dr=5, max_uplinks=2))
+    server.join_success_prob = 0.0
+    dev.start()
+    engine.run(until_us=35_000_000)
+    assert dev.counters["join_attempts"] == 4          # at 1, 11, 21 and 31 s
+    server.join_success_prob = 1.0
+    engine.run(until_us=200_000_000)
+    assert dev.counters["join_attempts"] == 5
+    assert dev.dev_addr == 0x0100_0001
+    assert dev.fcnt_up == 2
+    assert len(uplink_starts(engine, "dev")) == 2
+
+
+def _block_gateway_until_25_s(gw):
+    gw.busy_until_us = 25_000_000
+
+
+def _spend_gateway_duty_until_25_s(gw):
+    gw.duty = regulator.DutyLedger(bands=regulator.DEFAULT_BANDS, enforced=True)
+    # off until 25 s: 0.25 s in CH0's 1 % sub-band, 2.5 s in RX2's 10 % one
+    gw.duty.record_transmission(helpers.CH0, 0, 250_000)
+    gw.duty.record_transmission(helpers.RX2_FREQ, 0, 2_500_000)
+
+
+@pytest.mark.parametrize("block", [_block_gateway_until_25_s, _spend_gateway_duty_until_25_s],
+                         ids=["busy", "duty"])
+def test_join_accept_without_a_free_window_is_dropped_and_retried(block):
+    engine, medium = helpers.make_rig()
+    dev, server, gw = wire_device_and_server(
+        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
+                                    period_s=10.0, phase_s=1.0, dr=5))
+    block(gw)
+    dev.start()
+    engine.run(until_us=60_000_000)
+    # both windows of the requests at 1, 11 and 21 s open before 25 s
+    assert server.counters["joins_dropped"] == 3
+    assert server.counters["joins_accepted"] == 1
+    assert [r["t_us"] for r in helpers.records(engine, "join_request", entity="dev")] == [
+        1_000_000, 11_000_000, 21_000_000, 31_000_000]
+    assert dev.dev_addr == 0x0100_0001
 
 
 def test_join_rejection_keeps_retrying():

@@ -189,6 +189,20 @@ def test_validate_rejects_inverted_receive_delays():
                                        receive_delay2_s=1.0))
 
 
+@pytest.mark.parametrize("delay1,delay2,path", [
+    (1e-9, 2e-9, "receive_delay1_s"),     # both round to 0 us
+    (1e-6, 1.4e-6, "receive_delay2_s"),   # both round to 1 us
+])
+def test_receive_delays_are_distinct_whole_microseconds(delay1, delay2, path):
+    # these used to load; with both windows at the same microsecond every
+    # downlink was deferred and the transfer never completed
+    doc = load_bundled("table2_conventional").to_dict()
+    doc.update(receive_delay1_s=delay1, receive_delay2_s=delay2)
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert err.value.path == path
+
+
 def test_duty_audit_factory_shape():
     scn = make_duty_audit()
     assert scn.name == "duty-audit"
@@ -387,6 +401,21 @@ def test_profile_without_a_key_names_the_missing_key():
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
     assert str(err.value) == "profile: bad PowerProfile: missing key 'p_rx_w'"
+
+
+def test_power_profile_values_must_be_finite_and_in_range():
+    # a negative draw used to load from a file, and a NaN one built in code
+    # ran and wrote a bare NaN into the metrics document
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["profile"]["p_rx_w"] = -0.04
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert err.value.path == "profile"
+    assert "p_rx_w" in str(err.value)
+    for name, value in (("p_tx14_w", -1e-3), ("p_rx_w", math.nan), ("p_sleep_w", math.inf),
+                        ("command_overhead_j", -1.0), ("supply_v", 0.0)):
+        with pytest.raises(ValueError, match=name):
+            PowerProfile(**{name: value})
 
 
 def test_partial_sensitivity_table_names_the_missing_rates():
