@@ -208,7 +208,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
     far below the resolution of whole-transfer energy totals).  The system
     is solved in a least-squares sense with rows weighted by 1/target
     so relative errors are balanced.  Raises CalibrationError when the fit is
-    degenerate or needs a negative power.
+    degenerate, overflows in floating point or needs a negative power.
     """
     roles = sorted(usages)
     if set(roles) != set(targets_j):
@@ -220,14 +220,20 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
         raise CalibrationError(
             f"target energies must be positive, got {', '.join(bad)} <= 0")
     rows, rhs, weights = [], [], []
-    for role in roles:
-        u = usages[role]
-        tx_col = math.fsum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
-        rows.append([tx_col, u.rx_s, float(u.commands)])
-        rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
-        weights.append(1.0 / targets_j[role])
-    solution = _least_squares([[w * x for x in row] for row, w in zip(rows, weights)],
-                              [w * y for y, w in zip(rhs, weights)])
+    # values near the float limits overflow a sum or underflow a pivot to zero
+    try:
+        for role in roles:
+            u = usages[role]
+            tx_col = math.fsum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
+            rows.append([tx_col, u.rx_s, float(u.commands)])
+            rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
+            weights.append(1.0 / targets_j[role])
+        solution = _least_squares([[w * x for x in row] for row, w in zip(rows, weights)],
+                                  [w * y for y, w in zip(rhs, weights)])
+    except (ValueError, ArithmeticError) as exc:
+        raise CalibrationError(
+            f"calibration system cannot be solved in floating point ({exc}); "
+            "the usages or targets are out of scale") from exc
     if solution is None:
         raise CalibrationError(
             "calibration system is rank deficient; the scenarios do not "

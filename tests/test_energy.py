@@ -257,6 +257,20 @@ def test_fit_rejects_degenerate_systems():
         fit_profile(usages, {"a": 1.0, "b": 1.0, "c": 1.0})
 
 
+@pytest.mark.parametrize("tx_rx_commands", [
+    # each row is (s on air at +14 dBm, rx_s, commands) for roles a, b, c;
+    # the solve used to raise the error named beside it
+    [(1.0, 1e308, 2), (2.0, 1.0, 5), (0.5, 3.0, 1)],             # ValueError: -inf + inf
+    [(1e280, 1e18, 4), (1e-35, 1e197, 1), (1e-284, 1e-3, 0)],    # ZeroDivisionError
+    [(1e65, 1e-168, 3), (1e118, 1e94, 0), (1e154, 1e92, 0)],     # OverflowError in fsum
+], ids=["inf-minus-inf", "zero-pivot", "fsum-overflow"])
+def test_fit_reports_float_failures_as_calibration_errors(tx_rx_commands):
+    usages = {role: StateUsage(tx_s_by_power={14: tx}, rx_s=rx, commands=cmds, sleep_s=100.0)
+              for role, (tx, rx, cmds) in zip("abc", tx_rx_commands)}
+    with pytest.raises(CalibrationError, match="out of scale"):
+        fit_profile(usages, {"a": 1.0, "b": 1.0, "c": 1.0})
+
+
 def test_fit_matches_numpy_least_squares_on_table2():
     runs = {name: runner.run(runner.load_bundled(name), seed=0)
             for name in (runner.CONVENTIONAL_SCENARIO, runner.D2D_SCENARIO)}

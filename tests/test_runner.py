@@ -326,3 +326,37 @@ def test_table2_document_structure():
     assert "calibration_residuals" in doc
     for name, ref in runner.REFERENCE_TIME_S.items():
         assert doc["time_s"][name]["reference"] == ref
+
+
+def test_table2_reads_each_bundled_scenario_once_per_process(monkeypatch):
+    calls = []
+
+    def counting_load(name):
+        calls.append(name)
+        return load_bundled(name)
+
+    monkeypatch.setattr(runner, "load_bundled", counting_load)
+    runner._table2_scenarios.cache_clear()
+    try:
+        for seed in (0, 1, 0):
+            runner.table2(seed)
+    finally:
+        runner._table2_scenarios.cache_clear()
+    assert sorted(calls) == sorted([runner.CONVENTIONAL_SCENARIO, runner.D2D_SCENARIO])
+
+
+def test_table2_leaves_its_shared_scenarios_unchanged():
+    # every table2 call runs the same two objects, so a run must not edit them
+    runner.table2(0)
+    runner.table2(1)
+    for name, scn in runner._table2_scenarios():
+        assert scn == load_bundled(name)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_table2_is_the_same_with_a_cold_or_a_warm_cache(seed):
+    runner._table2_scenarios.cache_clear()
+    cold = runner.table2(seed)
+    runner.table2(seed + 1)
+    warm = runner.table2(seed)
+    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
