@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
+
+from .phy import PhyError
 
 _TX_OVERHEAD_FRACTION = 0.4
 
@@ -33,20 +35,22 @@ def tx_power_scale(power_dbm: float) -> float:
 
 @dataclass(frozen=True)
 class PowerProfile:
-    name: str = "generic"
-    supply_v: float = 3.0
-    p_tx14_w: float = 0.12
-    p_rx_w: float = 0.04
-    p_sleep_w: float = 3e-6
-    command_overhead_j: float = 0.0
+    """No field has a default: a profile names every draw, and
+    :data:`DEFAULT_PROFILE` is the generic one."""
+    name: str
+    supply_v: float
+    p_tx14_w: float
+    p_rx_w: float
+    p_sleep_w: float
+    command_overhead_j: float
 
     def __post_init__(self):
         for name in ("p_tx14_w", "p_rx_w", "p_sleep_w", "command_overhead_j"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise PhyError(f"must be finite and >= 0, got {value}", name)
         if not 0.0 < self.supply_v < math.inf:
-            raise ValueError(f"supply_v must be finite and > 0, got {self.supply_v}")
+            raise PhyError(f"must be finite and > 0, got {self.supply_v}", "supply_v")
 
     def p_tx_w(self, power_dbm: float) -> float:
         return self.p_tx14_w * tx_power_scale(power_dbm)
@@ -54,21 +58,9 @@ class PowerProfile:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerProfile":
-        """The inverse of ``to_dict``: every field is required and no other
-        key is accepted."""
-        names = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in names:
-                raise TypeError(f"unknown key {key!r}")
-        for key in names:
-            if key not in data:
-                raise TypeError(f"missing key {key!r}")
-        return cls(**{k: data[k] for k in names})
 
-
-DEFAULT_PROFILE = PowerProfile()
+DEFAULT_PROFILE = PowerProfile(name="generic", supply_v=3.0, p_tx14_w=0.12, p_rx_w=0.04,
+                               p_sleep_w=3e-6, command_overhead_j=0.0)
 
 
 @dataclass
@@ -204,7 +196,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
 
     Each role contributes one equation: the ledger's state durations priced
     with the unknown parameters must equal the target.  Sleep power and
-    supply voltage keep their :class:`PowerProfile` defaults (sleep power is
+    supply voltage keep their :data:`DEFAULT_PROFILE` values (sleep power is
     far below the resolution of whole-transfer energy totals).  The system
     is solved in a least-squares sense with rows weighted by 1/target
     so relative errors are balanced.  Raises CalibrationError when the fit is
@@ -226,7 +218,7 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
             u = usages[role]
             tx_col = math.fsum(tx_power_scale(p) * s for p, s in u.tx_s_by_power.items())
             rows.append([tx_col, u.rx_s, float(u.commands)])
-            rhs.append(targets_j[role] - PowerProfile.p_sleep_w * u.sleep_s)
+            rhs.append(targets_j[role] - DEFAULT_PROFILE.p_sleep_w * u.sleep_s)
             weights.append(1.0 / targets_j[role])
         solution = _least_squares([[w * x for x in row] for row, w in zip(rows, weights)],
                                   [w * y for y, w in zip(rhs, weights)])
@@ -245,8 +237,8 @@ def fit_profile(usages: dict[str, StateUsage], targets_j: dict[str, float],
             f"p_rx={p_rx:.4g} W, command={c_cmd:.4g} J); the energy model "
             "cannot reproduce these targets")
     try:
-        profile = PowerProfile(name=name, p_tx14_w=max(p_tx14, 0.0), p_rx_w=max(p_rx, 0.0),
-                               command_overhead_j=max(c_cmd, 0.0))
+        profile = replace(DEFAULT_PROFILE, name=name, p_tx14_w=max(p_tx14, 0.0),
+                          p_rx_w=max(p_rx, 0.0), command_overhead_j=max(c_cmd, 0.0))
     except ValueError as exc:
         raise CalibrationError(f"fit produced an unusable profile: {exc}") from exc
     residuals = {}

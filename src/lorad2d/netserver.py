@@ -167,7 +167,8 @@ class NetworkServer:
         scanner's first, each carrying its plan.  The plan joins ``plans``
         first, so a failed directive keeps its place there, with the
         planner's message as its error, and is counted and traced.  The
-        directive passed ``Scenario.validate``, so its link is sound."""
+        directive passed ``Scenario.validate``, which checks only its setup
+        commands' ranges."""
         plan = d2d.SessionPlan(spec.initiator, spec.scanner, self.engine.now_us,
                                spec.exchange)
         self.plans.append(plan)
@@ -181,11 +182,7 @@ class NetworkServer:
             self.engine.trace("d2d_plan_failed", "ns", initiator=spec.initiator,
                               scanner=spec.scanner, error=plan.error)
             return
-        for record, role, t1_s, peer in ((scan, d2d.Role.SCANNER, spec.t1_scanner_s, init),
-                                         (init, d2d.Role.INITIATOR, spec.t1_initiator_s, scan)):
-            cmd = d2d.D2DSetupCommand(role=role, freq_hz=spec.freq_hz, dr=spec.dr,
-                                      power_dbm=spec.power_dbm, t1_s=t1_s,
-                                      t2_s=spec.t2_s, peer_addr=peer.dev_addr)
+        for record, cmd in zip((scan, init), spec.setup_commands(init.dev_addr, scan.dev_addr)):
             self.enqueue_downlink(record.dev_addr, d2d.SETUP_PORT, d2d.SETUP_WIRE_BYTES,
                                   payload=d2d.encode_setup(cmd), plan=plan)
             self.counters["setups_sent"] += 1

@@ -36,6 +36,8 @@ class SubBand:
             raise RegulatorError(f"band {self.ident}: empty interval")
         if not 0.0 < self.duty_cycle_limit <= 1.0:
             raise RegulatorError(f"band {self.ident}: duty limit outside (0, 1]")
+        if not math.isfinite(self.max_erp_dbm):   # a NaN limit would pass every power
+            raise RegulatorError(f"band {self.ident}: max ERP must be finite")
 
     def contains(self, freq_hz: int) -> bool:
         return self.low_hz <= freq_hz < self.high_hz

@@ -82,6 +82,16 @@ class D2DDirectiveSpec:
     t2_s: float = 30.0
     exchange: d2d.ExchangeParams = field(default_factory=d2d.ExchangeParams)
 
+    def setup_commands(self, initiator_addr: int, scanner_addr: int) -> tuple:
+        """The two setup commands, the scanner's first, each naming the other
+        device as its peer.  Building them runs the setup's range rules."""
+        return tuple(d2d.D2DSetupCommand(role=role, freq_hz=self.freq_hz, dr=self.dr,
+                                         power_dbm=self.power_dbm, t1_s=t1_s,
+                                         t2_s=self.t2_s, peer_addr=peer)
+                     for role, t1_s, peer in
+                     ((d2d.Role.SCANNER, self.t1_scanner_s, initiator_addr),
+                      (d2d.Role.INITIATOR, self.t1_initiator_s, scanner_addr)))
+
 
 @dataclass
 class Scenario:
@@ -156,6 +166,7 @@ class Scenario:
                     f"{path}.app_payload_bytes",
                     f"{dev.app_payload_bytes} exceeds the DR{dev.dr} limit of {limit}")
             self._check_channels(f"{path}.channels_hz", dev.channels_hz)
+            self._check_erp(f"{path}.tx_power_dbm", dev.tx_power_dbm, dev.channels_hz)
             if dev.max_uplinks is not None and dev.max_uplinks < 0:
                 raise ScenarioError(f"{path}.max_uplinks", "must be non-negative")
             if dev.prejoined != (dev.dev_addr is not None):
@@ -171,6 +182,8 @@ class Scenario:
             self._check_node(f"gateways[{i}]", gw, eids)
             self._check_channels(f"gateways[{i}].channels_hz", gw.channels_hz)
             self._check_power(f"gateways[{i}].tx_power_dbm", gw.tx_power_dbm)
+            self._check_erp(f"gateways[{i}].tx_power_dbm", gw.tx_power_dbm,
+                            [*gw.channels_hz, self.rx2_freq_hz])
 
         device_ids = {d.eid for d in self.devices}
         for i, tr in enumerate(self.transfers):
@@ -203,16 +216,11 @@ class Scenario:
             if not 0 <= dd.at_s < math.inf:
                 raise ScenarioError(f"{path}.at_s", "must be non-negative and finite")
             self._check_freq(f"{path}.freq_hz", dd.freq_hz)
-            # a throwaway command per role runs the setup's range rules, the
-            # scanner's first
-            for role, t1_s in ((d2d.Role.SCANNER, dd.t1_scanner_s),
-                               (d2d.Role.INITIATOR, dd.t1_initiator_s)):
-                try:
-                    d2d.D2DSetupCommand(role=role, freq_hz=dd.freq_hz, dr=dd.dr,
-                                        power_dbm=dd.power_dbm, t1_s=t1_s,
-                                        t2_s=dd.t2_s, peer_addr=0)
-                except d2d.D2DCodecError as exc:
-                    raise ScenarioError(path, str(exc)) from exc
+            try:
+                dd.setup_commands(0, 0)   # the pair's addresses are known only at run time
+            except d2d.D2DCodecError as exc:
+                raise ScenarioError(path, str(exc)) from exc
+            self._check_erp(f"{path}.power_dbm", dd.power_dbm, [dd.freq_hz])
         return self
 
     # Shared by devices and gateways; a device checks its own fields between
@@ -241,6 +249,14 @@ class Scenario:
             regulator.classify(freq_hz, self.bands)
         except regulator.RegulatorError as exc:
             raise ScenarioError(path, str(exc)) from exc
+
+    def _check_erp(self, path: str, power_dbm: int, freqs_hz: list[int]) -> None:
+        """`power_dbm` lies within the ERP limit of each frequency's sub-band."""
+        for freq in freqs_hz:
+            band = regulator.classify(freq, self.bands)
+            if power_dbm > band.max_erp_dbm:
+                raise ScenarioError(path, f"{power_dbm} dBm exceeds the {band.max_erp_dbm:g} dBm "
+                                          f"limit of sub-band {band.ident} ({freq} Hz)")
 
     @staticmethod
     def _check_power(path: str, power_dbm: int) -> None:
@@ -295,9 +311,11 @@ class Scenario:
 
 # -- parsing -------------------------------------------------------------
 #
-# One table-driven reader serves every block of the document.  Each dataclass
-# field is a key, required exactly when the field has no default, and its type
-# hint picks the conversion.  A bad primitive inside a list or tuple is
+# One table-driven reader serves every block of the document, ``profile``
+# included.  Each dataclass field is a key, required exactly when the field
+# has no default, and its type hint picks the conversion.  A value that a
+# block's own class rejects with a ``PhyError`` is reported at the key it
+# names (``profile.p_rx_w``).  A bad primitive inside a list or tuple is
 # reported at the container's path (``devices[0].position``); a nested
 # object gets its own index (``devices[0]``).
 
@@ -353,8 +371,6 @@ def _converter(hint):
         return _converter(inner)   # None itself is taken as it is, see _exact
     if origin in (list, tuple):
         return _sequence(origin, typing.get_args(hint))
-    if hasattr(hint, "from_dict"):
-        return _self_reading(hint)
     if dataclasses.is_dataclass(hint):
         return functools.partial(_parse, hint)
     return _scalar(hint)
@@ -394,22 +410,6 @@ def _sequence(origin, args):
             items.append(item if type(item) in exact
                          else read(item, f"{path}[{i}]" if indexed else path))
         return items if origin is list else tuple(items)
-    return convert
-
-
-def _self_reading(cls):
-    """A class that reads its own dict form (PowerProfile); the value types
-    are checked here against its type hints."""
-    def convert(value, path):
-        if not isinstance(value, dict):
-            raise ScenarioError(path, "expected an object")
-        try:
-            for name, exact, check, _ in _fields(cls):
-                if name in value and type(value[name]) not in exact:
-                    check(value[name], name)
-            return cls.from_dict(value)
-        except (KeyError, TypeError, ValueError) as exc:   # ScenarioError is a ValueError
-            raise ScenarioError(path, f"bad {cls.__name__}: {exc}") from exc
     return convert
 
 

@@ -10,8 +10,7 @@ import pytest
 
 import lorad2d
 from lorad2d import cli, metrics, runner
-from lorad2d.energy import PowerProfile
-from lorad2d.scenario import load_bundled
+from lorad2d.scenario import Scenario, load_bundled
 
 
 def test_toa_single_data_rate(capsys):
@@ -164,10 +163,13 @@ def test_calibrate_writes_a_loadable_profile(tmp_path, capsys):
     assert "fitted profile" in out and "calibration residuals" in out
     assert f"profile written to {path}" in out
     saved = json.loads(path.read_text())
-    assert saved == runner.table2(0)["profile"]
-    profile = PowerProfile.from_dict(saved)
-    assert profile.name == "benchmark-fit"
-    assert 0 < profile.p_rx_w < profile.p_tx14_w
+    # the file is a scenario's profile block, read as a user's file would be
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["profile"] = saved
+    scn = Scenario.from_dict(doc)
+    assert scn.profile.name == "benchmark-fit"
+    assert 0 < scn.profile.p_rx_w < scn.profile.p_tx14_w
+    assert runner.run(scn, seed=0).document["profile"] == runner.table2(0)["profile"]
 
 
 def test_sweep_duty_audit_reports_worst_usage_on_stderr(capsys):

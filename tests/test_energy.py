@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,17 +20,17 @@ def test_tx_power_scale_anchored_at_14_dbm():
 
 
 def test_profile_pricing_and_round_trip():
-    profile = PowerProfile(name="bench", p_tx14_w=0.12, p_rx_w=0.04)
+    profile = replace(DEFAULT_PROFILE, name="bench", p_tx14_w=0.12, p_rx_w=0.04)
     assert profile.p_tx_w(14) == pytest.approx(0.12)
     assert profile.p_tx_w(20) == pytest.approx(0.12 * tx_power_scale(20))
-    assert PowerProfile.from_dict(profile.to_dict()) == profile
+    assert PowerProfile(**profile.to_dict()) == profile
 
 
 def test_state_usage_pricing():
     usage = StateUsage(tx_s_by_power={14: 2.0, 20: 1.0}, rx_s=3.0,
                        sleep_s=100.0, commands=4)
-    profile = PowerProfile(p_tx14_w=0.12, p_rx_w=0.04, p_sleep_w=3e-6,
-                           command_overhead_j=0.01)
+    profile = PowerProfile(name="unit", supply_v=3.0, p_tx14_w=0.12, p_rx_w=0.04,
+                           p_sleep_w=3e-6, command_overhead_j=0.01)
     parts = usage.energy_j(profile)
     assert parts["tx_j"] == pytest.approx(0.12 * 2 + 0.12 * tx_power_scale(20))
     assert parts["rx_j"] == pytest.approx(0.12)
@@ -190,7 +191,7 @@ def test_mark_to_mark_usages_add_up_to_the_whole_run(steps, data):
 
 
 def test_fit_recovers_a_known_profile_exactly():
-    true = PowerProfile(p_tx14_w=0.11, p_rx_w=0.039, command_overhead_j=0.027)
+    true = replace(DEFAULT_PROFILE, p_tx14_w=0.11, p_rx_w=0.039, command_overhead_j=0.027)
     usages = {
         "t": StateUsage(tx_s_by_power={14: 130.0}, sleep_s=100.0),
         "r": StateUsage(rx_s=228.0, sleep_s=2.0, commands=2),
@@ -206,7 +207,7 @@ def test_fit_recovers_a_known_profile_exactly():
 
 
 def test_fit_handles_mixed_tx_powers():
-    true = PowerProfile(p_tx14_w=0.2, p_rx_w=0.05, command_overhead_j=0.001)
+    true = replace(DEFAULT_PROFILE, p_tx14_w=0.2, p_rx_w=0.05, command_overhead_j=0.001)
     usages = {
         "a": StateUsage(tx_s_by_power={14: 5.0, 20: 5.0}),
         "b": StateUsage(rx_s=50.0, commands=1),
@@ -281,7 +282,7 @@ def test_fit_matches_numpy_least_squares_on_table2():
     roles = sorted(usages)
     a = np.array([[sum(tx_power_scale(p) * s for p, s in usages[r].tx_s_by_power.items()),
                    usages[r].rx_s, usages[r].commands] for r in roles])
-    b = np.array([targets[r] - PowerProfile.p_sleep_w * usages[r].sleep_s for r in roles])
+    b = np.array([targets[r] - DEFAULT_PROFILE.p_sleep_w * usages[r].sleep_s for r in roles])
     w = np.array([1.0 / targets[r] for r in roles])
     expected, _, rank, _ = np.linalg.lstsq(a * w[:, None], b * w, rcond=None)
     assert rank == 3

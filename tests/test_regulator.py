@@ -125,6 +125,8 @@ def test_subband_validation():
         SubBand("bad", 100, 200, 0.0)
     with pytest.raises(RegulatorError):
         SubBand("bad", 100, 200, 1.5)
+    with pytest.raises(RegulatorError):
+        SubBand("bad", 100, 200, 0.01, float("nan"))
 
 
 def test_validate_bands_rejects_overlap():

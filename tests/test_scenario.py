@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from lorad2d import d2d, metrics, phy, regulator, runner
-from lorad2d.energy import PowerProfile
+from lorad2d.energy import DEFAULT_PROFILE
 from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
                               bundled_names, load_bundled, make_duty_audit)
 
@@ -72,7 +72,7 @@ def test_optional_blocks_round_trip():
         end_time_s=5.0,
         radio=phy.RadioModel(sensitivity_dbm=(-130.0, *phy.DEFAULT_SENSITIVITY_DBM[1:])),
         bands=(regulator.SubBand("x", 865_000_000, 870_000_000, 0.05, 20.0),),
-        profile=PowerProfile(name="p", p_tx14_w=0.2),
+        profile=dataclasses.replace(DEFAULT_PROFILE, name="p", p_tx14_w=0.2),
         devices=[DeviceSpec(eid="dev", dev_addr=1, channels_hz=[865_100_000])],
         gateways=[GatewaySpec(eid="gw", channels_hz=[865_100_000])],
     ).validate()
@@ -223,7 +223,7 @@ def full_doc():
         radio={"pl0_db": 127.5, "sensitivity_dbm": list(phy.DEFAULT_SENSITIVITY_DBM)},
         bands=[{"ident": "x", "low_hz": 865_000_000, "high_hz": 870_000_000,
                 "duty_cycle_limit": 0.01}],
-        profile=PowerProfile(name="p").to_dict(),
+        profile=dataclasses.replace(DEFAULT_PROFILE, name="p").to_dict(),
         rx2_freq_hz=869_525_000,
         devices=[{"eid": "a", "dev_addr": 1, "position": [0.0, 0.0],
                   "channels_hz": [868_100_000], "max_uplinks": 3,
@@ -266,7 +266,7 @@ def test_full_doc_is_valid():
     (("radio", "sensitivity_dbm"), [-137.0] * 9, "radio.sensitivity_dbm"),
     # profile
     (("profile",), 5, "profile"),
-    (("profile", "p_rx_w"), _DELETE, "profile"),
+    (("profile", "p_rx_w"), _DELETE, "profile.p_rx_w"),
     # devices[0]
     (("devices", 0), 5, "devices[0]"),
     (("devices", 0, "eid"), _DELETE, "devices[0].eid"),
@@ -310,8 +310,8 @@ def test_full_doc_is_valid():
     (("d2d_directives", 0, "exchange", "guard"), 0.1,
      "d2d_directives[0].exchange.guard"),
     # profile value types
-    (("profile", "p_tx14_w"), "lots", "profile"),
-    (("profile", "p_sleep_w"), True, "profile"),
+    (("profile", "p_tx14_w"), "lots", "profile.p_tx14_w"),
+    (("profile", "p_sleep_w"), True, "profile.p_sleep_w"),
     # a partial sensitivity table: the medium needs a floor for every rate
     (("radio", "sensitivity_dbm", 3), _DELETE, "radio.sensitivity_dbm"),
     # a class A receive window is undefined at the GFSK rate
@@ -326,7 +326,7 @@ def test_full_doc_is_valid():
     (("d2d_directives", 0, "exchange", "command_latency_s"), 0.0,
      "d2d_directives[0].exchange.command_latency_s"),
     # a profile key that is not a PowerProfile field
-    (("profile", "p_rx_W"), 0.04, "profile"),
+    (("profile", "p_rx_W"), 0.04, "profile.p_rx_W"),
     # the setup command's own range rules, and the gateway's radio range
     (("d2d_directives", 0, "dr"), 9, "d2d_directives[0]"),
     (("d2d_directives", 0, "power_dbm"), 25, "d2d_directives[0]"),
@@ -343,6 +343,11 @@ def test_full_doc_is_valid():
     (("devices", 0, "position"), [1e300, 0.0], "devices[0].position"),
     (("gateways", 0, "position"), [0.0, -2e7], "gateways[0].position"),
     (("devices", 0, "period_s"), 1e-9, "devices[0].period_s"),
+    # a power above the ERP limit of a sub-band the node sends in; band x
+    # allows 14 dBm
+    (("devices", 0, "tx_power_dbm"), 20, "devices[0].tx_power_dbm"),
+    (("gateways", 0, "tx_power_dbm"), 20, "gateways[0].tx_power_dbm"),
+    (("d2d_directives", 0, "power_dbm"), 20, "d2d_directives[0].power_dbm"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
@@ -366,7 +371,9 @@ def test_bad_value_error_paths(where, value, path):
     (("devices", 0, "period_s"), math.inf, "devices[0].period_s"),
     (("radio", "pl0_db"), math.nan, "radio.pl0_db"),
     (("radio", "exponent"), 10 ** 400, "radio.exponent"),   # no float holds it
-], ids=["at_s-nan", "backhaul-nan", "t2-inf", "period-inf", "pl0-nan", "exponent-1e400"])
+    (("profile", "p_rx_w"), math.nan, "profile.p_rx_w"),
+], ids=["at_s-nan", "backhaul-nan", "t2-inf", "period-inf", "pl0-nan", "exponent-1e400",
+        "profile-nan"])
 def test_non_finite_numbers_are_load_errors(where, value, path):
     # json reads NaN and Infinity as floats; each used to load, or to fail
     # with a bare ValueError or OverflowError at load or at run
@@ -400,7 +407,7 @@ def test_profile_without_a_key_names_the_missing_key():
     del doc["profile"]["p_rx_w"]
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
-    assert str(err.value) == "profile: bad PowerProfile: missing key 'p_rx_w'"
+    assert str(err.value) == "profile.p_rx_w: missing required key"
 
 
 def test_power_profile_values_must_be_finite_and_in_range():
@@ -410,12 +417,41 @@ def test_power_profile_values_must_be_finite_and_in_range():
     doc["profile"]["p_rx_w"] = -0.04
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
-    assert err.value.path == "profile"
-    assert "p_rx_w" in str(err.value)
+    assert str(err.value) == "profile.p_rx_w: must be finite and >= 0, got -0.04"
     for name, value in (("p_tx14_w", -1e-3), ("p_rx_w", math.nan), ("p_sleep_w", math.inf),
                         ("command_overhead_j", -1.0), ("supply_v", 0.0)):
-        with pytest.raises(ValueError, match=name):
-            PowerProfile(**{name: value})
+        with pytest.raises(phy.PhyError) as err:
+            dataclasses.replace(DEFAULT_PROFILE, **{name: value})
+        assert err.value.field == name
+
+
+def test_power_above_a_sub_band_erp_limit_is_rejected():
+    # the scanner at 20 dBm on 868.1 MHz (g1, 14 dBm) and the directive at
+    # 20 dBm on 865 MHz (g, 14 dBm) used to load, and the session ran
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["devices"][0]["tx_power_dbm"] = 20
+    doc["d2d_directives"][0]["power_dbm"] = 20
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == ("devices[0].tx_power_dbm: 20 dBm exceeds the 14 dBm limit "
+                              "of sub-band g1 (868100000 Hz)")
+    doc["devices"][0]["tx_power_dbm"] = 14
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == ("d2d_directives[0].power_dbm: 20 dBm exceeds the 14 dBm "
+                              "limit of sub-band g (865000000 Hz)")
+    # a gateway also sends on rx2_freq_hz: g3 allows 27 dBm, g1 only 14
+    doc["d2d_directives"][0]["power_dbm"] = 14
+    doc["gateways"][0].update(channels_hz=[869_525_000], tx_power_dbm=20)
+    Scenario.from_dict(doc)
+    doc["rx2_freq_hz"] = 868_500_000
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert err.value.path == "gateways[0].tx_power_dbm"
+    # the limit is the band plan's own
+    for band in doc["bands"]:
+        band["max_erp_dbm"] = 20.0
+    Scenario.from_dict(doc)
 
 
 def test_partial_sensitivity_table_names_the_missing_rates():
