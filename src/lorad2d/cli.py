@@ -120,6 +120,10 @@ def cmd_duty(args) -> int:
             print(f"{band.ident:<6}{rng:<24}{band.duty_cycle_limit:>7.1%}"
                   f"{band.max_erp_dbm:>8.1f}dBm")
         return 0
+    # ETSI EN 300 220 counts duty over one hour, so no frame is longer
+    if args.toa is not None and not 0 < args.toa <= 3600:
+        print(f"error: --toa must lie in (0, 3600] seconds, got {args.toa}", file=sys.stderr)
+        return 2
     band = regulator.classify(args.freq, bands)
     print(f"{args.freq} Hz -> band {band.ident} "
           f"(duty {band.duty_cycle_limit:.1%}, max ERP {band.max_erp_dbm:g} dBm)")
@@ -186,6 +190,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 2
     scn = _load_scenario(args.scenario)
     base = args.seed if args.seed is not None else scn.seed
     seeds = range(base, base + args.seeds)
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_duty.add_argument("--freq", type=int, default=None, metavar="HZ",
                         help="classify this frequency")
     p_duty.add_argument("--toa", type=float, default=None, metavar="S",
-                        help="with --freq: off time after this much airtime")
+                        help="with --freq: off time after this much airtime, in (0, 3600]")
     p_duty.set_defaults(fn=cmd_duty)
 
     p_t2 = sub.add_parser("table2",

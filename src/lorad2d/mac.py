@@ -12,6 +12,7 @@ the device resumes the grid without rejoining.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -83,19 +84,39 @@ class JoinAccept:
 @dataclass(frozen=True)
 class ReceiveWindows:
     """The class A receive-window rule, shared by end devices and the network
-    server: RX1 opens on the uplink's channel and data rate one delay after
-    the uplink ends, RX2 on a fixed channel and rate after a second delay.
+    server, and a scenario's ``windows`` block: RX1 opens on the uplink's
+    channel and data rate one delay after the uplink ends, RX2 on a fixed
+    channel and rate after a second, later delay, each a whole microsecond.
     A window that catches no preamble closes after `length_us[dr]`."""
 
-    rx2_freq_hz: int
-    rx2_dr: int
-    receive_delay1_s: float
-    receive_delay2_s: float
-    preamble_detect_symbols: int
+    rx2_freq_hz: int = 869_525_000
+    rx2_dr: int = 3
+    receive_delay1_s: float = 1.0
+    receive_delay2_s: float = 2.0
+    preamble_detect_symbols: int = 8
+
+    def __post_init__(self) -> None:
+        self.check_dr(self.rx2_dr, "rx2_dr")
+        rd1, rd2 = self.receive_delay1_s, self.receive_delay2_s
+        if not (0 < rd1 < math.inf and round(rd1 * 1e6) >= 1):
+            raise phy.PhyError("must be finite and round to at least 1 microsecond",
+                               "receive_delay1_s")
+        if not (math.isfinite(rd2) and round(rd2 * 1e6) > round(rd1 * 1e6)):
+            raise phy.PhyError("second window must open at least 1 microsecond after the "
+                               "first", "receive_delay2_s")
+        if self.preamble_detect_symbols < 1:
+            raise phy.PhyError("must be at least 1", "preamble_detect_symbols")
 
     @cached_property
     def _delays_us(self) -> tuple[int, int]:
         return round(self.receive_delay1_s * 1e6), round(self.receive_delay2_s * 1e6)
+
+    @staticmethod
+    def check_dr(dr: int, field: str | None = None) -> None:
+        """A window is a count of preamble symbols, which this model defines
+        for the LoRa rates DR0..DR6 only."""
+        if not 0 <= dr <= 6:
+            raise phy.PhyError(f"DR{dr} has no receive window; use DR0..DR6", field)
 
     @cached_property
     def length_us(self) -> tuple[int, ...]:
@@ -138,7 +159,7 @@ class EndDevice:
         self.max_uplinks = spec.max_uplinks
         self.duty = regulator.DutyLedger(bands=bands, enforced=duty_enforced)
 
-        self.mac_state = MacState.SLEEP if spec.prejoined else MacState.NOT_JOINED
+        self.mac_state = MacState.NOT_JOINED if self.dev_addr is None else MacState.SLEEP
         self.fcnt_up = 0
         self.session: d2d.D2DSession | None = None
         self.session_history: list[d2d.D2DSession] = []
@@ -163,7 +184,6 @@ class EndDevice:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self.ledger.set_state(0, "sleep")
         self._schedule_next_uplink()
 
     # -- uplink cycle ------------------------------------------------------

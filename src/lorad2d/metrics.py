@@ -69,8 +69,8 @@ def device_record(device, profile: PowerProfile) -> dict:
     return rec
 
 
-def build(engine, scenario, profile: PowerProfile, devices: dict, gateways: dict,
-          ns) -> dict:
+def build(engine, scenario, devices: dict, gateways: dict, ns) -> dict:
+    profile = scenario.profile
     transfers = []
     for tr in ns.transfers:
         first_tx_s = None if tr.first_uplink_us is None else tr.first_uplink_us / 1e6

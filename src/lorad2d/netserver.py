@@ -135,7 +135,7 @@ class NetworkServer:
     def register_device(self, spec: DeviceSpec) -> None:
         """Know the device; a pre-joined one is also reachable by its address."""
         record = self.by_eid[spec.eid] = DeviceRecord(spec, spec.dev_addr)
-        if spec.prejoined:
+        if spec.dev_addr is not None:
             self.devices[spec.dev_addr] = record
 
     def _joined(self, eids: tuple[str, ...], error: str) -> list[DeviceRecord]:

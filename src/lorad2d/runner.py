@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import metrics
 from .energy import StateUsage, fit_profile
 from .engine import Engine, Medium
-from .mac import EndDevice, ReceiveWindows
+from .mac import EndDevice
 from .netserver import Gateway, NetworkServer
 from .scenario import Scenario, load_bundled
 
@@ -59,8 +59,9 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
     """Execute a scenario to its end time and summarize it.
 
     The seed defaults to the scenario's own.  The scenario's radio, its
-    path loss and sensitivity floors included, builds the medium, and its
-    band plan governs every duty ledger.  The scenario's power profile
+    path loss and sensitivity floors included, builds the medium, its band
+    plan governs every duty ledger, and the server and every device share
+    its receive windows.  The scenario's power profile
     prices the energy ledgers in the output document: each device over the
     whole run, and each finished D2D session over its own window.
     """
@@ -70,14 +71,12 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
 
     engine = Engine(seed=seed, trace=trace)
     medium = Medium(engine, scn.radio)
-    windows = ReceiveWindows(scn.rx2_freq_hz, scn.rx2_dr, scn.receive_delay1_s,
-                             scn.receive_delay2_s, scn.preamble_detect_symbols)
-    ns = NetworkServer(engine, windows=windows, join_success_prob=scn.join_success_prob)
+    ns = NetworkServer(engine, windows=scn.windows, join_success_prob=scn.join_success_prob)
     gateways = {spec.eid: Gateway(engine, medium, ns, spec,
                                   backhaul_delay_s=scn.backhaul_delay_s, bands=scn.bands,
                                   duty_enforced=scn.duty_cycle_enforced)
                 for spec in scn.gateways}
-    devices = {spec.eid: EndDevice(engine, medium, spec, windows=windows, bands=scn.bands,
+    devices = {spec.eid: EndDevice(engine, medium, spec, windows=scn.windows, bands=scn.bands,
                                    duty_enforced=scn.duty_cycle_enforced)
                for spec in scn.devices}
     for spec in scn.devices:
@@ -98,7 +97,7 @@ def run(scn: Scenario, *, seed: int | None = None, trace: bool = False) -> RunRe
 
     result = RunResult(scenario=scn, engine=engine, devices=devices,
                        gateways=gateways, ns=ns)
-    result.document = metrics.build(engine, scn, scn.profile, devices, gateways, ns)
+    result.document = metrics.build(engine, scn, devices, gateways, ns)
     return result
 
 

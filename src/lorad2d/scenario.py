@@ -19,12 +19,11 @@ from importlib import resources
 
 from . import d2d, phy, regulator
 from .energy import DEFAULT_PROFILE, PowerProfile
+from .mac import ReceiveWindows
 
 SCENARIO_SCHEMA = "scenario/1"
 
 DEFAULT_CHANNELS_HZ = [868_100_000, 868_300_000, 868_500_000]
-DEFAULT_RX2_FREQ_HZ = 869_525_000
-DEFAULT_RX2_DR = 3
 # Positions lie within this distance of the origin on each axis: 10,000 km,
 # past any radio link and far inside what a float can square.
 MAX_COORDINATE_M = 1e7
@@ -40,7 +39,7 @@ class ScenarioError(ValueError):
 class DeviceSpec:
     eid: str
     position: tuple[float, float] = (0.0, 0.0)
-    dev_addr: int | None = None
+    dev_addr: int | None = field(kw_only=True)   # None: the device joins over the air
     period_s: float = 300.0
     phase_s: float = 0.0
     jitter_frac: float = 0.01
@@ -49,7 +48,6 @@ class DeviceSpec:
     app_payload_bytes: int = 12
     channels_hz: list[int] = field(default_factory=lambda: list(DEFAULT_CHANNELS_HZ))
     max_uplinks: int | None = None
-    prejoined: bool = True
 
 
 @dataclass
@@ -99,11 +97,7 @@ class Scenario:
     end_time_s: float
     description: str = ""
     seed: int = 0
-    rx2_freq_hz: int = DEFAULT_RX2_FREQ_HZ
-    rx2_dr: int = DEFAULT_RX2_DR
-    receive_delay1_s: float = 1.0
-    receive_delay2_s: float = 2.0
-    preamble_detect_symbols: int = 8
+    windows: ReceiveWindows = field(default_factory=ReceiveWindows)
     backhaul_delay_s: float = 0.05
     duty_cycle_enforced: bool = True
     join_success_prob: float = 1.0
@@ -128,19 +122,7 @@ class Scenario:
             regulator.validate_bands(self.bands)
         except regulator.RegulatorError as exc:
             raise ScenarioError("bands", str(exc)) from exc
-        self._check_window_dr("rx2_dr", self.rx2_dr)
-        self._check_freq("rx2_freq_hz", self.rx2_freq_hz)
-        # a window opens a whole number of microseconds after the uplink ends
-        if not (0 < self.receive_delay1_s < math.inf
-                and round(self.receive_delay1_s * 1e6) >= 1):
-            raise ScenarioError("receive_delay1_s",
-                                "must be finite and round to at least 1 microsecond")
-        if not (self.receive_delay2_s < math.inf
-                and round(self.receive_delay2_s * 1e6) > round(self.receive_delay1_s * 1e6)):
-            raise ScenarioError("receive_delay2_s",
-                                "second window must open at least 1 microsecond after the first")
-        if self.preamble_detect_symbols < 1:
-            raise ScenarioError("preamble_detect_symbols", "must be at least 1")
+        self._check_freq("windows.rx2_freq_hz", self.windows.rx2_freq_hz)
         if not 0 <= self.backhaul_delay_s < math.inf:
             raise ScenarioError("backhaul_delay_s", "must be non-negative and finite")
         if not 0.0 <= self.join_success_prob <= 1.0:
@@ -158,8 +140,8 @@ class Scenario:
                 raise ScenarioError(f"{path}.phase_s", "must be finite")
             if not 0.0 <= dev.jitter_frac < 0.5:
                 raise ScenarioError(f"{path}.jitter_frac", "must lie in [0, 0.5)")
-            self._check_window_dr(f"{path}.dr", dev.dr)
-            self._check_power(f"{path}.tx_power_dbm", dev.tx_power_dbm)
+            self._check_phy(f"{path}.dr", ReceiveWindows.check_dr, dev.dr)
+            self._check_phy(f"{path}.tx_power_dbm", phy.check_tx_power, dev.tx_power_dbm)
             limit = phy.data_rate(dev.dr).max_app_payload_bytes
             if not 0 <= dev.app_payload_bytes <= limit:
                 raise ScenarioError(
@@ -169,9 +151,6 @@ class Scenario:
             self._check_erp(f"{path}.tx_power_dbm", dev.tx_power_dbm, dev.channels_hz)
             if dev.max_uplinks is not None and dev.max_uplinks < 0:
                 raise ScenarioError(f"{path}.max_uplinks", "must be non-negative")
-            if dev.prejoined != (dev.dev_addr is not None):
-                raise ScenarioError(f"{path}.dev_addr", "a pre-joined device needs an address; "
-                                    "a joining one is given its address when it joins")
             if dev.dev_addr is not None and not 0 <= dev.dev_addr <= 0xFFFF_FFFF:
                 raise ScenarioError(f"{path}.dev_addr", "must lie in 0..2**32-1")
         addrs = [d.dev_addr for d in self.devices if d.dev_addr is not None]
@@ -181,9 +160,9 @@ class Scenario:
         for i, gw in enumerate(self.gateways):
             self._check_node(f"gateways[{i}]", gw, eids)
             self._check_channels(f"gateways[{i}].channels_hz", gw.channels_hz)
-            self._check_power(f"gateways[{i}].tx_power_dbm", gw.tx_power_dbm)
+            self._check_phy(f"gateways[{i}].tx_power_dbm", phy.check_tx_power, gw.tx_power_dbm)
             self._check_erp(f"gateways[{i}].tx_power_dbm", gw.tx_power_dbm,
-                            [*gw.channels_hz, self.rx2_freq_hz])
+                            [*gw.channels_hz, self.windows.rx2_freq_hz])
 
         device_ids = {d.eid for d in self.devices}
         for i, tr in enumerate(self.transfers):
@@ -259,18 +238,12 @@ class Scenario:
                                           f"limit of sub-band {band.ident} ({freq} Hz)")
 
     @staticmethod
-    def _check_power(path: str, power_dbm: int) -> None:
+    def _check_phy(path: str, check, value: int) -> None:
+        """`check(value)`, with a PhyError it raises reported at `path`."""
         try:
-            phy.check_tx_power(power_dbm)
+            check(value)
         except phy.PhyError as exc:
             raise ScenarioError(path, str(exc)) from exc
-
-    @staticmethod
-    def _check_window_dr(path: str, dr: int) -> None:
-        """A class A receive window is a count of preamble symbols, which
-        this model defines for the LoRa rates DR0..DR6 only."""
-        if not 0 <= dr <= 6:
-            raise ScenarioError(path, f"DR{dr} has no receive window; use DR0..DR6")
 
     # -- serialization ------------------------------------------------------
 

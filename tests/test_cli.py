@@ -59,6 +59,21 @@ def test_duty_rejects_unallocated_frequency(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("toa", ["nan", "inf", "-1", "0", "1e302"])
+def test_duty_rejects_an_airtime_it_cannot_use(toa, capsys):
+    # nan and inf used to die with a ValueError or OverflowError traceback,
+    # -1 printed "stay off -99.000000 s", and 1e302 overflowed the off time
+    assert cli.main(["duty", "--freq", "868100000", "--toa", toa]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --toa must lie in (0, 3600] seconds")
+
+
+def test_duty_takes_an_airtime_of_one_hour(capsys):
+    assert cli.main(["duty", "--freq", "868100000", "--toa", "3600"]) == 0
+    assert "stay off 356400.000000 s" in capsys.readouterr().out
+
+
 def test_run_writes_metrics_and_trace(tmp_path, capsys):
     mpath = tmp_path / "metrics.json"
     tpath = tmp_path / "trace.jsonl"
@@ -189,3 +204,13 @@ def test_sweep_fails_when_a_run_exceeds_the_duty_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli.runner, "write_csv", lambda rows, fh: None)
     assert cli.main(["sweep", "duty-audit", "--seeds", "1"]) == 1
     assert "1.000001 of the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_sweep_of_no_seeds_is_an_error(seeds, capsys, monkeypatch):
+    # it used to run nothing, print a worst duty usage of 0 and pass the audit
+    monkeypatch.setattr(cli.runner, "sweep", lambda *a, **k: pytest.fail("ran a sweep"))
+    assert cli.main(["sweep", "duty-audit", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seeds must be at least 1, got {seeds}\n"

@@ -75,7 +75,7 @@ def _lossy_d2d():
 def _join_cell():
     nodes = [DeviceSpec(f"n{i:02d}", (300.0 * i, 150.0), dr=3,
                         app_payload_bytes=20, period_s=40.0, phase_s=3.0 * i,
-                        jitter_frac=0.05, prejoined=False)
+                        jitter_frac=0.05, dev_addr=None)
              for i in range(12)]
     src = DeviceSpec("src", (500.0, 0.0), dev_addr=0x0300_0001, period_s=20.0,
                      phase_s=1.0, dr=3, app_payload_bytes=100)

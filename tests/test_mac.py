@@ -205,8 +205,8 @@ def test_duty_enforcement_defers_the_grid():
 
 def test_duty_deferred_join_requests_are_counted():
     engine, medium = helpers.make_rig()
-    dev = helpers.make_device(engine, medium, dev_addr=None, prejoined=False,
-                              period_s=60.0, phase_s=0.0, dr=0, duty_enforced=True)
+    dev = helpers.make_device(engine, medium, dev_addr=None, period_s=60.0, phase_s=0.0,
+                              dr=0, duty_enforced=True)
     dev.start()
     engine.run(until_us=600_000_000)
     # no gateway answers: each DR0 request buys more off-time than a period
@@ -372,8 +372,7 @@ def test_uplink_cap_stops_the_device():
 def test_join_handshake_assigns_an_address():
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
-                                    period_s=10.0, phase_s=1.0, dr=5))
+        engine, medium, dev_kw=dict(dev_addr=None, period_s=10.0, phase_s=1.0, dr=5))
     dev.start()
     engine.run(until_us=60_000_000)
     assert dev.dev_addr == 0x0100_0001
@@ -391,7 +390,7 @@ def test_join_handshake_assigns_an_address():
 def test_uplink_cap_counts_uplinks_not_join_requests():
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
+        engine, medium, dev_kw=dict(dev_addr=None,
                                     period_s=10.0, phase_s=1.0, dr=5, max_uplinks=2))
     server.join_success_prob = 0.0
     dev.start()
@@ -421,8 +420,7 @@ def _spend_gateway_duty_until_25_s(gw):
 def test_join_accept_without_a_free_window_is_dropped_and_retried(block):
     engine, medium = helpers.make_rig()
     dev, server, gw = wire_device_and_server(
-        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
-                                    period_s=10.0, phase_s=1.0, dr=5))
+        engine, medium, dev_kw=dict(dev_addr=None, period_s=10.0, phase_s=1.0, dr=5))
     block(gw)
     dev.start()
     engine.run(until_us=60_000_000)
@@ -437,8 +435,7 @@ def test_join_accept_without_a_free_window_is_dropped_and_retried(block):
 def test_join_rejection_keeps_retrying():
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
-                                    period_s=10.0, phase_s=1.0, dr=5))
+        engine, medium, dev_kw=dict(dev_addr=None, period_s=10.0, phase_s=1.0, dr=5))
     server.join_success_prob = 0.0
     dev.start()
     engine.run(until_us=45_000_000)
@@ -451,7 +448,7 @@ def test_join_rejection_keeps_retrying():
 def test_out_of_range_device_never_joins():
     engine, medium = helpers.make_rig()
     dev, server, _ = wire_device_and_server(
-        engine, medium, dev_kw=dict(dev_addr=None, prejoined=False,
+        engine, medium, dev_kw=dict(dev_addr=None,
                                     period_s=10.0, phase_s=1.0, dr=5,
                                     position=(200_000.0, 0.0)))
     dev.start()

@@ -17,12 +17,12 @@ def fake_uplink(addr, fcnt, *, start_us=1_000_000, dr=0, app=12):
         frame=LoRaWANUplink(addr, fcnt, 1, app))
 
 
-def record(addr, *, eid=None, dr=0, app=12, period_s=9.6, jitter=0.0, prejoined=True):
-    """The spec the server builds a device's record from; a device that is
-    not pre-joined has no address."""
-    return DeviceSpec(eid=eid or f"d{addr:x}", dev_addr=addr if prejoined else None,
+def record(addr, *, eid=None, dr=0, app=12, period_s=9.6, jitter=0.0, joining=False):
+    """The spec the server builds a device's record from; a joining device
+    has no address."""
+    return DeviceSpec(eid=eid or f"d{addr:x}", dev_addr=None if joining else addr,
                       dr=dr, app_payload_bytes=app, period_s=period_s,
-                      jitter_frac=jitter, prejoined=prejoined)
+                      jitter_frac=jitter)
 
 
 def make_server(engine, medium, **kw):
@@ -69,7 +69,7 @@ def test_replayed_frame_counter_is_dropped():
     server.on_uplink(fake_uplink(0x10, fcnt=2, start_us=40_000_000), gw)
     assert server.counters["uplinks"] == 3
     assert server.counters["dedup_drops"] == 2
-    server.register_device(record(0x20, eid="joiner", prejoined=False))
+    server.register_device(record(0x20, eid="joiner", joining=True))
     server.on_uplink(fake_join_request("joiner", 2, start_us=50_000_000), gw)
     server.on_uplink(fake_join_request("joiner", 1, start_us=60_000_000), gw)
     assert server.counters["joins_accepted"] == 1
@@ -100,7 +100,7 @@ def test_transfer_endpoints_must_be_joined():
     engine, medium = helpers.make_rig()
     server, _ = make_server(engine, medium)
     server.register_device(record(0x10))
-    server.register_device(record(0x11, prejoined=False))
+    server.register_device(record(0x11, joining=True))
     server.start_transfer(TransferSpec("d10", "d11", 1000))
     assert engine.counters["transfer_failed"] == 1
     assert server.transfers == []
@@ -240,7 +240,7 @@ def test_plan_rejects_scanner_window_that_may_lapse():
 
 def test_directive_participants_must_both_be_joined():
     server = planning_server()
-    server.register_device(record(0x03, eid="joining", prejoined=False))
+    server.register_device(record(0x03, eid="joining", joining=True))
     plan = start(server, scanner="joining")
     assert plan.error == "session participants must both be joined"
     assert server.counters["setups_sent"] == 0
@@ -268,7 +268,7 @@ def test_join_heard_by_two_gateways_is_answered_once():
     engine, medium = helpers.make_rig()
     server, gws = make_server(engine, medium, gateways=(("gw0", (0.0, 0.0)),
                                                         ("gw1", (1000.0, 0.0))))
-    dev = helpers.make_device(engine, medium, dev_addr=None, prejoined=False,
+    dev = helpers.make_device(engine, medium, dev_addr=None,
                               position=(500.0, 0.0), period_s=60.0, phase_s=0.0,
                               dr=3)
     server.register_device(dev.spec)

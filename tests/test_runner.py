@@ -10,8 +10,7 @@ import pytest
 import helpers
 from lorad2d import d2d, metrics, runner
 from lorad2d.engine import Medium
-from lorad2d.scenario import (DeviceSpec, GatewaySpec, Scenario, ScenarioError,
-                              TransferSpec, load_bundled)
+from lorad2d.scenario import DeviceSpec, GatewaySpec, Scenario, TransferSpec, load_bundled
 
 
 def test_run_result_is_fully_wired():
@@ -93,7 +92,6 @@ def test_transfer_with_unjoined_endpoint_is_counted_failed():
     scn = copy.deepcopy(load_bundled(runner.CONVENTIONAL_SCENARIO))
     scn.end_time_s = 10.0
     receiver = next(d for d in scn.devices if d.eid == "receiver")
-    receiver.prejoined = False
     receiver.dev_addr = None
     scn.transfers[0].at_s = 0.0
 
@@ -200,7 +198,7 @@ def test_transfer_opens_to_a_device_whose_join_accept_was_lost(monkeypatch):
     src = DeviceSpec("src", (300.0, 0.0), dev_addr=0x0300_0001, period_s=20.0,
                      phase_s=1.0, dr=3, app_payload_bytes=20)
     dst = DeviceSpec("dst", (-300.0, 0.0), period_s=20.0, phase_s=2.0, dr=3,
-                     prejoined=False)
+                     dev_addr=None)
     scn = Scenario("lost-join-accept", 120.0, devices=[src, dst],
                    gateways=[GatewaySpec("gw0", (0.0, 0.0))],
                    transfers=[TransferSpec("src", "dst", 60, at_s=10.0)])
@@ -222,7 +220,7 @@ def test_a_joining_device_gets_an_address_no_prejoined_device_holds():
     pre = DeviceSpec("pre", (300.0, 0.0), dev_addr=0x0100_0001, period_s=30.0,
                      phase_s=5.0, dr=3, app_payload_bytes=20)
     joiner = DeviceSpec("joiner", (-300.0, 0.0), period_s=30.0, phase_s=1.0, dr=3,
-                        prejoined=False)
+                        dev_addr=None)
     scn = Scenario("address-collision", 400.0, devices=[pre, joiner],
                    gateways=[GatewaySpec("gw0", (0.0, 0.0))])
 
@@ -236,19 +234,14 @@ def test_a_joining_device_gets_an_address_no_prejoined_device_holds():
 
 
 def test_a_joining_device_cannot_be_given_an_address():
-    # The server kept a's scenario address for a's join, but did not reserve
-    # it before then: b joined first and got it too, and b's uplinks were
-    # then dropped as copies of a's.
-    a = DeviceSpec("a", (300.0, 0.0), dev_addr=0x0100_0001, period_s=30.0,
-                   phase_s=20.0, dr=3, prejoined=False)
-    b = DeviceSpec("b", (-300.0, 0.0), period_s=30.0, phase_s=1.0, dr=3,
-                   prejoined=False)
+    # The server used to keep a joiner's scenario address for its join, but
+    # did not reserve it before then: another joiner could get it first, and
+    # its uplinks were then dropped as copies.  A joining device is now one
+    # whose dev_addr is None, so it has no address to keep.
+    a = DeviceSpec("a", (300.0, 0.0), period_s=30.0, phase_s=20.0, dr=3, dev_addr=None)
+    b = DeviceSpec("b", (-300.0, 0.0), period_s=30.0, phase_s=1.0, dr=3, dev_addr=None)
     scn = Scenario("joiner-with-address", 400.0, devices=[a, b],
                    gateways=[GatewaySpec("gw0", (0.0, 0.0))])
-    with pytest.raises(ScenarioError, match=r"devices\[0\]\.dev_addr"):
-        runner.run(scn, seed=0)
-
-    a.dev_addr = None
     res = runner.run(scn, seed=0)
     assert sorted(rec.spec.eid for rec in res.ns.devices.values()) == ["a", "b"]
     assert res.devices["a"].dev_addr != res.devices["b"].dev_addr
@@ -264,7 +257,7 @@ def test_receive_window_already_open_when_the_uplink_arrives_is_skipped():
     assert net["downlinks_scheduled"] == 0
     assert net["downlinks_deferred"] > 0
     joining = Scenario("late-join", 120.0, backhaul_delay_s=2.5,
-                       devices=[DeviceSpec("dev", prejoined=False, period_s=60.0, dr=3)],
+                       devices=[DeviceSpec("dev", dev_addr=None, period_s=60.0, dr=3)],
                        gateways=[GatewaySpec("gw0", (500.0, 0.0))])
     ns = runner.run(joining, seed=0).ns
     assert ns.counters["joins_accepted"] == 0

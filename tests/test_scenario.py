@@ -177,30 +177,37 @@ def test_validate_rejects_bad_directives():
 def test_validate_rejects_unjoined_device_without_address():
     doc = minimal_doc()
     doc["devices"][0] = {"eid": "dev"}
-    with pytest.raises(ScenarioError, match="dev_addr"):
+    with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
-    doc["devices"][0] = {"eid": "dev", "prejoined": False}
-    Scenario.from_dict(doc)              # joining devices get one later
+    assert str(err.value) == "devices[0].dev_addr: missing required key"
+    # null: the device joins over the air and is given its address then
+    doc["devices"][0] = {"eid": "dev", "dev_addr": None, "dr": 3}
+    doc["gateways"] = [{"eid": "gw", "position": [300.0, 0.0]}]
+    result = runner.run(Scenario.from_dict(doc), seed=0)
+    assert result.document["devices"]["dev"]["dev_addr"] is not None
+    assert result.document["network"]["joins_accepted"] == 1
 
 
 def test_validate_rejects_inverted_receive_delays():
-    with pytest.raises(ScenarioError, match="receive_delay2_s"):
-        Scenario.from_dict(minimal_doc(receive_delay1_s=2.0,
-                                       receive_delay2_s=1.0))
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(minimal_doc(windows={"receive_delay1_s": 2.0,
+                                                "receive_delay2_s": 1.0}))
+    assert str(err.value) == ("windows.receive_delay2_s: second window must open at least "
+                              "1 microsecond after the first")
 
 
-@pytest.mark.parametrize("delay1,delay2,path", [
+@pytest.mark.parametrize("delay1,delay2,key", [
     (1e-9, 2e-9, "receive_delay1_s"),     # both round to 0 us
     (1e-6, 1.4e-6, "receive_delay2_s"),   # both round to 1 us
 ])
-def test_receive_delays_are_distinct_whole_microseconds(delay1, delay2, path):
+def test_receive_delays_are_distinct_whole_microseconds(delay1, delay2, key):
     # these used to load; with both windows at the same microsecond every
     # downlink was deferred and the transfer never completed
     doc = load_bundled("table2_conventional").to_dict()
-    doc.update(receive_delay1_s=delay1, receive_delay2_s=delay2)
+    doc["windows"].update(receive_delay1_s=delay1, receive_delay2_s=delay2)
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
-    assert err.value.path == path
+    assert err.value.path == f"windows.{key}"
 
 
 def test_duty_audit_factory_shape():
@@ -224,10 +231,9 @@ def full_doc():
         bands=[{"ident": "x", "low_hz": 865_000_000, "high_hz": 870_000_000,
                 "duty_cycle_limit": 0.01}],
         profile=dataclasses.replace(DEFAULT_PROFILE, name="p").to_dict(),
-        rx2_freq_hz=869_525_000,
+        windows={"rx2_freq_hz": 869_525_000},
         devices=[{"eid": "a", "dev_addr": 1, "position": [0.0, 0.0],
-                  "channels_hz": [868_100_000], "max_uplinks": 3,
-                  "prejoined": True},
+                  "channels_hz": [868_100_000], "max_uplinks": 3},
                  {"eid": "b", "dev_addr": 2}],
         gateways=[{"eid": "gw", "position": [10.0, 0.0], "tx_power_dbm": 14}],
         transfers=[{"source": "a", "dest": "b", "total_bytes": 240}],
@@ -245,7 +251,7 @@ def test_full_doc_is_valid():
     # top level
     (("name",), 5, "name"),
     (("end_time_s",), _DELETE, "end_time_s"),
-    (("rx2_dr",), 1.5, "rx2_dr"),
+    (("windows", "rx2_dr"), 1.5, "windows.rx2_dr"),
     (("duty_cycle_enforced",), 1, "duty_cycle_enforced"),
     # radio
     (("radio",), [], "radio"),
@@ -282,6 +288,7 @@ def test_full_doc_is_valid():
     (("devices", 0, "dev_addr"), "1", "devices[0].dev_addr"),
     (("devices", 0, "max_uplinks"), 1.5, "devices[0].max_uplinks"),
     (("devices", 0, "max_uplinks"), -1, "devices[0].max_uplinks"),
+    # gone: a null dev_addr says that a device joins
     (("devices", 0, "prejoined"), 1, "devices[0].prejoined"),
     (("devices", 0, "period_s"), "300", "devices[0].period_s"),
     (("devices", 0, "chanels_hz"), [868_100_000], "devices[0].chanels_hz"),
@@ -315,7 +322,7 @@ def test_full_doc_is_valid():
     # a partial sensitivity table: the medium needs a floor for every rate
     (("radio", "sensitivity_dbm", 3), _DELETE, "radio.sensitivity_dbm"),
     # a class A receive window is undefined at the GFSK rate
-    (("rx2_dr",), 7, "rx2_dr"),
+    (("windows", "rx2_dr"), 7, "windows.rx2_dr"),
     (("devices", 0, "dr"), 7, "devices[0].dr"),
     # application data travels on FPort 1..223, and 221 is the setup port
     (("transfers", 0, "port"), 0, "transfers[0].port"),
@@ -348,6 +355,10 @@ def test_full_doc_is_valid():
     (("devices", 0, "tx_power_dbm"), 20, "devices[0].tx_power_dbm"),
     (("gateways", 0, "tx_power_dbm"), 20, "gateways[0].tx_power_dbm"),
     (("d2d_directives", 0, "power_dbm"), 20, "d2d_directives[0].power_dbm"),
+    # the windows block checks its own ranges
+    (("windows", "preamble_detect_symbols"), 0, "windows.preamble_detect_symbols"),
+    (("windows", "rx2_freq_hz"), 864_000_000, "windows.rx2_freq_hz"),
+    (("windows", "rx2"), 3, "windows.rx2"),
 ])
 def test_bad_value_error_paths(where, value, path):
     doc = full_doc()
@@ -440,11 +451,11 @@ def test_power_above_a_sub_band_erp_limit_is_rejected():
         Scenario.from_dict(doc)
     assert str(err.value) == ("d2d_directives[0].power_dbm: 20 dBm exceeds the 14 dBm "
                               "limit of sub-band g (865000000 Hz)")
-    # a gateway also sends on rx2_freq_hz: g3 allows 27 dBm, g1 only 14
+    # a gateway also sends on RX2's channel: g3 allows 27 dBm, g1 only 14
     doc["d2d_directives"][0]["power_dbm"] = 14
     doc["gateways"][0].update(channels_hz=[869_525_000], tx_power_dbm=20)
     Scenario.from_dict(doc)
-    doc["rx2_freq_hz"] = 868_500_000
+    doc["windows"]["rx2_freq_hz"] = 868_500_000
     with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(doc)
     assert err.value.path == "gateways[0].tx_power_dbm"
@@ -478,6 +489,14 @@ def test_block_that_is_not_a_list_is_rejected(block, value):
     assert err.value.path == block
 
 
+def test_old_top_level_window_key_is_an_unknown_key():
+    doc = load_bundled("table2_d2d").to_dict()
+    doc["rx2_dr"] = 3
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(doc)
+    assert str(err.value) == "rx2_dr: unknown key"
+
+
 def test_old_top_level_sensitivity_table_is_an_unknown_key():
     doc = load_bundled("table2_d2d").to_dict()
     doc["sensitivity_dbm"] = {str(dr): v for dr, v in enumerate(phy.DEFAULT_SENSITIVITY_DBM)}
@@ -498,10 +517,10 @@ def test_radio_needs_one_floor_per_rate(count):
 
 @pytest.mark.parametrize("name", bundled_names())
 def test_bundled_files_spell_out_the_defaults(name):
-    # the same file without bands, profile and floors loads to the same
-    # scenario: the bundled files write out the defaults they use
+    # the same file without bands, profile, floors and windows loads to the
+    # same scenario: the bundled files write out the defaults they use
     doc = load_bundled(name).to_dict()
-    del doc["bands"], doc["profile"], doc["radio"]["sensitivity_dbm"]
+    del doc["bands"], doc["profile"], doc["radio"]["sensitivity_dbm"], doc["windows"]
     assert Scenario.from_dict(doc) == load_bundled(name)
 
 
@@ -533,7 +552,11 @@ def _device(scn, **changes):
      d2d.D2DProtocolError, "turnaround_s"),
     (lambda s: dataclasses.replace(s, radio=dataclasses.replace(s.radio, pl0_db=math.nan)),
      phy.PhyError, "pl0_db"),
-], ids=["at_s-nan", "end-inf", "period-inf", "t2-inf", "turnaround-nan", "pl0-nan"])
+    (lambda s: dataclasses.replace(
+        s, windows=dataclasses.replace(s.windows, receive_delay1_s=math.nan)),
+     phy.PhyError, "receive_delay1_s"),
+], ids=["at_s-nan", "end-inf", "period-inf", "t2-inf", "turnaround-nan", "pl0-nan",
+        "delay1-nan"])
 def test_scenarios_built_in_code_reject_non_finite_settings(change, error, named):
     # the loader rejects these in a file; a scenario built with
     # dataclasses.replace used to crash the run with a bare ValueError or
